@@ -87,36 +87,53 @@ inline float elem_b(const float* b, std::size_t ldb, Trans t, std::size_t p,
 
 // -- Packing ---------------------------------------------------------------
 
-/// Packs op(A)[ic:ic+mc, pc:pc+kc] into kMr-row panels, p-major within a
-/// panel (panel[p*kMr + r]), zero-padding the ragged last panel so the
-/// micro-kernel never branches on row count.
-void pack_a(const float* a, std::size_t lda, Trans ta, std::size_t ic,
-            std::size_t mc, std::size_t pc, std::size_t kc, float* ap) {
-  for (std::size_t ir = 0; ir < mc; ir += kMr) {
-    const std::size_t mr = std::min(kMr, mc - ir);
-    float* panel = ap + (ir / kMr) * kMr * kc;
+/// Packs one panel of width W: kc steps of W lanes, p-major
+/// (panel[p*W + l] = src[l*lane_stride + p*step_stride]), with lanes past
+/// `lanes` zero so the micro-kernel never branches on tile size. The
+/// operand's Trans only sets the strides, so no loop tests it, or a lane
+/// bound, per element.
+template <std::size_t W>
+void pack_panel(const float* src, std::size_t lane_stride,
+                std::size_t step_stride, std::size_t lanes, std::size_t kc,
+                float* panel) {
+  if (lanes == W && lane_stride == 1) {
+    // Each step's lanes are one contiguous run of W floats. A fixed-size
+    // memcpy is inlined; std::copy_n may call memmove for every step.
     for (std::size_t p = 0; p < kc; ++p) {
-      for (std::size_t r = 0; r < kMr; ++r) {
-        panel[p * kMr + r] =
-            r < mr ? elem_a(a, lda, ta, ic + ir + r, pc + p) : 0.0F;
-      }
+      std::memcpy(panel + p * W, src + p * step_stride, W * sizeof(float));
+    }
+    return;
+  }
+  if (lanes < W) std::fill(panel, panel + W * kc, 0.0F);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const float* lane = src + l * lane_stride;
+    for (std::size_t p = 0; p < kc; ++p) {
+      panel[p * W + l] = lane[p * step_stride];
     }
   }
 }
 
-/// Packs op(B)[pc:pc+kc, jc:jc+nc] into kNr-column panels, p-major within a
-/// panel (panel[p*kNr + c]), zero-padded like pack_a.
+/// Packs op(A)[ic:ic+mc, pc:pc+kc] into kMr-row panels.
+void pack_a(const float* a, std::size_t lda, Trans ta, std::size_t ic,
+            std::size_t mc, std::size_t pc, std::size_t kc, float* ap) {
+  // op(A)[i, p] = a[i*row + p*col].
+  const std::size_t row = ta == Trans::kNo ? lda : 1;
+  const std::size_t col = ta == Trans::kNo ? 1 : lda;
+  for (std::size_t ir = 0; ir < mc; ir += kMr) {
+    pack_panel<kMr>(a + (ic + ir) * row + pc * col, row, col,
+                    std::min(kMr, mc - ir), kc, ap + (ir / kMr) * kMr * kc);
+  }
+}
+
+/// Packs op(B)[pc:pc+kc, jc:jc+nc] into kNr-column panels.
 void pack_b(const float* b, std::size_t ldb, Trans tb, std::size_t pc,
             std::size_t kc, std::size_t jc, std::size_t nc, float* bp) {
+  // op(B)[p, j] = b[p*row + j*col].
+  const std::size_t row = tb == Trans::kNo ? ldb : 1;
+  const std::size_t col = tb == Trans::kNo ? 1 : ldb;
   for (std::size_t jr = 0; jr < nc; jr += kNr) {
-    const std::size_t nr = std::min(kNr, nc - jr);
-    float* panel = bp + (jr / kNr) * kNr * kc;
-    for (std::size_t p = 0; p < kc; ++p) {
-      for (std::size_t c = 0; c < kNr; ++c) {
-        panel[p * kNr + c] =
-            c < nr ? elem_b(b, ldb, tb, pc + p, jc + jr + c) : 0.0F;
-      }
-    }
+    pack_panel<kNr>(b + pc * row + (jc + jr) * col, col, row,
+                    std::min(kNr, nc - jr), kc, bp + (jr / kNr) * kNr * kc);
   }
 }
 
@@ -150,35 +167,97 @@ void micro_kernel_portable(std::size_t kc, const float* ap, const float* bp,
 }
 
 #if APPFL_GEMM_X86
+// The AVX2 kernels name their twelve accumulators and spell out the six
+// tile rows: -O2 does not unroll a loop over rows, and an accumulator array
+// indexed by the loop counter would live on the stack, turning every
+// update into a load and a store.
+
+/// C row (op)= [lo hi]: the store for one 16-wide tile row.
+__attribute__((target("avx2"), always_inline)) inline void store_row(
+    float* cr, __m256 lo, __m256 hi, bool overwrite) {
+  if (!overwrite) {
+    lo = _mm256_add_ps(_mm256_loadu_ps(cr), lo);
+    hi = _mm256_add_ps(_mm256_loadu_ps(cr + 8), hi);
+  }
+  _mm256_storeu_ps(cr, lo);
+  _mm256_storeu_ps(cr + 8, hi);
+}
+
+/// Full tiles: one fused multiply-add chain per accumulator, ascending p.
 __attribute__((target("avx2,fma"))) void micro_kernel_avx2(
     std::size_t kc, const float* ap, const float* bp, float* c,
     std::size_t ldc, bool overwrite) {
-  __m256 acc[kMr][2];
-  for (std::size_t r = 0; r < kMr; ++r) {
-    acc[r][0] = _mm256_setzero_ps();
-    acc[r][1] = _mm256_setzero_ps();
+  __m256 lo0 = _mm256_setzero_ps(), hi0 = lo0, lo1 = lo0, hi1 = lo0;
+  __m256 lo2 = lo0, hi2 = lo0, lo3 = lo0, hi3 = lo0, lo4 = lo0, hi4 = lo0;
+  __m256 lo5 = lo0, hi5 = lo0;
+  for (std::size_t p = 0; p < kc; ++p, ap += kMr, bp += kNr) {
+    const __m256 bl = _mm256_loadu_ps(bp);
+    const __m256 bh = _mm256_loadu_ps(bp + 8);
+    __m256 ar = _mm256_broadcast_ss(ap);
+    lo0 = _mm256_fmadd_ps(ar, bl, lo0);
+    hi0 = _mm256_fmadd_ps(ar, bh, hi0);
+    ar = _mm256_broadcast_ss(ap + 1);
+    lo1 = _mm256_fmadd_ps(ar, bl, lo1);
+    hi1 = _mm256_fmadd_ps(ar, bh, hi1);
+    ar = _mm256_broadcast_ss(ap + 2);
+    lo2 = _mm256_fmadd_ps(ar, bl, lo2);
+    hi2 = _mm256_fmadd_ps(ar, bh, hi2);
+    ar = _mm256_broadcast_ss(ap + 3);
+    lo3 = _mm256_fmadd_ps(ar, bl, lo3);
+    hi3 = _mm256_fmadd_ps(ar, bh, hi3);
+    ar = _mm256_broadcast_ss(ap + 4);
+    lo4 = _mm256_fmadd_ps(ar, bl, lo4);
+    hi4 = _mm256_fmadd_ps(ar, bh, hi4);
+    ar = _mm256_broadcast_ss(ap + 5);
+    lo5 = _mm256_fmadd_ps(ar, bl, lo5);
+    hi5 = _mm256_fmadd_ps(ar, bh, hi5);
   }
-  for (std::size_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp + p * kNr);
-    const __m256 b1 = _mm256_loadu_ps(bp + p * kNr + 8);
-    const float* a = ap + p * kMr;
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const __m256 ar = _mm256_set1_ps(a[r]);
-      acc[r][0] = _mm256_fmadd_ps(ar, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(ar, b1, acc[r][1]);
-    }
+  store_row(c, lo0, hi0, overwrite);
+  store_row(c + ldc, lo1, hi1, overwrite);
+  store_row(c + 2 * ldc, lo2, hi2, overwrite);
+  store_row(c + 3 * ldc, lo3, hi3, overwrite);
+  store_row(c + 4 * ldc, lo4, hi4, overwrite);
+  store_row(c + 5 * ldc, lo5, hi5, overwrite);
+}
+
+/// The AVX2 twin of micro_kernel_portable for edge tiles: the same
+/// multiply-then-add per step, so ragged tiles round exactly as the
+/// portable kernel does. Built without "fma" so the compiler cannot fuse
+/// the multiply into the add.
+__attribute__((target("avx2"))) void micro_kernel_portable_avx2(
+    std::size_t kc, const float* ap, const float* bp, float* c,
+    std::size_t ldc, bool overwrite) {
+  __m256 lo0 = _mm256_setzero_ps(), hi0 = lo0, lo1 = lo0, hi1 = lo0;
+  __m256 lo2 = lo0, hi2 = lo0, lo3 = lo0, hi3 = lo0, lo4 = lo0, hi4 = lo0;
+  __m256 lo5 = lo0, hi5 = lo0;
+  for (std::size_t p = 0; p < kc; ++p, ap += kMr, bp += kNr) {
+    const __m256 bl = _mm256_loadu_ps(bp);
+    const __m256 bh = _mm256_loadu_ps(bp + 8);
+    __m256 ar = _mm256_broadcast_ss(ap);
+    lo0 = _mm256_add_ps(lo0, _mm256_mul_ps(ar, bl));
+    hi0 = _mm256_add_ps(hi0, _mm256_mul_ps(ar, bh));
+    ar = _mm256_broadcast_ss(ap + 1);
+    lo1 = _mm256_add_ps(lo1, _mm256_mul_ps(ar, bl));
+    hi1 = _mm256_add_ps(hi1, _mm256_mul_ps(ar, bh));
+    ar = _mm256_broadcast_ss(ap + 2);
+    lo2 = _mm256_add_ps(lo2, _mm256_mul_ps(ar, bl));
+    hi2 = _mm256_add_ps(hi2, _mm256_mul_ps(ar, bh));
+    ar = _mm256_broadcast_ss(ap + 3);
+    lo3 = _mm256_add_ps(lo3, _mm256_mul_ps(ar, bl));
+    hi3 = _mm256_add_ps(hi3, _mm256_mul_ps(ar, bh));
+    ar = _mm256_broadcast_ss(ap + 4);
+    lo4 = _mm256_add_ps(lo4, _mm256_mul_ps(ar, bl));
+    hi4 = _mm256_add_ps(hi4, _mm256_mul_ps(ar, bh));
+    ar = _mm256_broadcast_ss(ap + 5);
+    lo5 = _mm256_add_ps(lo5, _mm256_mul_ps(ar, bl));
+    hi5 = _mm256_add_ps(hi5, _mm256_mul_ps(ar, bh));
   }
-  for (std::size_t r = 0; r < kMr; ++r) {
-    float* cr = c + r * ldc;
-    if (overwrite) {
-      _mm256_storeu_ps(cr, acc[r][0]);
-      _mm256_storeu_ps(cr + 8, acc[r][1]);
-    } else {
-      _mm256_storeu_ps(cr, _mm256_add_ps(_mm256_loadu_ps(cr), acc[r][0]));
-      _mm256_storeu_ps(cr + 8,
-                       _mm256_add_ps(_mm256_loadu_ps(cr + 8), acc[r][1]));
-    }
-  }
+  store_row(c, lo0, hi0, overwrite);
+  store_row(c + ldc, lo1, hi1, overwrite);
+  store_row(c + 2 * ldc, lo2, hi2, overwrite);
+  store_row(c + 3 * ldc, lo3, hi3, overwrite);
+  store_row(c + 4 * ldc, lo4, hi4, overwrite);
+  store_row(c + 5 * ldc, lo5, hi5, overwrite);
 }
 #endif
 
@@ -190,24 +269,33 @@ bool detect_avx2() {
 #endif
 }
 
-MicroKernel full_tile_kernel() {
+/// The dispatched micro-kernels. Full tiles may fuse multiply and add;
+/// edge tiles always round like micro_kernel_portable.
+struct TileKernels {
+  MicroKernel full;
+  MicroKernel edge;
+};
+
+const TileKernels& tile_kernels() {
 #if APPFL_GEMM_X86
-  static const MicroKernel kernel =
-      detect_avx2() ? micro_kernel_avx2 : micro_kernel_portable;
+  static const TileKernels kernels =
+      detect_avx2()
+          ? TileKernels{micro_kernel_avx2, micro_kernel_portable_avx2}
+          : TileKernels{micro_kernel_portable, micro_kernel_portable};
 #else
-  static const MicroKernel kernel = micro_kernel_portable;
+  static const TileKernels kernels{micro_kernel_portable,
+                                   micro_kernel_portable};
 #endif
-  return kernel;
+  return kernels;
 }
 
 /// Edge tiles: compute the padded full tile into a stack buffer, then copy
-/// the valid mr×nr corner out. Runs the portable kernel — edges are a
-/// vanishing fraction of the work.
-void micro_kernel_edge(std::size_t kc, const float* ap, const float* bp,
-                       std::size_t mr, std::size_t nr, float* c,
-                       std::size_t ldc, bool overwrite) {
+/// the valid mr×nr corner out.
+void micro_kernel_edge(MicroKernel kernel, std::size_t kc, const float* ap,
+                       const float* bp, std::size_t mr, std::size_t nr,
+                       float* c, std::size_t ldc, bool overwrite) {
   float tile[kMr * kNr];
-  micro_kernel_portable(kc, ap, bp, tile, kNr, /*overwrite=*/true);
+  kernel(kc, ap, bp, tile, kNr, /*overwrite=*/true);
   for (std::size_t r = 0; r < mr; ++r) {
     float* cr = c + r * ldc;
     const float* tr = tile + r * kNr;
@@ -223,7 +311,7 @@ void micro_kernel_edge(std::size_t kc, const float* ap, const float* bp,
 void macro_kernel(std::size_t mc, std::size_t nc, std::size_t kc,
                   const float* ap, const float* bp, float* c, std::size_t ldc,
                   bool overwrite) {
-  const MicroKernel full = full_tile_kernel();
+  const TileKernels& kernels = tile_kernels();
   for (std::size_t jr = 0; jr < nc; jr += kNr) {
     const std::size_t nr = std::min(kNr, nc - jr);
     const float* b_panel = bp + (jr / kNr) * kNr * kc;
@@ -232,10 +320,10 @@ void macro_kernel(std::size_t mc, std::size_t nc, std::size_t kc,
       const float* a_panel = ap + (ir / kMr) * kMr * kc;
       float* c_tile = c + ir * ldc + jr;
       if (mr == kMr && nr == kNr) {
-        full(kc, a_panel, b_panel, c_tile, ldc, overwrite);
+        kernels.full(kc, a_panel, b_panel, c_tile, ldc, overwrite);
       } else {
-        micro_kernel_edge(kc, a_panel, b_panel, mr, nr, c_tile, ldc,
-                          overwrite);
+        micro_kernel_edge(kernels.edge, kc, a_panel, b_panel, mr, nr, c_tile,
+                          ldc, overwrite);
       }
     }
   }
@@ -317,7 +405,7 @@ std::size_t last_gemm_chunks() { return t_last_chunks; }
 
 bool gemm_uses_avx2() {
 #if APPFL_GEMM_X86
-  return full_tile_kernel() == micro_kernel_avx2;
+  return tile_kernels().full == micro_kernel_avx2;
 #else
   return false;
 #endif
@@ -435,6 +523,7 @@ GemmInstruments& gemm_instruments() {
 void gemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
           const float* a, std::size_t lda, const float* b, std::size_t ldb,
           float* c) {
+  t_last_chunks = 1;
   if (m == 0 || n == 0) return;
   if (k == 0) {
     std::fill(c, c + m * n, 0.0F);
@@ -444,7 +533,6 @@ void gemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
   const double t0 = timed ? obs::Tracer::global().now() : 0.0;
   const KernelConfig config = kernel_config();
   if (config.backend == KernelBackend::kReference || m * n * k < kTinyFlops) {
-    t_last_chunks = 1;
     gemm_reference(ta, tb, m, n, k, a, lda, b, ldb, c);
   } else {
     gemm_tiled(ta, tb, m, n, k, a, lda, b, ldb, c);

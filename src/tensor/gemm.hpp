@@ -8,13 +8,14 @@
 //    products where packing overhead dominates).
 //  - kTiled: BLIS-style five-loop GEMM. A and B are packed into contiguous
 //    panels (A in MR-row panels, B in NR-column panels, zero-padded at the
-//    edges), and a 6×16 register-tile micro-kernel runs the unrolled
-//    FMA-friendly inner loop. On x86-64 with AVX2+FMA an intrinsics
-//    micro-kernel is selected at runtime; elsewhere a portable fixed-tile
-//    kernel is used. Row panels are distributed over a shared process-wide
-//    kernel ThreadPool; calls arriving from inside any pool worker (e.g.
-//    the runner's per-client parallel_for) fall back to serial execution
-//    (see ThreadPool::on_worker_thread) so nested parallelism never
+//    edges), and a 6×16 register-tile micro-kernel runs the inner loop.
+//    On x86-64 with AVX2+FMA, intrinsics micro-kernels are selected at
+//    runtime: full tiles fuse each multiply into its add, ragged edge tiles
+//    multiply then add like the portable fixed-tile kernel used elsewhere.
+//    Row panels are distributed over a shared process-wide kernel
+//    ThreadPool; calls arriving from inside any pool worker (e.g. the
+//    runner's per-client parallel_for) fall back to serial execution (see
+//    ThreadPool::on_worker_thread) so nested parallelism never
 //    oversubscribes or deadlocks.
 //
 // Backend and thread count come from the process-wide KernelConfig, seeded
@@ -23,7 +24,9 @@
 // the runner). Results are bitwise deterministic for a fixed backend on a
 // fixed machine regardless of thread count: work is split along C's rows,
 // every C element is accumulated in the same order by the same micro-kernel
-// no matter which thread owns it.
+// no matter which thread owns it. Which micro-kernel that is depends on
+// whether the element's tile is full, so the contract covers thread count,
+// not tile position.
 #pragma once
 
 #include <cstddef>

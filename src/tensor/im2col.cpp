@@ -18,13 +18,31 @@ void im2col_into(const Tensor& input, const Conv2dSpec& spec, float* out) {
 
   const float* X = input.raw();
   const long pad = static_cast<long>(spec.padding);
+  const long window = static_cast<long>(k);
 
   for (std::size_t img = 0; img < n; ++img) {
     for (std::size_t oy = 0; oy < oh; ++oy) {
       const long iy0 = static_cast<long>(oy * spec.stride) - pad;
+      const bool rows_inside = iy0 >= 0 && iy0 + window <= static_cast<long>(h);
       for (std::size_t ox = 0; ox < ow; ++ox) {
         const long ix0 = static_cast<long>(ox * spec.stride) - pad;
         float* row = out + ((img * oh + oy) * ow + ox) * patch;
+        if (rows_inside && ix0 >= 0 && ix0 + window <= static_cast<long>(w)) {
+          // The window lies wholly inside the input: copy its k-wide rows.
+          // A plain loop, since std::copy_n of a few floats becomes a
+          // memmove call per row.
+          const auto y = static_cast<std::size_t>(iy0);
+          const auto x0 = static_cast<std::size_t>(ix0);
+          for (std::size_t ic = 0; ic < cin; ++ic) {
+            const float* x = X + ((img * cin + ic) * h + y) * w + x0;
+            for (std::size_t ky = 0; ky < k; ++ky) {
+              const float* src = x + ky * w;
+              float* dst = row + (ic * k + ky) * k;
+              for (std::size_t kx = 0; kx < k; ++kx) dst[kx] = src[kx];
+            }
+          }
+          continue;
+        }
         for (std::size_t ic = 0; ic < cin; ++ic) {
           const float* x = X + ((img * cin + ic) * h) * w;
           for (std::size_t ky = 0; ky < k; ++ky) {

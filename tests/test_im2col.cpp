@@ -2,6 +2,10 @@
 // equivalence with the direct kernels over a shape sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "scoped_kernel_config.hpp"
 #include "util/check.hpp"
 
@@ -52,6 +56,65 @@ TEST(Col2im, IsAdjointOfIm2col) {
   const Tensor folded = appfl::tensor::col2im(y, x.shape(), spec);
   EXPECT_NEAR(appfl::tensor::dot(cols.data(), y.data()),
               appfl::tensor::dot(x.data(), folded.data()), 1e-2);
+}
+
+/// im2col by its definition: one bounds-checked read per patch element.
+std::vector<float> gather_patches(const Tensor& x, const Conv2dSpec& spec) {
+  const std::size_t n = x.dim(0), cin = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::size_t oh = spec.out_extent(h), ow = spec.out_extent(w);
+  const std::size_t k = spec.kernel;
+  std::vector<float> cols;
+  for (std::size_t img = 0; img < n; ++img) {
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        for (std::size_t ic = 0; ic < cin; ++ic) {
+          for (std::size_t ky = 0; ky < k; ++ky) {
+            for (std::size_t kx = 0; kx < k; ++kx) {
+              const long iy = static_cast<long>(oy * spec.stride + ky) -
+                              static_cast<long>(spec.padding);
+              const long ix = static_cast<long>(ox * spec.stride + kx) -
+                              static_cast<long>(spec.padding);
+              const bool inside = iy >= 0 && iy < static_cast<long>(h) &&
+                                  ix >= 0 && ix < static_cast<long>(w);
+              cols.push_back(
+                  inside ? x.at({img, ic, static_cast<std::size_t>(iy),
+                                 static_cast<std::size_t>(ix)})
+                         : 0.0F);
+            }
+          }
+        }
+      }
+    }
+  }
+  return cols;
+}
+
+TEST(Im2col, MatchesBoundsCheckedGatherBitForBit) {
+  // Interior windows and border windows take different paths in
+  // im2col_into; every combination here has both.
+  appfl::rng::Rng r(17);
+  const std::size_t extents[][2] = {{7, 9}, {6, 4}};
+  for (const auto& hw : extents) {
+    for (const std::size_t cin : {1UL, 3UL}) {
+      const Tensor x = Tensor::randn({2, cin, hw[0], hw[1]}, r);
+      for (const std::size_t k : {1UL, 3UL, 5UL}) {
+        for (const std::size_t stride : {1UL, 2UL}) {
+          for (const std::size_t pad : {0UL, 1UL, 2UL}) {
+            if (k > std::min(hw[0], hw[1]) + 2 * pad) continue;
+            const Conv2dSpec spec{cin, 1, k, stride, pad};
+            const Tensor cols = appfl::tensor::im2col(x, spec);
+            const std::vector<float> expected = gather_patches(x, spec);
+            ASSERT_EQ(cols.size(), expected.size());
+            EXPECT_EQ(std::memcmp(cols.raw(), expected.data(),
+                                  expected.size() * sizeof(float)),
+                      0)
+                << hw[0] << "x" << hw[1] << " cin=" << cin << " k=" << k
+                << " stride=" << stride << " pad=" << pad;
+          }
+        }
+      }
+    }
+  }
 }
 
 struct GemmCase {

@@ -4,7 +4,11 @@
 // inner; a kernel inside a pool task must never fan out again).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "scoped_kernel_config.hpp"
 
@@ -20,6 +24,7 @@ namespace {
 using appfl::tensor::KernelBackend;
 using appfl::tensor::KernelConfig;
 using appfl::tensor::Tensor;
+using appfl::tensor::Trans;
 using appfl::testutil::ScopedKernelConfig;
 
 // Big enough that gemm() takes the tiled path (≥ the tiny-product cutoff)
@@ -123,9 +128,122 @@ TEST(KernelEngine, DeterministicAcrossThreadCounts) {
 TEST(KernelEngine, RawGemmHandlesDegenerateExtents) {
   // k == 0 must produce zeros (empty sum), not garbage from the workspace.
   float c[4] = {42.0F, 42.0F, 42.0F, 42.0F};
-  appfl::tensor::gemm(appfl::tensor::Trans::kNo, appfl::tensor::Trans::kNo, 2,
-                      2, 0, nullptr, 0, nullptr, 0, c);
+  appfl::tensor::gemm(Trans::kNo, Trans::kNo, 2, 2, 0, nullptr, 0, nullptr, 0,
+                      c);
   for (float v : c) EXPECT_EQ(v, 0.0F);
+
+  // Each degenerate call ran serially, so it reports one chunk even right
+  // after a call that fanned out.
+  const Tensor a = big_a(), b = big_b();
+  ScopedKernelConfig guard(KernelBackend::kTiled, 2);
+  const std::size_t extents[][3] = {{2, 2, 0}, {0, 2, 2}, {2, 0, 2}};
+  for (const auto& e : extents) {
+    appfl::tensor::matmul(a, b);
+    ASSERT_GT(appfl::tensor::last_gemm_chunks(), 1U);
+    appfl::tensor::gemm(Trans::kNo, Trans::kNo, e[0], e[1], e[2], a.raw(),
+                        e[2], b.raw(), e[1], c);
+    EXPECT_EQ(appfl::tensor::last_gemm_chunks(), 1U)
+        << "m=" << e[0] << " n=" << e[1] << " k=" << e[2];
+  }
+}
+
+// -- Result bits -------------------------------------------------------------
+//
+// gemm's exact accumulation order, replayed in scalar code. Products under
+// 32³ multiply-adds take the reference loops: one ascending-p chain per
+// element, each step a multiply then an add. Larger products take the
+// tiled path: per KC=256 block, one ascending-p chain per element, the
+// block results summed into C by a separate add. The chain is fused
+// (std::fma) only for elements of a full 6×16 tile when the AVX2 kernel is
+// dispatched; ragged tiles and the portable kernel multiply then add.
+
+constexpr std::size_t kOracleMr = 6, kOracleNr = 16, kOracleKc = 256;
+constexpr std::size_t kOracleMc = 96, kOracleNc = 1024;
+
+/// True when the tile holding `index` along an extent split into blocks of
+/// `block` and tiles of `tile` is a full tile.
+bool in_full_tile(std::size_t index, std::size_t extent, std::size_t block,
+                  std::size_t tile) {
+  const std::size_t block_start = index / block * block;
+  const std::size_t block_len = std::min(block, extent - block_start);
+  const std::size_t tile_start = (index - block_start) / tile * tile;
+  return block_len - tile_start >= tile;
+}
+
+std::vector<float> gemm_oracle(Trans ta, Trans tb, std::size_t m,
+                               std::size_t n, std::size_t k, const float* a,
+                               std::size_t lda, const float* b,
+                               std::size_t ldb) {
+  const bool tiled = m * n * k >= 32 * 32 * 32;
+  const std::size_t chain = tiled ? kOracleKc : k;
+  std::vector<float> c(m * n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const bool fused = tiled && appfl::tensor::gemm_uses_avx2() &&
+                         in_full_tile(i, m, kOracleMc, kOracleMr) &&
+                         in_full_tile(j, n, kOracleNc, kOracleNr);
+      float total = 0.0F;
+      for (std::size_t pc = 0; pc < k; pc += chain) {
+        float block = 0.0F;
+        for (std::size_t p = pc; p < std::min(pc + chain, k); ++p) {
+          const float x = ta == Trans::kNo ? a[i * lda + p] : a[p * lda + i];
+          const float y = tb == Trans::kNo ? b[p * ldb + j] : b[j * ldb + p];
+          block = fused ? std::fma(x, y, block) : block + x * y;
+        }
+        total = pc == 0 ? block : total + block;
+      }
+      c[i * n + j] = total;
+    }
+  }
+  return c;
+}
+
+TEST(KernelEngine, GemmBitsMatchAccumulationOrderOracle) {
+  struct Extents {
+    std::size_t m, n, k;
+  };
+  const Extents shapes[] = {
+      {7, 9, 5},       // reference loops
+      {31, 33, 32},    // just under the tiled cutoff
+      {32, 32, 32},    // at the cutoff
+      {12, 32, 200},   // full tiles only
+      {100, 32, 64},   // ragged rows, two row blocks
+      {96, 40, 64},    // ragged columns
+      {101, 45, 300},  // ragged rows and columns, two KC blocks
+      {13, 1030, 40},  // two NC blocks, the second one ragged
+  };
+  const Trans both[] = {Trans::kNo, Trans::kYes};
+  appfl::rng::Rng r(29);
+  for (const Extents& s : shapes) {
+    const Tensor a = Tensor::randn({s.m * s.k}, r);
+    const Tensor b = Tensor::randn({s.k * s.n}, r);
+    for (const Trans ta : both) {
+      for (const Trans tb : both) {
+        const std::size_t lda = ta == Trans::kNo ? s.k : s.m;
+        const std::size_t ldb = tb == Trans::kNo ? s.n : s.k;
+        const std::vector<float> expected = gemm_oracle(
+            ta, tb, s.m, s.n, s.k, a.raw(), lda, b.raw(), ldb);
+        for (const std::size_t threads : {1UL, 4UL}) {
+          ScopedKernelConfig guard(KernelBackend::kTiled, threads);
+          std::vector<float> c(s.m * s.n, -1.0F);
+          appfl::tensor::gemm(ta, tb, s.m, s.n, s.k, a.raw(), lda, b.raw(),
+                              ldb, c.data());
+          std::size_t first_diff = 0;
+          while (first_diff < c.size() &&
+                 std::memcmp(&c[first_diff], &expected[first_diff],
+                             sizeof(float)) == 0) {
+            ++first_diff;
+          }
+          EXPECT_EQ(first_diff, c.size())
+              << s.m << "x" << s.n << "x" << s.k << " ta="
+              << (ta == Trans::kYes) << " tb=" << (tb == Trans::kYes)
+              << " threads=" << threads << ": element " << first_diff
+              << " is " << c[first_diff] << ", oracle "
+              << expected[first_diff];
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelEngine, TransposeTransposeVariantAgrees) {
