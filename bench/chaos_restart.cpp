@@ -3,7 +3,8 @@
 // store, and verify the resumed run reaches the SAME final model — float
 // bytes compared with memcmp, not a tolerance — with a monotone DP ledger.
 // Covers all five algorithms (FedAvg, FedProx, FedOpt, ICEADMM, IIADMM)
-// plus the asynchronous runner at update granularity.
+// plus the asynchronous event loop at update granularity under each of its
+// four commit policies (FedAsync, FedBuff, FedCompass, async IIADMM).
 //
 //   chaos_restart           full sweep: 10 rounds, every kill point,
 //                           writes results/chaos_restart.csv
@@ -26,6 +27,7 @@
 #include "core/runner.hpp"
 #include "core/server_opt.hpp"
 #include "data/synth.hpp"
+#include "hw/device.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
 
@@ -121,36 +123,71 @@ KillOutcome kill_restart_verify(const AlgoCase& algo, const RunConfig& cfg,
   return out;
 }
 
-void verify_async(const appfl::data::FederatedSplit& split,
+// One commit policy of the async event loop. IIADMM is reached through
+// run_async_iiadmm; the others through run_async's strategy knob.
+struct AsyncCase {
+  std::string name;
+  appfl::core::AsyncStrategyKind kind;  // ignored when iiadmm
+  bool iiadmm = false;
+};
+
+struct AsyncOutcome {
+  appfl::core::AsyncRunResult run;
+  bool duals_consistent = true;  // only IIADMM has replicas to compare
+};
+
+AsyncOutcome run_async_case(const AsyncCase& c,
+                            const appfl::core::AsyncConfig& cfg,
+                            const appfl::data::FederatedSplit& split) {
+  if (!c.iiadmm) return {appfl::core::run_async(cfg, split), true};
+  auto r = appfl::core::run_async_iiadmm(cfg, split);
+  return {std::move(r.base), r.duals_consistent};
+}
+
+void verify_async(const AsyncCase& c,
+                  const appfl::data::FederatedSplit& split,
                   const RunConfig& base, bool smoke) {
   appfl::core::AsyncConfig acfg;
   acfg.run = base;
   acfg.run.epsilon = std::numeric_limits<double>::infinity();
-  const auto baseline = appfl::core::run_async(acfg, split);
-  const std::uint64_t total = baseline.applied_updates;
+  acfg.strategy.kind = c.kind;
+  // K = 3 puts the smoke kill points (updates 4 and 8) mid-buffer.
+  acfg.strategy.buffer_k = 3;
+  // A mixed fleet gives FedCompass a non-uniform step plan to restore.
+  if (c.kind == appfl::core::AsyncStrategyKind::kFedCompass) {
+    acfg.devices = {appfl::hw::a100(), appfl::hw::v100()};
+  }
+  const AsyncOutcome baseline = run_async_case(c, acfg, split);
+  const std::uint64_t total = baseline.run.applied_updates;
   const std::uint64_t step = smoke ? total / 2 : 1;
   for (std::uint64_t k = step; k < total; k += step) {
     const std::string dir =
-        (fs::temp_directory_path() / ("appfl_chaos_async_" +
-                                      std::to_string(k)))
+        (fs::temp_directory_path() /
+         ("appfl_chaos_async_" + c.name + "_" + std::to_string(k)))
             .string();
     fs::remove_all(dir);
     appfl::core::AsyncConfig killed = acfg;
     killed.run.checkpoint_dir = dir;
     killed.run.halt_after_round = k;  // applied-update granularity
-    (void)appfl::core::run_async(killed, split);
+    (void)run_async_case(c, killed, split);
     appfl::core::AsyncConfig resumed_cfg = acfg;
     resumed_cfg.run.checkpoint_dir = dir;
     resumed_cfg.run.resume_from = dir;
-    const auto resumed = appfl::core::run_async(resumed_cfg, split);
-    APPFL_CHECK_MSG(resumed.resumed_from_update == k,
-                    "async resume landed on update "
-                        << resumed.resumed_from_update << ", expected " << k);
-    APPFL_CHECK_MSG(same_bits(baseline.final_w, resumed.final_w),
-                    "async final model diverged after kill at update " << k);
+    const AsyncOutcome resumed = run_async_case(c, resumed_cfg, split);
+    APPFL_CHECK_MSG(resumed.run.resumed_from_update == k,
+                    "async " << c.name << " resume landed on update "
+                             << resumed.run.resumed_from_update
+                             << ", expected " << k);
+    APPFL_CHECK_MSG(same_bits(baseline.run.final_w, resumed.run.final_w),
+                    "async " << c.name
+                             << " final model diverged after kill at update "
+                             << k);
+    APPFL_CHECK_MSG(resumed.duals_consistent,
+                    "async " << c.name << " dual replicas diverged after "
+                             << "kill at update " << k);
     fs::remove_all(dir);
   }
-  std::cout << "async: " << (total - 1) / step
+  std::cout << "async " << c.name << ": " << (total - 1) / step
             << " kill points bit-identical\n";
 }
 
@@ -249,7 +286,16 @@ int main(int argc, char** argv) {
     async_base.batch_size = 16;
     async_base.seed = 11;
     async_base.validate_every_round = false;
-    verify_async(split, async_base, smoke);
+    using appfl::core::AsyncStrategyKind;
+    const std::vector<AsyncCase> async_cases = {
+        {"fedasync", AsyncStrategyKind::kFedAsync},
+        {"fedbuff", AsyncStrategyKind::kFedBuff},
+        {"fedcompass", AsyncStrategyKind::kFedCompass},
+        {"iiadmm", AsyncStrategyKind::kFedAsync, true},
+    };
+    for (const AsyncCase& c : async_cases) {
+      verify_async(c, split, async_base, smoke);
+    }
   }
 
   if (smoke) {

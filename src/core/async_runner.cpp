@@ -1,5 +1,6 @@
 #include "core/async_runner.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 #include <optional>
@@ -89,16 +90,34 @@ std::size_t resolve_total_updates(const AsyncConfig& config,
   return total;
 }
 
-}  // namespace
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](float x, float y) {
+           return std::bit_cast<std::uint32_t>(x) ==
+                  std::bit_cast<std::uint32_t>(y);
+         });
+}
 
-AsyncRunResult run_async(const AsyncConfig& config,
-                         const data::FederatedSplit& split) {
+/// The one async event loop. The algorithm picks the commit policy:
+/// FedAvg runs the AsyncStrategyOptions knob's FedAsync/FedBuff/FedCompass,
+/// IIADMM runs exact absorption into the IIAdmmServer's replicas and, when
+/// `duals_consistent` is given, checks them against the clients at the end.
+AsyncRunResult run_async_loop(const AsyncConfig& config,
+                              const data::FederatedSplit& split,
+                              Algorithm algorithm, bool* duals_consistent) {
   RunConfig cfg = config.run;
-  cfg.algorithm = Algorithm::kFedAvg;  // async mixing is server-side
+  cfg.algorithm = algorithm;
   cfg.validate();
+  const bool iiadmm = algorithm == Algorithm::kIIAdmm;
   APPFL_CHECK_MSG(cfg.population == 0,
                   "population sampling is a run_population feature; the "
                   "async runner drives the split's clients directly");
+  // Async IIADMM clients never receive an adapted ρ, so adapting it in the
+  // server's update() would break the replicas. (FedAvg's validate()
+  // already rejects adaptive ρ.)
+  APPFL_CHECK_MSG(!cfg.adaptive_rho,
+                  "async IIADMM needs a constant rho: its clients never "
+                  "receive an adapted one");
   ObsSession obs_session(cfg);
   APPFL_CHECK_MSG(config.mixing_alpha > 0.0F && config.mixing_alpha <= 1.0F,
                   "mixing alpha must be in (0, 1]");
@@ -112,6 +131,10 @@ AsyncRunResult run_async(const AsyncConfig& config,
 
   auto prototype = build_model(cfg, split.test);
   const double flops_one_pass = 3.0 * prototype->forward_flops(1);
+  // The IIADMM policy holds the server, so the server comes first, from a
+  // clone: the prototype's weights are every client's starting point too.
+  auto server =
+      build_server(cfg, prototype->clone(), split.test, num_clients);
 
   // The strategy decides the absorb rule and each client's per-dispatch
   // local work; the compute-aware scheduler needs the fleet's speeds.
@@ -120,10 +143,12 @@ AsyncRunResult run_async(const AsyncConfig& config,
     seconds_per_step[p] = devices[p % devices.size()].seconds_for(
         flops_one_pass * static_cast<double>(split.clients[p].size()));
   }
-  const AsyncStrategyOptions strat_opts =
-      async_strategy_options_from_env(config.strategy);
-  std::unique_ptr<AsyncStrategy> strategy = AsyncStrategy::make(
-      strat_opts, config.mixing_alpha, cfg.local_steps, seconds_per_step);
+  std::unique_ptr<AsyncStrategy> strategy =
+      iiadmm ? AsyncStrategy::make_iiadmm(
+                   static_cast<IIAdmmServer&>(*server), cfg.local_steps)
+             : AsyncStrategy::make(
+                   async_strategy_options_from_env(config.strategy),
+                   config.mixing_alpha, cfg.local_steps, seconds_per_step);
 
   std::vector<std::unique_ptr<BaseClient>> clients;
   clients.reserve(num_clients);
@@ -133,13 +158,13 @@ AsyncRunResult run_async(const AsyncConfig& config,
     clients.push_back(build_client(static_cast<std::uint32_t>(p + 1),
                                    client_cfg, *prototype, split.clients[p]));
   }
-  auto server =
-      build_server(cfg, std::move(prototype), split.test, num_clients);
-  std::vector<float> w = server->initial_parameters();
+  // IIADMM starts from line 3's consensus over the initial replicas.
+  std::vector<float> w = iiadmm ? server->compute_global(0)
+                                : server->initial_parameters();
   const std::size_t payload_bytes = 4 * w.size() + 64;
 
   comm::GrpcCostModel net;
-  rng::Rng jitter(rng::derive_seed(cfg.seed, {0xA5, 1}));
+  rng::Rng jitter(rng::derive_seed(cfg.seed, {0xA5, iiadmm ? 3U : 1U}));
   // Drop faults get their own stream so fault-free runs stay bit-identical
   // to pre-fault builds (the stream is never drawn from when drop == 0).
   const comm::FaultConfig faults = comm::fault_config_from_env(cfg.faults);
@@ -159,8 +184,8 @@ AsyncRunResult run_async(const AsyncConfig& config,
   // Train-at-dispatch: the local result is a pure function of the w the
   // client received, so computing it eagerly and delivering it at
   // finish_time is equivalent to computing it on arrival. What rides in
-  // flight is the strategy's payload (the model for mixing schemes, the
-  // delta for FedBuff).
+  // flight is the strategy's payload (the model for mixing schemes and
+  // IIADMM, the delta for FedBuff).
   std::vector<std::vector<float>> in_flight(num_clients);
   std::priority_queue<PendingUpdate, std::vector<PendingUpdate>,
                       std::greater<PendingUpdate>>
@@ -173,7 +198,7 @@ AsyncRunResult run_async(const AsyncConfig& config,
     span.set_arg("client", p + 1);
     const comm::Message update = clients[p]->update(
         w, static_cast<std::uint32_t>(++dispatch_counter));
-    in_flight[p] = strategy->in_flight_payload(update.primal, w);
+    in_flight[p] = strategy->in_flight_payload(p, update.primal, w);
     const double dur = duration_of(p);
     // The dispatch's simulated duration (compute + both links) is the async
     // scheme's client latency — what the straggler score should rank by.
@@ -252,6 +277,9 @@ AsyncRunResult run_async(const AsyncConfig& config,
       // The uplink lost this result. Async FL's retransmit is simply the
       // next dispatch: the client restarts from the current w (so the
       // redone work is never staler than the original would have been).
+      // The server never saw the lost result, so an IIADMM client rolls its
+      // speculative dual step back first; FedAvg clients have nothing to
+      // roll back.
       ++result.dropped_updates;
       record_async_drop_metric();
       if (track_health) {
@@ -259,6 +287,7 @@ AsyncRunResult run_async(const AsyncConfig& config,
       }
       obs::flight_record("async.drop",
                          "{\"client\":" + std::to_string(next.client) + "}");
+      strategy->on_dropped(p, *clients[p]);
       dispatch(p, next.finish_time);
       continue;
     }
@@ -269,7 +298,7 @@ AsyncRunResult run_async(const AsyncConfig& config,
     {
       obs::ScopedSpan span("async.apply", "async");
       span.set_arg("client", next.client);
-      absorbed = strategy->absorb(z, staleness, w);
+      absorbed = strategy->absorb(p, z, staleness, w);
     }
     if (absorbed.committed) {
       ++version;
@@ -357,248 +386,32 @@ AsyncRunResult run_async(const AsyncConfig& config,
        << ",\"checkpoints_written\":" << result.checkpoints_written << "}";
     obs_session.write_line(os.str());
   }
+  if (duals_consistent != nullptr) {
+    // The invariant: every client's dual equals the server replica bit for
+    // bit, though duals never crossed the wire and arrivals were async.
+    const auto& admm = static_cast<const IIAdmmServer&>(*server);
+    *duals_consistent = true;
+    for (std::size_t p = 0; p < num_clients; ++p) {
+      *duals_consistent &= same_bits(clients[p]->export_state().dual,
+                                     admm.dual(static_cast<std::uint32_t>(p + 1)));
+    }
+  }
   obs_session.finish();
   return result;
 }
 
+}  // namespace
+
+AsyncRunResult run_async(const AsyncConfig& config,
+                         const data::FederatedSplit& split) {
+  return run_async_loop(config, split, Algorithm::kFedAvg, nullptr);
+}
+
 AsyncIIAdmmResult run_async_iiadmm(const AsyncConfig& config,
                                    const data::FederatedSplit& split) {
-  RunConfig cfg = config.run;
-  cfg.algorithm = Algorithm::kIIAdmm;
-  cfg.validate();
-  APPFL_CHECK_MSG(cfg.population == 0,
-                  "population sampling is a run_population feature; the "
-                  "async runner drives the split's clients directly");
-  ObsSession obs_session(cfg);
-  APPFL_CHECK(config.mixing_alpha > 0.0F && config.mixing_alpha <= 1.0F);
-  const std::size_t num_clients = split.clients.size();
-  APPFL_CHECK(num_clients >= 1);
-  const std::size_t total_updates =
-      resolve_total_updates(config, cfg, num_clients);
-  std::vector<hw::DeviceProfile> devices = config.devices;
-  if (devices.empty()) devices.push_back(hw::v100());
-
-  auto prototype = build_model(cfg, split.test);
-  const double flops_one_pass = 3.0 * prototype->forward_flops(1);
-  const std::size_t m = prototype->num_parameters();
-
-  std::vector<std::unique_ptr<BaseClient>> clients;
-  std::vector<IIAdmmClient*> admm_clients;
-  for (std::size_t p = 0; p < num_clients; ++p) {
-    auto client = std::make_unique<IIAdmmClient>(
-        static_cast<std::uint32_t>(p + 1), cfg, *prototype, split.clients[p]);
-    admm_clients.push_back(client.get());
-    clients.push_back(std::move(client));
-  }
-  // Server-side state: z_p, λ_p replicas + a validator model.
-  std::vector<std::vector<float>> z(num_clients, prototype->flat_parameters());
-  std::vector<std::vector<float>> lambda(num_clients,
-                                         std::vector<float>(m, 0.0F));
-  auto validator =
-      build_server(cfg, std::move(prototype), split.test, num_clients);
-
-  // Line 3's closed form over ALL per-client state (stale included).
-  const float rho = cfg.rho;
-  auto recompute_w = [&] {
-    std::vector<float> w(m, 0.0F);
-    const float inv_p = 1.0F / static_cast<float>(num_clients);
-    const float inv_rho = 1.0F / rho;
-    for (std::size_t p = 0; p < num_clients; ++p) {
-      for (std::size_t i = 0; i < m; ++i) {
-        w[i] += inv_p * (z[p][i] - inv_rho * lambda[p][i]);
-      }
-    }
-    return w;
-  };
-  std::vector<float> w = recompute_w();
-
-  comm::GrpcCostModel net;
-  rng::Rng jitter(rng::derive_seed(cfg.seed, {0xA5, 3}));
-  const std::size_t payload_bytes = 4 * m + 64;
-  auto duration_of = [&](std::size_t p) {
-    const auto& dev = devices[p % devices.size()];
-    const double compute = dev.seconds_for(
-        flops_one_pass * static_cast<double>(clients[p]->num_samples()) *
-        static_cast<double>(cfg.local_steps));
-    return compute + net.transfer_seconds(payload_bytes, jitter) +
-           net.transfer_seconds(payload_bytes, jitter);
-  };
-
-  // Train-at-dispatch, deliver-at-finish (see run_async). w_sent_p is the
-  // exact vector the client consumed — the server's dual step reuses it.
-  std::vector<std::vector<float>> in_flight_z(num_clients);
-  std::vector<std::vector<float>> w_sent(num_clients);
-  std::priority_queue<PendingUpdate, std::vector<PendingUpdate>,
-                      std::greater<PendingUpdate>>
-      queue;
-  std::size_t version = 0;
-  std::size_t dispatch_counter = 0;
-  const bool track_health = obs_session.metrics_enabled();
-  auto dispatch = [&](std::size_t p, double now) {
-    w_sent[p] = w;
-    const comm::Message update = clients[p]->update(
-        w_sent[p], static_cast<std::uint32_t>(++dispatch_counter));
-    in_flight_z[p] = update.primal;
-    const double dur = duration_of(p);
-    if (track_health) {
-      obs_session.health().observe_latency(static_cast<std::uint32_t>(p + 1),
-                                           dur);
-    }
-    queue.push({now + dur, static_cast<std::uint32_t>(p + 1), version});
-  };
-
   AsyncIIAdmmResult result;
-  result.base.strategy = "iiadmm";
-  double staleness_sum = 0.0;
-
-  // Checkpoint/halt honor the same contract as run_async: the server's
-  // (z_p, λ_p) replicas and the w_sent snapshots ride in the checkpoint's
-  // ADMM fields, tagged strategy="iiadmm" so cross-runner resumes fail fast.
-  const CheckpointOptions ckpt = checkpoint_options_from_env(cfg);
-  std::optional<CheckpointStore> store;
-  if (!ckpt.dir.empty()) store.emplace(ckpt.dir);
-  if (!ckpt.resume_from.empty()) {
-    APPFL_SPAN("ckpt.restore", "ckpt");
-    std::optional<CheckpointStore> separate;
-    CheckpointStore& resume_store =
-        store && ckpt.resume_from == ckpt.dir
-            ? *store
-            : separate.emplace(ckpt.resume_from);
-    const std::optional<AsyncCheckpoint> ac =
-        load_latest_async_checkpoint(resume_store);
-    APPFL_CHECK_MSG(ac.has_value(), "resume_from='" << ckpt.resume_from
-                        << "' holds no loadable async checkpoint");
-    APPFL_CHECK_MSG(
-        ac->seed == cfg.seed && ac->num_clients == num_clients &&
-            ac->param_count == m && ac->total_updates == total_updates,
-        "async checkpoint fingerprint mismatch");
-    APPFL_CHECK_MSG(ac->strategy == "iiadmm",
-                    "async checkpoint was written by strategy '"
-                        << ac->strategy << "' but this run is async IIADMM");
-    APPFL_CHECK_MSG(ac->server_primal.size() == num_clients &&
-                        ac->w_sent.size() == num_clients,
-                    "async IIADMM checkpoint replica tables are incomplete");
-    w = ac->w;
-    version = ac->version;
-    dispatch_counter = ac->dispatch_counter;
-    result.base.applied_updates = ac->applied_updates;
-    result.base.resumed_from_update = ac->applied_updates;
-    result.base.committed_updates = version;
-    result.base.sim_seconds = ac->sim_seconds;
-    staleness_sum = ac->staleness_sum;
-    jitter.set_state(ac->jitter_state);
-    z = ac->server_primal;
-    lambda = ac->server_dual;
-    w_sent = ac->w_sent;
-    for (std::size_t p = 0; p < num_clients; ++p) {
-      clients[p]->import_state(ac->clients[p]);
-      in_flight_z[p] = ac->in_flight[p];
-    }
-    for (const AsyncCheckpoint::Pending& pend : ac->queue) {
-      queue.push({pend.finish_time, pend.client,
-                  static_cast<std::size_t>(pend.version)});
-    }
-  } else {
-    for (std::size_t p = 0; p < num_clients; ++p) dispatch(p, 0.0);
-  }
-
-  while (result.base.applied_updates < total_updates) {
-    APPFL_CHECK(!queue.empty());
-    const PendingUpdate next = queue.top();
-    queue.pop();
-    const std::size_t p = next.client - 1;
-    const std::size_t staleness = version - next.version;
-    // Server-side replica of line 21, with the w this client trained on.
-    for (std::size_t i = 0; i < m; ++i) {
-      lambda[p][i] += rho * (w_sent[p][i] - in_flight_z[p][i]);
-    }
-    z[p] = in_flight_z[p];
-    w = recompute_w();
-    ++version;
-    ++result.base.applied_updates;
-    ++result.base.committed_updates;
-    staleness_sum += static_cast<double>(staleness);
-    record_async_event_metrics(staleness, /*committed=*/true);
-
-    AsyncEvent event;
-    event.sim_time = next.finish_time;
-    event.client = next.client;
-    event.staleness = staleness;
-    event.mixing = 1.0;  // exact closed-form absorption, not damped mixing
-    if (config.validate_every > 0 &&
-        result.base.applied_updates % config.validate_every == 0) {
-      event.test_accuracy = validator->validate(w);
-    }
-    result.base.sim_seconds = next.finish_time;
-    result.base.events.push_back(event);
-    if (obs_session.streaming()) {
-      obs_session.write_line(
-          async_event_json(result.base.applied_updates, event));
-    }
-
-    if (result.base.applied_updates + queue.size() < total_updates) {
-      dispatch(p, next.finish_time);
-    }
-
-    const bool halt_here =
-        cfg.halt_after_round > 0 &&
-        result.base.applied_updates == cfg.halt_after_round;
-    if (store && (result.base.applied_updates % ckpt.every == 0 ||
-                  result.base.applied_updates == total_updates || halt_here)) {
-      APPFL_SPAN("ckpt.save", "ckpt");
-      AsyncCheckpoint ac;
-      ac.seed = cfg.seed;
-      ac.num_clients = static_cast<std::uint32_t>(num_clients);
-      ac.param_count = m;
-      ac.total_updates = total_updates;
-      ac.applied_updates = result.base.applied_updates;
-      ac.version = version;
-      ac.dispatch_counter = dispatch_counter;
-      ac.staleness_sum = staleness_sum;
-      ac.sim_seconds = result.base.sim_seconds;
-      ac.w = w;
-      ac.jitter_state = jitter.state();
-      auto pending = queue;
-      while (!pending.empty()) {
-        const PendingUpdate& top = pending.top();
-        ac.queue.push_back({top.finish_time, top.client, top.version});
-        pending.pop();
-      }
-      ac.in_flight = in_flight_z;
-      for (std::size_t cp = 0; cp < num_clients; ++cp) {
-        ac.clients.push_back(clients[cp]->export_state());
-      }
-      ac.strategy = "iiadmm";
-      ac.server_primal = z;
-      ac.server_dual = lambda;
-      ac.w_sent = w_sent;
-      save_async_checkpoint(*store, ac);
-      ++result.base.checkpoints_written;
-    }
-    if (halt_here) break;
-  }
-
-  result.base.final_accuracy = validator->validate(w);
-  result.base.final_w = w;
-  result.base.mean_staleness =
-      result.base.applied_updates > 0
-          ? staleness_sum / static_cast<double>(result.base.applied_updates)
-          : 0.0;
-
-  // The invariant: every client's dual must equal the server replica
-  // bit-for-bit, even though duals never crossed the wire and the schedule
-  // was asynchronous.
-  result.duals_consistent = true;
-  for (std::size_t p = 0; p < num_clients; ++p) {
-    const auto& cd = admm_clients[p]->dual();
-    for (std::size_t i = 0; i < m; ++i) {
-      if (std::bit_cast<std::uint32_t>(cd[i]) !=
-          std::bit_cast<std::uint32_t>(lambda[p][i])) {
-        result.duals_consistent = false;
-      }
-    }
-  }
-  obs_session.finish();
+  result.base = run_async_loop(config, split, Algorithm::kIIAdmm,
+                               &result.duals_consistent);
   return result;
 }
 

@@ -10,8 +10,9 @@
 //   * an AsyncStrategy (core/async_strategy.hpp) decides what the server
 //     does with each arriving update — FedAsync mixes it in immediately
 //     with a staleness-damped step, FedBuff buffers K deltas per commit,
-//     and the FedCompass-style scheduler additionally sizes each client's
-//     local work so arrivals cluster;
+//     the FedCompass-style scheduler additionally sizes each client's
+//     local work so arrivals cluster, and async IIADMM absorbs it exactly
+//     into the IIAdmmServer's (z_p, λ_p) replicas;
 //   * the client is immediately re-dispatched with the fresh w.
 //
 // The simulation advances a virtual clock from the hardware and network
@@ -20,6 +21,8 @@
 // FaultConfig has a positive drop rate, arrivals are dropped from their own
 // deterministic RNG stream and the client re-dispatched — async FL's
 // natural retransmit — with the loss counted in dropped_updates.
+// run_async and run_async_iiadmm share one event loop; they differ only in
+// the commit policy.
 #pragma once
 
 #include <string>
@@ -104,16 +107,20 @@ SyncBaselineResult run_sync_baseline(const AsyncConfig& config,
                                      const data::FederatedSplit& split);
 
 /// Asynchronous IIADMM — the paper's algorithm under its future-work
-/// schedule. The server keeps per-client (z_p, λ_p) replicas; each arriving
-/// update triggers the dual step λ_p ← λ_p + ρ(w_sent_p − z_p^{new}) using
-/// the SAME w the client trained against, so the dual-replication invariant
-/// (no duals on the wire) survives asynchrony exactly. The global model is
-/// recomputed from line 3's closed form after every absorption, and the
-/// client is immediately re-dispatched with it. Honors the same
-/// checkpoint/halt/resume contract as run_async (the replicas and w_sent
-/// snapshots ride in the AsyncCheckpoint's ADMM fields). Result fields
-/// carry the extra invariant check: duals_consistent is true iff every
-/// client's dual matched the server replica bit-for-bit at the end.
+/// schedule, run by run_async's event loop with the IIADMM commit policy.
+/// The run's IIAdmmServer keeps the per-client (z_p, λ_p) replicas; each
+/// arriving update triggers the server's dual step λ_p ← λ_p +
+/// ρ(w_sent_p − z_p^{new}) using the SAME w the client trained against, so
+/// the dual-replication invariant (no duals on the wire) survives asynchrony
+/// exactly. The global model is line 3's closed form after every
+/// absorption, and the client is immediately re-dispatched with it. A
+/// dropped arrival rolls the client's dual back to the server replica
+/// before the re-dispatch. Honors the same checkpoint/halt/resume and drop
+/// contract as run_async (the replicas and w_sent snapshots ride in the
+/// AsyncCheckpoint's ADMM fields); ρ must be constant (adaptive_rho throws,
+/// since clients never receive an adapted ρ) and config.strategy is
+/// ignored. duals_consistent is true iff every client's dual matched the
+/// server replica bit-for-bit at the end.
 struct AsyncIIAdmmResult {
   AsyncRunResult base;
   bool duals_consistent = false;

@@ -8,6 +8,7 @@
 #include "comm/message.hpp"
 #include "core/aggregate.hpp"
 #include "core/checkpoint.hpp"
+#include "core/iiadmm.hpp"
 #include "util/check.hpp"
 
 namespace appfl::core {
@@ -115,6 +116,10 @@ float AsyncStrategy::staleness_weight(std::size_t staleness) const {
   return alpha_;
 }
 
+void AsyncStrategy::on_dropped(std::size_t, BaseClient& c) const {
+  c.on_uplink_result(false);
+}
+
 namespace {
 
 /// FedAsync: every arrival is mixed into the model immediately,
@@ -125,12 +130,12 @@ class FedAsyncStrategy : public AsyncStrategy {
                    std::size_t base_steps)
       : AsyncStrategy(alpha, weight, hinge_s0, base_steps) {}
 
-  AsyncStrategyKind kind() const override {
-    return AsyncStrategyKind::kFedAsync;
+  std::string name() const override {
+    return to_string(AsyncStrategyKind::kFedAsync);
   }
 
-  Absorbed absorb(std::span<const float> payload, std::size_t staleness,
-                  std::span<float> w) override {
+  Absorbed absorb(std::size_t, std::span<const float> payload,
+                  std::size_t staleness, std::span<float> w) override {
     APPFL_CHECK_MSG(payload.size() == w.size(),
                     "async payload size " << payload.size()
                                           << " != model size " << w.size());
@@ -151,10 +156,12 @@ class FedBuffStrategy : public AsyncStrategy {
                   std::size_t base_steps, std::size_t k)
       : AsyncStrategy(alpha, weight, hinge_s0, base_steps), k_(k) {}
 
-  AsyncStrategyKind kind() const override { return AsyncStrategyKind::kFedBuff; }
+  std::string name() const override {
+    return to_string(AsyncStrategyKind::kFedBuff);
+  }
 
-  std::vector<float> in_flight_payload(
-      std::vector<float> z, std::span<const float> w_sent) const override {
+  std::vector<float> in_flight_payload(std::size_t, std::vector<float> z,
+                                       std::span<const float> w_sent) override {
     APPFL_CHECK_MSG(z.size() == w_sent.size(),
                     "FedBuff delta: trained model size "
                         << z.size() << " != dispatched size " << w_sent.size());
@@ -162,8 +169,8 @@ class FedBuffStrategy : public AsyncStrategy {
     return z;  // the delta the server buffers on arrival
   }
 
-  Absorbed absorb(std::span<const float> payload, std::size_t staleness,
-                  std::span<float> w) override {
+  Absorbed absorb(std::size_t, std::span<const float> payload,
+                  std::size_t staleness, std::span<float> w) override {
     APPFL_CHECK_MSG(payload.size() == w.size(),
                     "async payload size " << payload.size()
                                           << " != model size " << w.size());
@@ -241,8 +248,8 @@ class FedCompassStrategy : public FedAsyncStrategy {
     }
   }
 
-  AsyncStrategyKind kind() const override {
-    return AsyncStrategyKind::kFedCompass;
+  std::string name() const override {
+    return to_string(AsyncStrategyKind::kFedCompass);
   }
 
   std::size_t local_steps(std::size_t client) const override {
@@ -269,6 +276,74 @@ class FedCompassStrategy : public FedAsyncStrategy {
   std::vector<std::size_t> steps_;
 };
 
+/// Async IIADMM: the server's update() replays the arriving client's dual
+/// step against the w that client trained on, and the next model is line
+/// 3's consensus over all P replicas, stale ones included. Absorption is
+/// exact, so it reports mixing 1 and commits every arrival. The constant
+/// weight passed to the base is never read.
+class IIAdmmStrategy : public AsyncStrategy {
+ public:
+  IIAdmmStrategy(IIAdmmServer& server, std::size_t base_steps)
+      : AsyncStrategy(1.0F, StalenessWeight::kConstant, 0, base_steps),
+        server_(server),
+        w_sent_(server.num_clients()) {}
+
+  std::string name() const override { return "iiadmm"; }
+
+  std::vector<float> in_flight_payload(std::size_t client, std::vector<float> z,
+                                       std::span<const float> w_sent) override {
+    w_sent_.at(client).assign(w_sent.begin(), w_sent.end());
+    return z;
+  }
+
+  Absorbed absorb(std::size_t client, std::span<const float> payload,
+                  std::size_t, std::span<float> w) override {
+    std::vector<comm::Message> locals(1);
+    locals[0].sender = static_cast<std::uint32_t>(client + 1);
+    locals[0].primal.assign(payload.begin(), payload.end());
+    server_.update(locals, w_sent_.at(client), 0);
+    const std::vector<float> next = server_.compute_global(0);
+    APPFL_CHECK_MSG(next.size() == w.size(),
+                    "IIADMM consensus size " << next.size()
+                                             << " != model size " << w.size());
+    std::copy(next.begin(), next.end(), w.begin());
+    return {.mixing = 1.0F, .committed = true};
+  }
+
+  /// Re-seats the client's dual from the server replica, which is the
+  /// client's pre-dispatch dual bit for bit. The client's own rollback copy
+  /// would do too, but it is not checkpointed, so it is gone after a
+  /// restart while the replica is not.
+  void on_dropped(std::size_t client, BaseClient& c) const override {
+    ClientStateCkpt s = c.export_state();
+    s.dual = server_.dual(static_cast<std::uint32_t>(client + 1));
+    c.import_state(s);
+  }
+
+  void export_state(AsyncCheckpoint& out) const override {
+    ServerStateCkpt s = server_.export_state();
+    out.server_primal = std::move(s.primal);
+    out.server_dual = std::move(s.dual);
+    out.w_sent = w_sent_;
+  }
+
+  void import_state(const AsyncCheckpoint& in) override {
+    APPFL_CHECK_MSG(in.server_primal.size() == w_sent_.size() &&
+                        in.server_dual.size() == w_sent_.size() &&
+                        in.w_sent.size() == w_sent_.size(),
+                    "async IIADMM checkpoint replica tables are incomplete");
+    ServerStateCkpt s = server_.export_state();
+    s.primal = in.server_primal;
+    s.dual = in.server_dual;
+    server_.import_state(s);
+    w_sent_ = in.w_sent;
+  }
+
+ private:
+  IIAdmmServer& server_;
+  std::vector<std::vector<float>> w_sent_;  // the w each client trained on
+};
+
 }  // namespace
 
 std::unique_ptr<AsyncStrategy> AsyncStrategy::make(
@@ -292,6 +367,11 @@ std::unique_ptr<AsyncStrategy> AsyncStrategy::make(
   }
   APPFL_CHECK_MSG(false, "unreachable async strategy kind");
   return nullptr;
+}
+
+std::unique_ptr<AsyncStrategy> AsyncStrategy::make_iiadmm(
+    IIAdmmServer& server, std::size_t base_local_steps) {
+  return std::make_unique<IIAdmmStrategy>(server, base_local_steps);
 }
 
 }  // namespace appfl::core

@@ -25,10 +25,18 @@
 //     the same staleness-damped mixing as FedAsync (which the clustering
 //     makes almost undamped).
 //
+//   * **Async IIADMM** (the paper's Algorithm 1 under future work 1): the
+//     run's IIAdmmServer holds the per-client (z_p, λ_p) replicas. An
+//     arrival is absorbed by the server's update() against the exact w that
+//     client trained on — so the replicated dual step stays bit-identical
+//     to the client's and duals never cross the wire — and the next model
+//     is line 3's consensus, compute_global(). Only run_async_iiadmm builds
+//     this policy; the AsyncStrategyOptions knob never selects it.
+//
 // Strategies are deterministic plain state machines: no RNG, no clocks.
 // Their mutable state (FedBuff's partially-filled buffer, the scheduler's
-// step plan) exports into AsyncCheckpoint so a killed run resumes
-// bit-identically mid-buffer.
+// step plan, IIADMM's replicas) exports into AsyncCheckpoint so a killed
+// run resumes bit-identically mid-buffer.
 #pragma once
 
 #include <memory>
@@ -41,6 +49,8 @@
 namespace appfl::core {
 
 struct AsyncCheckpoint;
+class BaseClient;
+class IIAdmmServer;
 
 enum class AsyncStrategyKind {
   kFedAsync,   // immediate staleness-damped mixing (the historical scheme)
@@ -84,14 +94,17 @@ class AsyncStrategy {
  public:
   virtual ~AsyncStrategy() = default;
 
-  virtual AsyncStrategyKind kind() const = 0;
-  std::string name() const { return to_string(kind()); }
+  /// The policy's name: the run result's and the checkpoint's strategy tag.
+  virtual std::string name() const = 0;
 
-  /// The vector the dispatcher retains for an in-flight dispatch that
-  /// trained from `w_sent` and produced `z`: z itself for mixing schemes,
+  /// The vector the dispatcher retains for client p's (0-based) in-flight
+  /// dispatch that trained from `w_sent` and produced `z`: z itself for
+  /// mixing schemes and IIADMM (which also keeps w_sent for the dual step),
   /// the delta z − w_sent for FedBuff. Also the payload absorb() receives.
-  virtual std::vector<float> in_flight_payload(
-      std::vector<float> z, std::span<const float> w_sent) const {
+  virtual std::vector<float> in_flight_payload(std::size_t client,
+                                               std::vector<float> z,
+                                               std::span<const float> w_sent) {
+    (void)client;
     (void)w_sent;
     return z;
   }
@@ -108,14 +121,19 @@ class AsyncStrategy {
     bool committed = true;  // did the global model (and its version) advance?
   };
 
-  /// Absorbs one arrived payload into `w`. `staleness` is the number of
-  /// model versions committed since the producing dispatch left.
-  virtual Absorbed absorb(std::span<const float> payload,
+  /// Absorbs client p's arrived payload into `w`. `staleness` is the
+  /// number of model versions committed since the producing dispatch left.
+  virtual Absorbed absorb(std::size_t client, std::span<const float> payload,
                           std::size_t staleness, std::span<float> w) = 0;
 
+  /// Client p's result was dropped on the uplink, so the server never saw
+  /// it: the client rolls back what it speculated on delivery before its
+  /// re-dispatch. The default is BaseClient::on_uplink_result(false).
+  virtual void on_dropped(std::size_t client, BaseClient& c) const;
+
   /// Checkpoint halves: fill / restore the strategy's resumable state
-  /// (FedBuff's partial buffer, the scheduler's step plan). Defaults:
-  /// stateless.
+  /// (FedBuff's partial buffer, the scheduler's step plan, IIADMM's
+  /// replicas). Defaults: stateless.
   virtual void export_state(AsyncCheckpoint& out) const { (void)out; }
   virtual void import_state(const AsyncCheckpoint& in) { (void)in; }
 
@@ -125,6 +143,11 @@ class AsyncStrategy {
   static std::unique_ptr<AsyncStrategy> make(
       const AsyncStrategyOptions& opts, float mixing_alpha,
       std::size_t base_local_steps, std::span<const double> seconds_per_step);
+
+  /// Builds async IIADMM's policy over the run's server, which must outlive
+  /// it and is the only holder of the (z_p, λ_p) replicas.
+  static std::unique_ptr<AsyncStrategy> make_iiadmm(
+      IIAdmmServer& server, std::size_t base_local_steps);
 
  protected:
   AsyncStrategy(float alpha, StalenessWeight weight, std::size_t hinge_s0,

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <string_view>
 
 #include "dp/sensitivity.hpp"
 #include "util/check.hpp"
@@ -202,23 +201,6 @@ CheckpointOptions checkpoint_options_from_env(const RunConfig& config) {
     }
   }
   return opts;
-}
-
-bool fused_aggregation_from_env(const RunConfig& config) {
-  bool fused = config.fused_aggregation;
-  if (const char* value = std::getenv("APPFL_FUSED_AGG")) {
-    if (value == std::string_view("0")) {
-      fused = false;
-    } else if (value == std::string_view("1")) {
-      fused = true;
-    } else {
-      std::fprintf(stderr,
-                   "warning: ignoring invalid APPFL_FUSED_AGG='%s' "
-                   "(need 0 or 1)\n",
-                   value);
-    }
-  }
-  return fused;
 }
 
 RunConfig scaling_config_from_env(RunConfig config) {

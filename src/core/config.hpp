@@ -86,14 +86,6 @@ struct RunConfig {
   comm::UplinkCodec uplink_codec = comm::UplinkCodec::kNone;
   double topk_fraction = 0.1;
 
-  /// Fused decode→aggregate data path: the server consumes gathered wire
-  /// payloads directly (BaseServer::absorb) instead of materializing every
-  /// client update into an owning Message first. Bit-identical to the
-  /// unfused path by construction; servers that cannot fuse a given round
-  /// (e.g. adaptive ρ) fall back transparently. APPFL_FUSED_AGG=0/1
-  /// overrides at run start (invalid values are warned about and ignored).
-  bool fused_aggregation = true;
-
   /// FedAvg aggregation weights: I_p/I when true (objective (1)), 1/P when
   /// false (Algorithm 1's plain average). IADMM servers always use 1/P.
   bool weighted_aggregation = true;
@@ -112,7 +104,8 @@ struct RunConfig {
   /// scheduler instead of thread-per-client. Restricted to FedAvg/FedProx
   /// with the codec off (participants are transient, so server-side dual
   /// replicas and per-client codec residuals have nowhere to live) and
-  /// adaptive_rho off. The sync/async runners ignore these fields.
+  /// adaptive_rho off. run_federated ignores these fields; run_async and
+  /// run_async_iiadmm reject population > 0.
   std::size_t population = 0;
   std::size_t participants_per_round = 0;
 
@@ -239,21 +232,18 @@ struct CheckpointOptions {
 /// the APPFL_FAULT_* convention.
 CheckpointOptions checkpoint_options_from_env(const RunConfig& config);
 
-/// Resolves whether the fused decode→aggregate path is enabled:
-/// config.fused_aggregation overridden by APPFL_FUSED_AGG (0 or 1; anything
-/// else is warned about on stderr and ignored, matching APPFL_FAULT_*).
-bool fused_aggregation_from_env(const RunConfig& config);
-
 /// Returns `config` with APPFL_TREE_FANOUT / APPFL_MAILBOX_CAP applied
 /// (non-negative integers; unparseable values are warned about on stderr
 /// and ignored, matching APPFL_FAULT_*). Callers re-validate afterwards.
 RunConfig scaling_config_from_env(RunConfig config);
 
 /// Resolves the run's observability policy: config fields (obs_level /
-/// trace_out / metrics_out) overridden by APPFL_OBS_LEVEL /
-/// APPFL_OBS_TRACE_OUT / APPFL_OBS_METRICS_OUT. Assumes config.validate()
-/// passed, so config.obs_level parses; env values are warned about on
-/// stderr and ignored when invalid.
+/// trace_out / metrics_out / health_out / critpath_out / flight_dir)
+/// overridden by APPFL_OBS_LEVEL / APPFL_OBS_TRACE_OUT /
+/// APPFL_OBS_METRICS_OUT / APPFL_OBS_HEALTH_OUT / APPFL_OBS_CRITPATH_OUT /
+/// APPFL_OBS_FLIGHT_DIR. Assumes config.validate() passed, so
+/// config.obs_level parses; env values are warned about on stderr and
+/// ignored when invalid.
 obs::ObsOptions obs_options_from_env(const RunConfig& config);
 
 }  // namespace appfl::core

@@ -193,7 +193,6 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
   comm::Communicator comm(config.protocol, num_clients,
                           rng::derive_seed(config.seed, {77}), codec_config,
                           reliability);
-  const bool fused_aggregation = fused_aggregation_from_env(config);
   util::ThreadPool pool;
   rng::Rng sampler(rng::derive_seed(config.seed, {78}));
 
@@ -455,9 +454,7 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
     }();
     if (!config.secure_agg) {
       APPFL_SPAN("fl.aggregate", "fl");
-      const bool absorbed =
-          fused_aggregation && server.absorb(batch, w, round);
-      if (!absorbed) {
+      if (!server.absorb(batch, w, round)) {
         const std::vector<comm::Message> locals = batch.take_messages();
         server.update(locals, w, round);
       }

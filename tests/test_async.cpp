@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "core/async_runner.hpp"
 #include "core/checkpoint.hpp"
@@ -447,6 +449,107 @@ TEST(AsyncIIAdmm, CheckpointsHaltsAndResumesBitIdentical) {
   EXPECT_TRUE(resumed.duals_consistent);
   EXPECT_TRUE(same_bits(resumed.base.final_w, full.base.final_w));
   EXPECT_EQ(resumed.base.final_accuracy, full.base.final_accuracy);
+}
+
+TEST(AsyncIIAdmm, DropsRollBackDualsAndResumeBitIdentical) {
+  // Drop faults reach async IIADMM through the shared event loop: a lost
+  // arrival is counted and re-dispatched, and the client's speculative dual
+  // step is rolled back so the replicas stay bit-identical — also after a
+  // restart, when the client's own pre-dispatch copy of its dual is gone.
+  const auto split = split_of();
+  AsyncConfig cfg = base_async();
+  cfg.run.algorithm = appfl::core::Algorithm::kIIAdmm;
+  cfg.run.rho = 2.0F;
+  cfg.run.zeta = 2.0F;
+  cfg.run.faults.drop = 0.3;
+  cfg.devices = {appfl::hw::a100(), appfl::hw::v100()};
+  const auto full = appfl::core::run_async_iiadmm(cfg, split);
+  EXPECT_GT(full.base.dropped_updates, 0U);
+  EXPECT_EQ(full.base.applied_updates, 6U * 4U);
+  EXPECT_TRUE(full.duals_consistent);
+  const auto rerun = appfl::core::run_async_iiadmm(cfg, split);
+  EXPECT_EQ(rerun.base.dropped_updates, full.base.dropped_updates);
+  EXPECT_TRUE(same_bits(rerun.base.final_w, full.base.final_w));
+
+  for (const std::size_t kill_at : {7U, 17U}) {
+    SCOPED_TRACE(kill_at);
+    TempDir dir("appfl_async_iiadmm_drop_resume");
+    AsyncConfig first = cfg;
+    first.run.checkpoint_dir = dir.str();
+    first.run.halt_after_round = kill_at;
+    (void)appfl::core::run_async_iiadmm(first, split);
+    AsyncConfig second = cfg;
+    second.run.resume_from = dir.str();
+    const auto resumed = appfl::core::run_async_iiadmm(second, split);
+    EXPECT_EQ(resumed.base.resumed_from_update, kill_at);
+    EXPECT_TRUE(resumed.duals_consistent);
+    EXPECT_EQ(resumed.base.dropped_updates, full.base.dropped_updates);
+    EXPECT_TRUE(same_bits(resumed.base.final_w, full.base.final_w));
+  }
+}
+
+TEST(AsyncIIAdmm, RejectsAdaptiveRho) {
+  // Clients never receive an adapted ρ, so a server that adapted it would
+  // desynchronize the dual replicas.
+  AsyncConfig cfg = base_async();
+  cfg.run.algorithm = appfl::core::Algorithm::kIIAdmm;
+  cfg.run.adaptive_rho = true;
+  EXPECT_THROW(appfl::core::run_async_iiadmm(cfg, split_of(16)), appfl::Error);
+}
+
+TEST(AsyncIIAdmm, SharedLoopEmitsAsyncSpansAndSummary) {
+  // Async IIADMM runs the shared event loop, so it gets the same
+  // async.dispatch / async.apply / fl.validate spans and async_summary line
+  // as run_async — and observability still leaves the result untouched.
+  const auto split = split_of(16);
+  AsyncConfig cfg = base_async();
+  cfg.run.algorithm = appfl::core::Algorithm::kIIAdmm;
+  cfg.total_updates = 6;
+  cfg.validate_every = 3;
+  const auto off = appfl::core::run_async_iiadmm(cfg, split);
+
+  TempDir dir("appfl_async_iiadmm_obs");
+  std::filesystem::create_directories(dir.path);
+  cfg.run.obs_level = "trace";
+  cfg.run.trace_out = (dir.path / "trace.json").string();
+  cfg.run.metrics_out = (dir.path / "metrics.jsonl").string();
+  const auto on = appfl::core::run_async_iiadmm(cfg, split);
+  EXPECT_TRUE(same_bits(on.base.final_w, off.base.final_w));
+
+  const auto count = [](const std::string& path, const std::string& needle) {
+    std::ifstream in(path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const std::string text = buf.str();
+    std::size_t n = 0;
+    for (std::size_t pos = text.find(needle); pos != std::string::npos;
+         pos = text.find(needle, pos + needle.size())) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count(cfg.run.trace_out, "\"name\":\"async.dispatch\""), 6U);
+  EXPECT_EQ(count(cfg.run.trace_out, "\"name\":\"async.apply\""), 6U);
+  EXPECT_EQ(count(cfg.run.trace_out, "\"name\":\"fl.validate\""), 2U);
+  EXPECT_EQ(count(cfg.run.metrics_out, "\"type\":\"async_event\""), 6U);
+  EXPECT_EQ(count(cfg.run.metrics_out,
+                  "\"type\":\"async_summary\",\"strategy\":\"iiadmm\""),
+            1U);
+}
+
+TEST(AsyncIIAdmm, StrategyKnobNeverSelectsItsPolicy) {
+  // IIADMM is chosen by run_async_iiadmm alone: neither config.strategy nor
+  // APPFL_ASYNC_STRATEGY may swap in a FedAvg commit policy.
+  AsyncConfig cfg = base_async();
+  cfg.run.algorithm = appfl::core::Algorithm::kIIAdmm;
+  cfg.total_updates = 4;
+  cfg.strategy.kind = AsyncStrategyKind::kFedBuff;
+  ::setenv("APPFL_ASYNC_STRATEGY", "fedbuff", 1);
+  const auto result = appfl::core::run_async_iiadmm(cfg, split_of(16));
+  ::unsetenv("APPFL_ASYNC_STRATEGY");
+  EXPECT_EQ(result.base.strategy, "iiadmm");
+  EXPECT_EQ(result.base.committed_updates, 4U);
+  EXPECT_TRUE(result.duals_consistent);
 }
 
 }  // namespace

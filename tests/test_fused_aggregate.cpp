@@ -2,7 +2,7 @@
 // and the servers' absorb() overrides must be bit-identical to the classic
 // decode-then-reduce path — per kernel (f32 and f16 payloads, every thread
 // count), and end to end through the runner (every algorithm × codec,
-// fused vs APPFL_FUSED_AGG=0).
+// fused vs a server that declines absorb()).
 #include <gtest/gtest.h>
 
 #include "util/check.hpp"
@@ -12,6 +12,7 @@
 
 #include "comm/compression.hpp"
 #include "core/aggregate.hpp"
+#include "core/base.hpp"
 #include "core/runner.hpp"
 #include "data/synth.hpp"
 #include "rng/distributions.hpp"
@@ -224,12 +225,51 @@ RunConfig fused_cfg(Algorithm alg) {
   return cfg;
 }
 
-void expect_fused_matches_unfused(RunConfig cfg,
+/// Forwards every call to the algorithm's own server except absorb(), so
+/// the runner takes the classic take_messages() + update() path each round.
+/// Validation runs on this object's copy of the model and test set.
+class ClassicPathServer : public appfl::core::BaseServer {
+ public:
+  ClassicPathServer(const RunConfig& config,
+                    std::unique_ptr<appfl::nn::Module> model,
+                    appfl::data::TensorDataset test, std::size_t num_clients,
+                    std::unique_ptr<appfl::core::BaseServer> inner)
+      : BaseServer(config, std::move(model), std::move(test), num_clients),
+        inner_(std::move(inner)) {}
+
+  std::vector<float> compute_global(std::uint32_t round) override {
+    return inner_->compute_global(round);
+  }
+  void update(const std::vector<appfl::comm::Message>& locals,
+              std::span<const float> global, std::uint32_t round) override {
+    inner_->update(locals, global, round);
+  }
+  float current_rho() const override { return inner_->current_rho(); }
+
+ private:
+  std::unique_ptr<appfl::core::BaseServer> inner_;
+};
+
+appfl::core::RunResult run_classic_path(
+    const RunConfig& cfg, const appfl::data::FederatedSplit& split) {
+  auto model = appfl::core::build_model(cfg, split.test);
+  std::vector<std::unique_ptr<appfl::core::BaseClient>> clients;
+  for (std::size_t p = 0; p < split.clients.size(); ++p) {
+    clients.push_back(appfl::core::build_client(
+        static_cast<std::uint32_t>(p + 1), cfg, *model, split.clients[p]));
+  }
+  const std::size_t n = clients.size();
+  auto validation_model = model->clone();
+  ClassicPathServer server(
+      cfg, std::move(validation_model), split.test, n,
+      appfl::core::build_server(cfg, std::move(model), split.test, n));
+  return appfl::core::run_federated(cfg, server, clients);
+}
+
+void expect_fused_matches_unfused(const RunConfig& cfg,
                                   const appfl::data::FederatedSplit& split) {
-  cfg.fused_aggregation = true;
   const auto fused = appfl::core::run_federated(cfg, split);
-  cfg.fused_aggregation = false;
-  const auto classic = appfl::core::run_federated(cfg, split);
+  const auto classic = run_classic_path(cfg, split);
   ASSERT_EQ(fused.final_parameters.size(), classic.final_parameters.size());
   EXPECT_TRUE(same_bits(fused.final_parameters, classic.final_parameters));
   EXPECT_EQ(fused.traffic.bytes_up, classic.traffic.bytes_up);
@@ -263,7 +303,7 @@ TEST(FusedEndToEnd, EveryCodecBitIdenticalToClassicPath) {
 
 TEST(FusedEndToEnd, AdaptiveRhoFallsBackAndStaysCorrect) {
   // Adaptive-ρ ADMM declines the fused path (absorb returns false); the
-  // run must still complete identically whether fusion is requested or not.
+  // run must still complete identically to the classic path.
   const auto split = make_split();
   for (const Algorithm alg : {Algorithm::kIceAdmm, Algorithm::kIIAdmm}) {
     SCOPED_TRACE(appfl::core::to_string(alg));
@@ -281,23 +321,6 @@ TEST(FusedEndToEnd, PartialParticipationBitIdentical) {
     cfg.client_fraction = 0.67;  // 2 of 3 clients per round
     expect_fused_matches_unfused(cfg, split);
   }
-}
-
-TEST(FusedEndToEnd, EnvOverrideDisablesFusion) {
-  // APPFL_FUSED_AGG=0 must override a fused-enabled config — and produce
-  // the same bits, which is exactly what makes the override safe to flip.
-  const auto split = make_split();
-  RunConfig cfg = fused_cfg(Algorithm::kFedAvg);
-  cfg.fused_aggregation = true;
-  const auto fused = appfl::core::run_federated(cfg, split);
-  ASSERT_EQ(setenv("APPFL_FUSED_AGG", "0", 1), 0);
-  const auto overridden = appfl::core::run_federated(cfg, split);
-  unsetenv("APPFL_FUSED_AGG");
-  EXPECT_TRUE(same_bits(fused.final_parameters, overridden.final_parameters));
-  // Garbage values warn and keep the config setting.
-  ASSERT_EQ(setenv("APPFL_FUSED_AGG", "maybe", 1), 0);
-  EXPECT_TRUE(appfl::core::fused_aggregation_from_env(cfg));
-  unsetenv("APPFL_FUSED_AGG");
 }
 
 }  // namespace
