@@ -13,7 +13,6 @@
 
 #include "core/async_runner.hpp"
 #include "core/event_engine.hpp"
-#include "core/checkpoint.hpp"
 #include "core/evaluation.hpp"
 #include "core/runner.hpp"
 #include "data/synth.hpp"
@@ -63,8 +62,6 @@ void print_help() {
       "  --kernel-threads N   intra-op kernel threads (0 = hardware)\n"
       "  --seed S             experiment seed (default 1)\n"
       "  --csv PATH           write the learning curve as CSV\n"
-      "  --save PATH          checkpoint the final global model\n"
-      "  --load PATH          warm-start from a saved checkpoint\n"
       "  --ckpt-dir PATH      A/B round-checkpoint store for crash recovery\n"
       "  --ckpt-every N       checkpoint cadence in rounds (default 1)\n"
       "  --resume PATH        resume from the newest valid checkpoint in PATH\n"
@@ -328,8 +325,6 @@ int main(int argc, char** argv) {
     const bool quiet = args.get_bool("quiet", false);
     const bool report = args.get_bool("report", false);
     const std::string csv_path = args.get_string("csv", "");
-    const std::string save_path = args.get_string("save", "");
-    const std::string load_path = args.get_string("load", "");
 
     // -- Async mode --------------------------------------------------------
     // Every async flag is queried unconditionally (so unknown_flags() never
@@ -415,9 +410,9 @@ int main(int argc, char** argv) {
       cfg.population = static_cast<std::size_t>(population_raw);
       cfg.participants_per_round = static_cast<std::size_t>(participants_raw);
       cfg.tree_fan_out = static_cast<std::size_t>(tree_fanout_raw);
-      if (!save_path.empty() || !load_path.empty() || report) {
-        std::cerr << "--save/--load/--report are not supported with "
-                     "--population\n(use --help)\n";
+      if (report) {
+        std::cerr << "--report is not supported with --population\n"
+                     "(use --help)\n";
         return 2;
       }
     }
@@ -497,9 +492,8 @@ int main(int argc, char** argv) {
                   << "' (expected v100|a100|mixed)\n(use --help)\n";
         return 2;
       }
-      if (!save_path.empty() || !load_path.empty() || report ||
-          codec != "none") {
-        std::cerr << "--save/--load/--report/--codec are not supported with "
+      if (report || codec != "none") {
+        std::cerr << "--report/--codec are not supported with "
                      "--async-strategy\n(use --help)\n";
         return 2;
       }
@@ -629,27 +623,7 @@ int main(int argc, char** argv) {
               << (std::isinf(cfg.epsilon) ? std::string("inf")
                                           : fmt(cfg.epsilon, 2))
               << ", " << appfl::comm::to_string(cfg.protocol) << ")\n\n";
-    // Build the pieces explicitly so the final global parameters are
-    // available for checkpointing / reporting afterwards.
-    auto proto = appfl::core::build_model(cfg, split.test);
-    if (!load_path.empty()) {
-      const auto ckpt = appfl::core::load_checkpoint(load_path);
-      proto->set_flat_parameters(ckpt.parameters);
-      std::cout << "[resume] warm start from " << load_path << " ("
-                << ckpt.algorithm << " on " << ckpt.dataset << " after "
-                << ckpt.rounds_completed << " rounds, acc "
-                << fmt(ckpt.final_accuracy, 3) << ")\n\n";
-    }
-    std::vector<std::unique_ptr<appfl::core::BaseClient>> fl_clients;
-    for (std::size_t p = 0; p < split.clients.size(); ++p) {
-      fl_clients.push_back(appfl::core::build_client(
-          static_cast<std::uint32_t>(p + 1), cfg, *proto, split.clients[p]));
-    }
-    auto server = appfl::core::build_server(cfg, std::move(proto), split.test,
-                                            fl_clients.size());
-    const auto result = appfl::core::run_federated(cfg, *server, fl_clients);
-    const std::vector<float> w_final = server->compute_global(
-        static_cast<std::uint32_t>(cfg.rounds + 1));
+    const auto result = appfl::core::run_federated(cfg, split);
 
     appfl::util::TextTable table(
         {"round", "participants", "train_loss", "test_acc", "comm_s", "rho"});
@@ -697,7 +671,8 @@ int main(int argc, char** argv) {
 
     if (report) {
       auto eval_model = appfl::core::build_model(cfg, split.test);
-      const auto r = appfl::core::evaluate(*eval_model, w_final, split.test);
+      const auto r = appfl::core::evaluate(*eval_model, result.final_parameters,
+                                           split.test);
       std::cout << "\nper-class recall (balanced accuracy "
                 << fmt(r.balanced_accuracy(), 4) << ", mean loss "
                 << fmt(r.mean_loss, 4) << "):\n";
@@ -707,18 +682,6 @@ int main(int argc, char** argv) {
                     << fmt(r.per_class_recall[c], 3) << "\n";
         }
       }
-    }
-    if (!save_path.empty()) {
-      appfl::core::Checkpoint ckpt;
-      ckpt.algorithm = appfl::core::to_string(cfg.algorithm);
-      ckpt.dataset = split.name;
-      ckpt.model = model;
-      ckpt.rounds_completed = static_cast<std::uint32_t>(cfg.rounds);
-      ckpt.final_accuracy = result.final_accuracy;
-      ckpt.parameters = w_final;
-      appfl::core::save_checkpoint(save_path, ckpt);
-      std::cout << "[checkpoint] " << save_path << " ("
-                << ckpt.parameters.size() << " parameters)\n";
     }
     return 0;
   } catch (const std::exception& e) {

@@ -302,6 +302,8 @@ class Communicator {
     /// silently drop the quantization error they carry, so they ride in
     /// every checkpoint.
     std::vector<std::vector<float>> ef_residuals;
+
+    bool operator==(const PersistentState&) const = default;
   };
   PersistentState persistent_state() const;
   void restore_persistent_state(const PersistentState& s);

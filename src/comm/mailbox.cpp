@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "rng/rng.hpp"
 #include "util/check.hpp"
@@ -93,9 +94,14 @@ FaultInjector::PersistentState FaultInjector::persistent_state() const {
   std::lock_guard<std::mutex> lock(mutex_);
   PersistentState s;
   s.stats = stats_;
-  s.link_keys.reserve(link_seq_.size());
-  s.link_seqs.reserve(link_seq_.size());
-  for (const auto& [key, seq] : link_seq_) {
+  // Key order, not hash order: the map's iteration order depends on which
+  // pool worker first sent on each link, and checkpoint bytes must not.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> links(link_seq_.begin(),
+                                                             link_seq_.end());
+  std::sort(links.begin(), links.end());
+  s.link_keys.reserve(links.size());
+  s.link_seqs.reserve(links.size());
+  for (const auto& [key, seq] : links) {
     s.link_keys.push_back(key);
     s.link_seqs.push_back(seq);
   }

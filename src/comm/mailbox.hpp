@@ -80,9 +80,10 @@ class FaultInjector {
   FaultStats stats() const;
 
   /// Resumable snapshot: the applied-fault counters plus every link's
-  /// sequence counter (keys = (from << 32) | to, parallel to seqs). Since
-  /// the schedule is a pure function of (seed, from, to, seq), restoring
-  /// these continues the fault schedule with no replayed or skipped events.
+  /// sequence counter (keys = (from << 32) | to in ascending order, parallel
+  /// to seqs). Since the schedule is a pure function of (seed, from, to,
+  /// seq), restoring these continues the fault schedule with no replayed or
+  /// skipped events.
   struct PersistentState {
     FaultStats stats;
     std::vector<std::uint64_t> link_keys;

@@ -82,7 +82,9 @@ void append_float_vec(std::vector<std::uint8_t>& out,
   append_u64(out, v.size());
   const std::size_t start = out.size();
   out.resize(start + 4 * v.size());
-  std::memcpy(out.data() + start, v.data(), 4 * v.size());
+  // An empty vector's data() may be null, and memcpy from null is UB even
+  // for zero bytes.
+  if (!v.empty()) std::memcpy(out.data() + start, v.data(), 4 * v.size());
 }
 
 FloatView read_float_view(std::span<const std::uint8_t> b, std::size_t& off) {

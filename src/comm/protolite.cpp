@@ -64,7 +64,9 @@ void ProtoWriter::add_packed_floats(std::uint32_t field,
   put_varint(values.size() * 4);
   const std::size_t start = buf_.size();
   buf_.resize(start + values.size() * 4);
-  std::memcpy(buf_.data() + start, values.data(), values.size() * 4);
+  if (!values.empty()) {  // memcpy with a null pointer is UB even for 0 bytes
+    std::memcpy(buf_.data() + start, values.data(), values.size() * 4);
+  }
 }
 
 std::uint64_t ProtoReader::read_varint() {
@@ -156,7 +158,7 @@ void ProtoReader::as_packed_floats_into(const ProtoField& f,
   APPFL_CHECK_MSG(f.wire_type == kLengthDelimited, "field is not length-delimited");
   APPFL_CHECK_MSG(f.bytes.size() % 4 == 0, "packed float payload not a multiple of 4");
   out.resize(f.bytes.size() / 4);
-  std::memcpy(out.data(), f.bytes.data(), f.bytes.size());
+  if (!out.empty()) std::memcpy(out.data(), f.bytes.data(), f.bytes.size());
 }
 
 }  // namespace appfl::comm

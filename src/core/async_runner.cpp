@@ -118,6 +118,14 @@ AsyncRunResult run_async_loop(const AsyncConfig& config,
   APPFL_CHECK_MSG(!cfg.adaptive_rho,
                   "async IIADMM needs a constant rho: its clients never "
                   "receive an adapted one");
+  // The async loop has no masking protocol and no communicator codec;
+  // running without them would silently ignore what the caller asked for.
+  APPFL_CHECK_MSG(!cfg.secure_agg,
+                  "secure aggregation is a sync/population feature; the "
+                  "async runner would upload unmasked");
+  APPFL_CHECK_MSG(cfg.uplink_codec == comm::UplinkCodec::kNone,
+                  "the async runner ships uncompressed payloads; "
+                  "uplink_codec must be none");
   ObsSession obs_session(cfg);
   APPFL_CHECK_MSG(config.mixing_alpha > 0.0F && config.mixing_alpha <= 1.0F,
                   "mixing alpha must be in (0, 1]");
@@ -213,20 +221,8 @@ AsyncRunResult run_async_loop(const AsyncConfig& config,
   result.strategy = strategy->name();
   double staleness_sum = 0.0;
 
-  const CheckpointOptions ckpt = checkpoint_options_from_env(cfg);
-  std::optional<CheckpointStore> store;
-  if (!ckpt.dir.empty()) store.emplace(ckpt.dir);
-  if (!ckpt.resume_from.empty()) {
-    APPFL_SPAN("ckpt.restore", "ckpt");
-    std::optional<CheckpointStore> separate;
-    CheckpointStore& resume_store =
-        store && ckpt.resume_from == ckpt.dir
-            ? *store
-            : separate.emplace(ckpt.resume_from);
-    const std::optional<AsyncCheckpoint> ac =
-        load_latest_async_checkpoint(resume_store);
-    APPFL_CHECK_MSG(ac.has_value(), "resume_from='" << ckpt.resume_from
-                        << "' holds no loadable async checkpoint");
+  RunCheckpoints ckpts(cfg);
+  if (const std::optional<AsyncCheckpoint> ac = ckpts.resume_async()) {
     APPFL_CHECK_MSG(
         ac->seed == cfg.seed && ac->num_clients == num_clients &&
             ac->param_count == w.size() && ac->total_updates == total_updates,
@@ -330,11 +326,7 @@ AsyncRunResult run_async_loop(const AsyncConfig& config,
       dispatch(p, next.finish_time);
     }
 
-    const bool halt_here = cfg.halt_after_round > 0 &&
-                           result.applied_updates == cfg.halt_after_round;
-    if (store && (result.applied_updates % ckpt.every == 0 ||
-                  result.applied_updates == total_updates || halt_here)) {
-      APPFL_SPAN("ckpt.save", "ckpt");
+    ckpts.maybe_save(result.applied_updates, total_updates, [&] {
       AsyncCheckpoint ac;
       ac.seed = cfg.seed;
       ac.num_clients = static_cast<std::uint32_t>(num_clients);
@@ -361,14 +353,14 @@ AsyncRunResult run_async_loop(const AsyncConfig& config,
       strategy->export_state(ac);
       ac.dropped_updates = result.dropped_updates;
       if (faults.drop > 0.0) ac.fault_rng = drop_rng.state();
-      save_async_checkpoint(*store, ac);
-      ++result.checkpoints_written;
-    }
-    if (halt_here) break;
+      return encode_async_checkpoint(ac);
+    });
+    if (ckpts.halts_at(result.applied_updates)) break;
   }
 
   result.final_accuracy = server->validate(w);
   result.final_w = w;
+  result.checkpoints_written = ckpts.written();
   result.mean_staleness =
       result.applied_updates > 0
           ? staleness_sum / static_cast<double>(result.applied_updates)

@@ -1,6 +1,7 @@
 #include "core/checkpoint.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -12,64 +13,12 @@
 
 #include "comm/envelope.hpp"
 #include "comm/protolite.hpp"
+#include "core/config.hpp"
+#include "obs/flight.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace appfl::core {
-
-namespace {
-constexpr std::uint32_t kFVersion = 1;
-constexpr std::uint32_t kFAlgorithm = 2;
-constexpr std::uint32_t kFDataset = 3;
-constexpr std::uint32_t kFRounds = 4;
-constexpr std::uint32_t kFAccuracy = 5;
-constexpr std::uint32_t kFParameters = 6;
-constexpr std::uint32_t kFModel = 7;
-constexpr std::uint32_t kSupportedVersion = 1;
-}  // namespace
-
-std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& ckpt) {
-  comm::ProtoWriter w;
-  w.add_varint(kFVersion, ckpt.format_version);
-  w.add_string(kFAlgorithm, ckpt.algorithm);
-  w.add_string(kFDataset, ckpt.dataset);
-  w.add_varint(kFRounds, ckpt.rounds_completed);
-  w.add_double(kFAccuracy, ckpt.final_accuracy);
-  w.add_packed_floats(kFParameters, ckpt.parameters);
-  if (!ckpt.model.empty()) w.add_string(kFModel, ckpt.model);
-  return w.take();
-}
-
-Checkpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
-  Checkpoint ckpt;
-  ckpt.format_version = 0;
-  comm::ProtoReader r(bytes);
-  comm::ProtoField f;
-  while (r.next(f)) {
-    switch (f.field) {
-      case kFVersion:
-        ckpt.format_version = static_cast<std::uint32_t>(f.varint);
-        break;
-      case kFAlgorithm: ckpt.algorithm = comm::ProtoReader::as_string(f); break;
-      case kFDataset: ckpt.dataset = comm::ProtoReader::as_string(f); break;
-      case kFRounds:
-        ckpt.rounds_completed = static_cast<std::uint32_t>(f.varint);
-        break;
-      case kFAccuracy:
-        ckpt.final_accuracy = comm::ProtoReader::as_double(f);
-        break;
-      case kFParameters:
-        ckpt.parameters = comm::ProtoReader::as_packed_floats(f);
-        break;
-      case kFModel: ckpt.model = comm::ProtoReader::as_string(f); break;
-      default:
-        break;  // forward compatibility: skip unknown fields
-    }
-  }
-  APPFL_CHECK_MSG(ckpt.format_version == kSupportedVersion,
-                  "unsupported checkpoint version " << ckpt.format_version);
-  APPFL_CHECK_MSG(!ckpt.parameters.empty(), "checkpoint carries no parameters");
-  return ckpt;
-}
 
 namespace {
 
@@ -126,19 +75,6 @@ std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
 }
 
 }  // namespace
-
-void save_checkpoint(const std::string& path, const Checkpoint& ckpt) {
-  // Torn-write protection even for the legacy single-file API: overwriting
-  // `path` in place would destroy the previous good checkpoint if the
-  // process died mid-write.
-  atomic_write_file(path, encode_checkpoint(ckpt));
-}
-
-Checkpoint load_checkpoint(const std::string& path) {
-  const auto bytes = read_file(path);
-  APPFL_CHECK_MSG(bytes.has_value(), "cannot read " << path);
-  return decode_checkpoint(*bytes);
-}
 
 // ---------------------------------------------------------------------------
 // v2 encoding
@@ -811,10 +747,6 @@ std::optional<CheckpointStore::Loaded> CheckpointStore::load_latest(
   return out;
 }
 
-void save_round_checkpoint(CheckpointStore& store, const RoundCheckpoint& ckpt) {
-  store.save(encode_round_checkpoint(ckpt), ckpt.rounds_completed);
-}
-
 std::optional<RoundCheckpoint> load_latest_round_checkpoint(
     CheckpointStore& store) {
   const auto loaded = store.load_latest([](std::span<const std::uint8_t> p) {
@@ -829,10 +761,6 @@ std::optional<RoundCheckpoint> load_latest_round_checkpoint(
   return decode_round_checkpoint(loaded->payload);
 }
 
-void save_async_checkpoint(CheckpointStore& store, const AsyncCheckpoint& ckpt) {
-  store.save(encode_async_checkpoint(ckpt), ckpt.applied_updates);
-}
-
 std::optional<AsyncCheckpoint> load_latest_async_checkpoint(
     CheckpointStore& store) {
   const auto loaded = store.load_latest([](std::span<const std::uint8_t> p) {
@@ -845,6 +773,76 @@ std::optional<AsyncCheckpoint> load_latest_async_checkpoint(
   });
   if (!loaded.has_value()) return std::nullopt;
   return decode_async_checkpoint(loaded->payload);
+}
+
+// ---------------------------------------------------------------------------
+// RunCheckpoints
+// ---------------------------------------------------------------------------
+
+RunCheckpoints::RunCheckpoints(const RunConfig& config)
+    : dir_(config.checkpoint_dir),
+      every_(config.checkpoint_every_n_rounds),
+      resume_from_(config.resume_from),
+      halt_after_(config.halt_after_round) {
+  if (const char* value = std::getenv("APPFL_CKPT_DIR")) dir_ = value;
+  if (const char* value = std::getenv("APPFL_CKPT_RESUME")) {
+    resume_from_ = value;
+  }
+  if (const char* value = std::getenv("APPFL_CKPT_EVERY")) {
+    // Same convention as APPFL_FAULT_*: garbage (non-numeric, zero, or
+    // negative) is warned about and ignored instead of silently read as 0 —
+    // a cadence of 0 would otherwise divide-by-zero or mean "never".
+    char* end = nullptr;
+    const long parsed = std::strtol(value, &end, 10);
+    if (end == value || *end != '\0' || parsed < 1) {
+      std::fprintf(stderr,
+                   "warning: ignoring invalid APPFL_CKPT_EVERY='%s' "
+                   "(need a positive integer)\n",
+                   value);
+    } else {
+      every_ = static_cast<std::size_t>(parsed);
+    }
+  }
+  // An empty dir keeps every save path untouched, so a checkpoint-free run
+  // stays bit-identical to a pre-checkpoint build.
+  if (!dir_.empty()) store_.emplace(dir_);
+}
+
+template <class Ckpt>
+std::optional<Ckpt> RunCheckpoints::resume(
+    std::optional<Ckpt> (*load)(CheckpointStore&)) {
+  if (resume_from_.empty()) return std::nullopt;
+  APPFL_SPAN("ckpt.restore", "ckpt");
+  obs::flight_record("ckpt.restore");
+  std::optional<CheckpointStore> separate;
+  CheckpointStore& from = store_ && resume_from_ == dir_
+                              ? *store_
+                              : separate.emplace(resume_from_);
+  std::optional<Ckpt> ckpt = load(from);
+  for (const std::string& diag : from.report().diagnostics) {
+    std::fprintf(stderr, "warning: checkpoint recovery: %s\n", diag.c_str());
+  }
+  APPFL_CHECK_MSG(ckpt.has_value(), "resume_from='" << resume_from_
+                      << "' holds no loadable checkpoint");
+  return ckpt;
+}
+
+std::optional<RoundCheckpoint> RunCheckpoints::resume_round() {
+  return resume(&load_latest_round_checkpoint);
+}
+
+std::optional<AsyncCheckpoint> RunCheckpoints::resume_async() {
+  return resume(&load_latest_async_checkpoint);
+}
+
+void RunCheckpoints::maybe_save(
+    std::uint64_t seq, std::uint64_t last,
+    const std::function<std::vector<std::uint8_t>()>& encode) {
+  if (!store_ || (seq % every_ != 0 && seq != last && !halts_at(seq))) return;
+  APPFL_SPAN("ckpt.save", "ckpt");
+  obs::flight_record("ckpt.save", "{\"round\":" + std::to_string(seq) + "}");
+  store_->save(encode(), seq);
+  ++written_;
 }
 
 }  // namespace appfl::core

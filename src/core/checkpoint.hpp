@@ -1,27 +1,25 @@
-// Checkpointing: persist training state to disk and restore it later.
+// Checkpointing: resumable training snapshots on disk.
 //
-// Two layers live here:
+// A `RoundCheckpoint` (sync runner and population engine) or an
+// `AsyncCheckpoint` (async event loop) is a snapshot taken at a round or
+// update boundary, carrying everything a killed process needs to continue
+// the run to a bit-identical result: global parameters, server-optimizer
+// state (FedOpt moments), per-client ADMM primal/dual replicas, data-loader
+// epoch counters, the client-sampler RNG state, DP budget spent, fault-plane
+// link counters, and the simulated clock. Payloads are sealed in the comm
+// plane's CRC32 envelope (comm/envelope.hpp), so disk corruption is
+// detected exactly like wire corruption.
 //
-//  * The legacy v1 `Checkpoint` — a final trained model plus provenance,
-//    the deploy artifact a framework user keeps after a long run. The file
-//    format reuses the protolite wire encoding, so the same parser that
-//    guards the network guards the disk.
-//
-//  * The v2 `RoundCheckpoint` — a *resumable* snapshot taken at a round
-//    boundary, carrying everything a killed process needs to continue the
-//    run to a bit-identical result: global parameters, server-optimizer
-//    state (FedOpt moments), per-client ADMM primal/dual replicas, data-
-//    loader epoch counters, the client-sampler RNG state, DP budget spent,
-//    fault-plane link counters, and the simulated clock. v2 payloads are
-//    sealed in the comm plane's CRC32 envelope (comm/envelope.hpp), so disk
-//    corruption is detected exactly like wire corruption.
-//
-// Persistence of v2 snapshots is crash-consistent via `CheckpointStore`:
-// write-to-temp + flush + fsync + atomic rename into a two-slot A/B layout,
-// so a crash at ANY instant — including mid-save — always leaves the newest
+// Persistence is crash-consistent via `CheckpointStore`: write-to-temp +
+// flush + fsync + atomic rename into a two-slot A/B layout, so a crash at
+// ANY instant — including mid-save — always leaves the newest
 // previously-completed checkpoint loadable. Recovery scans both slots,
 // loads the newest valid one and quarantines torn/corrupt slots with a
 // counted diagnostic instead of throwing.
+//
+// `RunCheckpoints` is the checkpoint plane every resumable loop shares: it
+// resolves the run's policy, opens the store, resumes, and decides when to
+// save and when to halt.
 #pragma once
 
 #include <array>
@@ -37,37 +35,8 @@
 
 namespace appfl::core {
 
-struct Checkpoint {
-  std::uint32_t format_version = 1;
-  std::string algorithm;          // e.g. "IIADMM"
-  std::string dataset;            // e.g. "mnist-like"
-  std::string model;              // e.g. "mlp" — architecture provenance
-  std::uint32_t rounds_completed = 0;
-  double final_accuracy = 0.0;
-  std::vector<float> parameters;  // flat global model
+struct RunConfig;
 
-  bool operator==(const Checkpoint&) const = default;
-};
-
-/// Serializes to protolite bytes (exposed for tests).
-std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& ckpt);
-
-/// Parses protolite bytes; throws appfl::Error on malformed input or an
-/// unsupported format version.
-Checkpoint decode_checkpoint(std::span<const std::uint8_t> bytes);
-
-/// Writes the checkpoint to `path`. Crash-consistent: the bytes land in a
-/// temporary file first and are atomically renamed over `path`, so a crash
-/// mid-write can never destroy a previous good checkpoint. Throws on I/O
-/// failure.
-void save_checkpoint(const std::string& path, const Checkpoint& ckpt);
-
-/// Reads a checkpoint from `path`. Throws on I/O failure or bad content.
-Checkpoint load_checkpoint(const std::string& path);
-
-// ---------------------------------------------------------------------------
-// v2: resumable round checkpoints.
-// ---------------------------------------------------------------------------
 
 /// Per-client resumable state. The algorithm-specific vectors are filled by
 /// BaseClient::export_state overrides (empty when the algorithm keeps no
@@ -101,22 +70,9 @@ struct ServerStateCkpt {
 };
 
 /// Communication-plane state that survives a restart: the simulated clock,
-/// the cumulative traffic/fault ledger, and the fault injector's per-link
-/// sequence counters (the schedule is a pure function of seed + counters,
-/// so restoring them continues the fault schedule with no replayed or
-/// skipped events).
-struct CommStateCkpt {
-  double sim_now = 0.0;
-  comm::TrafficStats stats;
-  std::vector<std::uint64_t> link_keys;
-  std::vector<std::uint64_t> link_seqs;
-  /// Per-client int8 error-feedback residuals (index = client − 1; empty
-  /// vectors when the codec is off). Encoded as (id, values) pairs so
-  /// pre-int8 decoders skip them as unknown fields — format_version stays 2.
-  std::vector<std::vector<float>> ef_residuals;
-
-  bool operator==(const CommStateCkpt&) const = default;
-};
+/// the cumulative traffic/fault ledger, the fault injector's per-link
+/// sequence counters and the int8 error-feedback residuals.
+using CommStateCkpt = comm::Communicator::PersistentState;
 
 /// A full resumable snapshot at a synchronous round boundary.
 struct RoundCheckpoint {
@@ -258,12 +214,54 @@ class CheckpointStore {
   int write_slot_ = 0;  // 0 ⇒ kSlotA next, 1 ⇒ kSlotB next
 };
 
-/// Typed convenience wrappers over CheckpointStore.
-void save_round_checkpoint(CheckpointStore& store, const RoundCheckpoint& ckpt);
+/// Newest slot that decodes as the given flavor, or nullopt.
 std::optional<RoundCheckpoint> load_latest_round_checkpoint(
     CheckpointStore& store);
-void save_async_checkpoint(CheckpointStore& store, const AsyncCheckpoint& ckpt);
 std::optional<AsyncCheckpoint> load_latest_async_checkpoint(
     CheckpointStore& store);
+
+/// The checkpoint plane of one run, shared by run_federated, run_population
+/// and the async event loop. It resolves the policy once (config fields,
+/// then the APPFL_CKPT_DIR / APPFL_CKPT_EVERY / APPFL_CKPT_RESUME overrides;
+/// unparseable values are warned about on stderr and ignored, like
+/// APPFL_FAULT_*) and opens the A/B store when a directory is set. A
+/// sequence number is a completed round, or an applied update for async.
+/// Fingerprint checks and state import stay with each loop.
+class RunCheckpoints {
+ public:
+  explicit RunCheckpoints(const RunConfig& config);
+
+  /// The snapshot to resume from: nullopt without resume_from. Resuming
+  /// from the save directory goes through the save store, so the next save
+  /// overwrites the slot NOT loaded from. Recovery diagnostics go to stderr;
+  /// throws appfl::Error when resume_from holds no loadable checkpoint.
+  std::optional<RoundCheckpoint> resume_round();
+  std::optional<AsyncCheckpoint> resume_async();
+
+  /// Saves `encode()`'s payload under `seq` when a store is open and `seq`
+  /// is on the cadence, the run's last (`last`), or the halt point. The
+  /// `ckpt.save` span covers `encode`, so state export and encoding count
+  /// as checkpoint time.
+  void maybe_save(std::uint64_t seq, std::uint64_t last,
+                  const std::function<std::vector<std::uint8_t>()>& encode);
+
+  /// True when the chaos hook (halt_after_round) stops the run after `seq`.
+  bool halts_at(std::uint64_t seq) const {
+    return halt_after_ > 0 && seq == halt_after_;
+  }
+
+  std::size_t written() const { return written_; }
+
+ private:
+  template <class Ckpt>
+  std::optional<Ckpt> resume(std::optional<Ckpt> (*load)(CheckpointStore&));
+
+  std::string dir_;
+  std::size_t every_ = 1;
+  std::string resume_from_;
+  std::uint64_t halt_after_ = 0;
+  std::optional<CheckpointStore> store_;
+  std::size_t written_ = 0;
+};
 
 }  // namespace appfl::core

@@ -176,33 +176,6 @@ void RunConfig::validate() const {
                   "flight_dir requires obs_level=metrics or trace");
 }
 
-CheckpointOptions checkpoint_options_from_env(const RunConfig& config) {
-  CheckpointOptions opts;
-  opts.dir = config.checkpoint_dir;
-  opts.every = config.checkpoint_every_n_rounds;
-  opts.resume_from = config.resume_from;
-  if (const char* value = std::getenv("APPFL_CKPT_DIR")) opts.dir = value;
-  if (const char* value = std::getenv("APPFL_CKPT_RESUME")) {
-    opts.resume_from = value;
-  }
-  if (const char* value = std::getenv("APPFL_CKPT_EVERY")) {
-    // Same convention as APPFL_FAULT_*: garbage (non-numeric, zero, or
-    // negative) is warned about and ignored instead of silently read as 0 —
-    // a cadence of 0 would otherwise divide-by-zero or mean "never".
-    char* end = nullptr;
-    const long parsed = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || parsed < 1) {
-      std::fprintf(stderr,
-                   "warning: ignoring invalid APPFL_CKPT_EVERY='%s' "
-                   "(need a positive integer)\n",
-                   value);
-    } else {
-      opts.every = static_cast<std::size_t>(parsed);
-    }
-  }
-  return opts;
-}
-
 RunConfig scaling_config_from_env(RunConfig config) {
   const auto env_size = [](const char* name, std::size_t& field) {
     const char* value = std::getenv(name);

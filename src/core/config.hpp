@@ -82,7 +82,8 @@ struct RunConfig {
 
   /// Lossy uplink compression applied inside the communicator. Restricted
   /// to FedAvg/FedProx: the IADMM family's server-side dual replicas would
-  /// silently diverge under lossy reconstruction.
+  /// silently diverge under lossy reconstruction. The async runners have no
+  /// communicator and reject it.
   comm::UplinkCodec uplink_codec = comm::UplinkCodec::kNone;
   double topk_fraction = 0.1;
 
@@ -130,9 +131,11 @@ struct RunConfig {
   /// round to a counted skip (model unchanged). Restricted to
   /// FedAvg/FedProx with the uplink codec off (masked words are opaque
   /// bit patterns — lossy codecs would destroy them; ADMM servers need
-  /// per-client updates the masked sum cannot provide). Works in both the
-  /// sync runner and the population engine. Off by default; when off every
-  /// code path is bit-identical to a build without the feature.
+  /// per-client updates the masked sum cannot provide). Implemented by the
+  /// sync runner and the population engine only: run_async,
+  /// run_async_iiadmm and run_decentralized reject it rather than run
+  /// unmasked. Off by default; when off every code path is bit-identical to
+  /// a build without the feature.
   bool secure_agg = false;
   /// Shamir reconstruction threshold t (2 <= t <= round cohort size).
   /// 0 = auto: majority of the round's cohort (⌊n/2⌋ + 1).
@@ -156,15 +159,18 @@ struct RunConfig {
   double ack_timeout_s = 0.25;
   std::size_t max_uplink_retries = 4;
 
-  /// Crash recovery (core/checkpoint.hpp). An empty checkpoint_dir (the
-  /// default) disables checkpointing entirely, leaving the run bit-identical
-  /// to a checkpoint-less build; otherwise a round checkpoint is written to
-  /// the directory's A/B slot store every checkpoint_every_n_rounds rounds.
-  /// resume_from names a store directory whose newest valid checkpoint is
-  /// restored before the first round — the resumed run continues to a
-  /// bit-identical final model. APPFL_CKPT_DIR / APPFL_CKPT_EVERY /
-  /// APPFL_CKPT_RESUME override these at run start (unparseable values are
-  /// warned about on stderr and ignored, like APPFL_FAULT_*).
+  /// Crash recovery (core/checkpoint.hpp, RunCheckpoints). An empty
+  /// checkpoint_dir (the default) disables checkpointing entirely, leaving
+  /// the run bit-identical to a checkpoint-less build; otherwise
+  /// run_federated, run_population and the async runners write a checkpoint
+  /// to the directory's A/B slot store every checkpoint_every_n_rounds
+  /// rounds (applied updates for async), at the last one, and at the halt
+  /// point. resume_from names a store directory whose newest valid
+  /// checkpoint is restored before the first round — the resumed run
+  /// continues to a bit-identical final model. APPFL_CKPT_DIR /
+  /// APPFL_CKPT_EVERY / APPFL_CKPT_RESUME override these at run start
+  /// (unparseable values are warned about on stderr and ignored, like
+  /// APPFL_FAULT_*).
   std::string checkpoint_dir;
   std::size_t checkpoint_every_n_rounds = 1;
   std::string resume_from;
@@ -218,19 +224,6 @@ struct RunConfig {
   /// Throws appfl::Error on inconsistent settings.
   void validate() const;
 };
-
-/// Checkpoint policy after APPFL_CKPT_* environment overrides.
-struct CheckpointOptions {
-  std::string dir;          // empty ⇒ checkpointing off
-  std::size_t every = 1;    // save cadence in rounds (>= 1)
-  std::string resume_from;  // empty ⇒ fresh start
-};
-
-/// Resolves the run's checkpoint policy: config fields overridden by
-/// APPFL_CKPT_DIR, APPFL_CKPT_EVERY (positive integer), APPFL_CKPT_RESUME.
-/// Unparseable env values are warned about on stderr and ignored, matching
-/// the APPFL_FAULT_* convention.
-CheckpointOptions checkpoint_options_from_env(const RunConfig& config);
 
 /// Returns `config` with APPFL_TREE_FANOUT / APPFL_MAILBOX_CAP applied
 /// (non-negative integers; unparseable values are warned about on stderr

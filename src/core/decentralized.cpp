@@ -126,6 +126,9 @@ DecentralizedResult run_decentralized(const RunConfig& config,
   RunConfig cfg = config;
   cfg.algorithm = Algorithm::kFedAvg;  // gossip uses the SGD local solver
   cfg.validate();
+  APPFL_CHECK_MSG(!cfg.secure_agg,
+                  "secure aggregation needs a server to unmask the sum; "
+                  "gossip would exchange unmasked models");
   const std::size_t n = split.clients.size();
   APPFL_CHECK_MSG(topology.num_nodes() == n,
                   "topology has " << topology.num_nodes() << " nodes for "

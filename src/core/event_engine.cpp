@@ -26,7 +26,6 @@
 #include "dp/secure_agg.hpp"
 #include "hw/device.hpp"
 #include "obs/flight.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rng/rng.hpp"
 #include "tensor/gemm.hpp"
@@ -172,25 +171,9 @@ PopulationRunResult run_population(const RunConfig& config,
   const double round_epsilon =
       std::isfinite(config.epsilon) ? config.epsilon : 0.0;
 
-  const CheckpointOptions ckpt = checkpoint_options_from_env(config);
-  std::optional<CheckpointStore> store;
-  if (!ckpt.dir.empty()) store.emplace(ckpt.dir);
-
+  RunCheckpoints ckpts(config);
   std::uint32_t start_round = 1;
-  if (!ckpt.resume_from.empty()) {
-    APPFL_SPAN("ckpt.restore", "ckpt");
-    obs::flight_record("ckpt.restore");
-    std::optional<CheckpointStore> separate;
-    CheckpointStore& resume_store =
-        store && ckpt.resume_from == ckpt.dir ? *store
-                                              : separate.emplace(ckpt.resume_from);
-    const std::optional<RoundCheckpoint> rc =
-        load_latest_round_checkpoint(resume_store);
-    for (const std::string& diag : resume_store.report().diagnostics) {
-      std::fprintf(stderr, "warning: checkpoint recovery: %s\n", diag.c_str());
-    }
-    APPFL_CHECK_MSG(rc.has_value(), "resume_from='" << ckpt.resume_from
-                        << "' holds no loadable checkpoint");
+  if (const std::optional<RoundCheckpoint> rc = ckpts.resume_round()) {
     APPFL_CHECK_MSG(
         rc->seed == config.seed && rc->num_clients == n &&
             rc->param_count == param_count &&
@@ -326,7 +309,6 @@ PopulationRunResult run_population(const RunConfig& config,
     double share_latest = bcast_done;
     bool masked_phase_done = !secure;  // plain mode: no share phase to wait on
     bool root_reduced = false;
-    bool round_degraded = false;
     SecaggDegradeReason degrade_reason = SecaggDegradeReason::kNone;
     std::uint64_t round_reconstructions = 0;
 
@@ -407,7 +389,6 @@ PopulationRunResult run_population(const RunConfig& config,
       round_end = std::max(round_end, u2_time);
       if (u2.size() < secagg_threshold) {
         // Too few share packets survived: nobody uploads this round.
-        round_degraded = true;
         degrade_reason = SecaggDegradeReason::kShareWaveTimeout;
         maybe_schedule_groups();
         return;
@@ -737,8 +718,7 @@ PopulationRunResult run_population(const RunConfig& config,
               round_reconstructions = recovery.pair_keys_reconstructed;
               w = dp::dequantize_sum(recovery.sum,
                                      dp::kDefaultScale * total_weight);
-            } else {
-              round_degraded = true;  // |U3| < t: model unchanged
+            } else {  // |U3| < t: model unchanged
               degrade_reason = SecaggDegradeReason::kBelowThreshold;
             }
           } else if (!views.empty()) {
@@ -783,26 +763,14 @@ PopulationRunResult run_population(const RunConfig& config,
     }
     // Secure mode with every masked upload lost: the root reduce never
     // fired, so the below-threshold outcome is decided here.
-    if (secure && !root_reduced && !round_degraded) {
-      round_degraded = true;
+    if (secure && !root_reduced &&
+        degrade_reason == SecaggDegradeReason::kNone) {
       degrade_reason = SecaggDegradeReason::kRootUnreachable;
     }
-    if (secure && obs::metrics_on()) {
-      static obs::Counter& reconstructions =
-          obs::MetricsRegistry::global().counter("secure_agg.reconstructions");
-      static obs::Counter& degraded =
-          obs::MetricsRegistry::global().counter("secure_agg.rounds_degraded");
-      reconstructions.add(round_reconstructions);
-      if (round_degraded) degraded.add(1);
+    if (secure) {
+      obs_session.secagg_round(round, round_reconstructions, degrade_reason);
     }
-    if (round_degraded) {
-      obs::flight_record("secagg.degraded",
-                         "{\"round\":" + std::to_string(round) +
-                             ",\"reason\":\"" + to_string(degrade_reason) +
-                             "\"}");
-      obs::FlightRecorder::global().dump("secagg-degraded-" +
-                                         to_string(degrade_reason));
-    }
+    const bool round_degraded = degrade_reason != SecaggDegradeReason::kNone;
     if (track_health) {
       for (std::size_t slot = 0; slot < k; ++slot) {
         const std::uint32_t id = participants[slot];
@@ -850,18 +818,8 @@ PopulationRunResult run_population(const RunConfig& config,
     rec.gather_s = metrics.gather_s;
     out.run.comm_rounds.push_back(std::move(rec));
     obs_session.write_round(metrics);
-    obs::flight_record("round.done",
-                       "{\"round\":" + std::to_string(round) +
-                           ",\"responders\":" + std::to_string(responders) +
-                           "}");
 
-    const bool halt_here =
-        config.halt_after_round > 0 && round == config.halt_after_round;
-    if (store &&
-        (round % ckpt.every == 0 || round == config.rounds || halt_here)) {
-      APPFL_SPAN("ckpt.save", "ckpt");
-      obs::flight_record("ckpt.save",
-                         "{\"round\":" + std::to_string(round) + "}");
+    ckpts.maybe_save(round, config.rounds, [&] {
       RoundCheckpoint rc;
       rc.algorithm = to_string(config.algorithm);
       rc.seed = config.seed;
@@ -882,10 +840,9 @@ PopulationRunResult run_population(const RunConfig& config,
           net.fault_persistent_state();
       rc.comm.link_keys = fs.link_keys;
       rc.comm.link_seqs = fs.link_seqs;
-      save_round_checkpoint(*store, rc);
-      ++out.run.checkpoints_written;
-    }
-    if (halt_here) break;
+      return encode_round_checkpoint(rc);
+    });
+    if (ckpts.halts_at(round)) break;
   }
 
   const auto wall_end = std::chrono::steady_clock::now();
@@ -913,6 +870,7 @@ PopulationRunResult run_population(const RunConfig& config,
   out.run.dp_epsilon_spent = static_cast<double>(max_count) * round_epsilon;
   out.run.traffic = current_stats();
   out.run.sim_comm_seconds = clock.now();
+  out.run.checkpoints_written = ckpts.written();
   obs_session.finish(out.run);
   return out;
 }

@@ -28,6 +28,10 @@ ObsSession::ObsSession(const RunConfig& config)
 ObsSession::~ObsSession() { obs::set_level(previous_); }
 
 void ObsSession::write_round(const RoundMetrics& m) {
+  obs::flight_record("round.done",
+                     "{\"round\":" + std::to_string(m.round) +
+                         ",\"responders\":" + std::to_string(m.responders) +
+                         "}");
   if (!writer_ || !writer_->ok()) return;
   std::ostringstream os;
   os << "{\"type\":\"round\",\"round\":" << m.round
@@ -55,6 +59,25 @@ void ObsSession::write_round(const RoundMetrics& m) {
   if (!clients.empty()) {
     writer_->line(obs::HealthLedger::round_json(m.round, clients));
   }
+}
+
+void ObsSession::secagg_round(std::uint32_t round,
+                              std::uint64_t reconstructions,
+                              SecaggDegradeReason reason) {
+  const bool degraded = reason != SecaggDegradeReason::kNone;
+  if (obs::metrics_on()) {
+    static obs::Counter& reconstructed =
+        obs::MetricsRegistry::global().counter("secure_agg.reconstructions");
+    static obs::Counter& rounds_degraded =
+        obs::MetricsRegistry::global().counter("secure_agg.rounds_degraded");
+    reconstructed.add(reconstructions);
+    if (degraded) rounds_degraded.add(1);
+  }
+  if (!degraded) return;
+  obs::flight_record("secagg.degraded",
+                     "{\"round\":" + std::to_string(round) +
+                         ",\"reason\":\"" + to_string(reason) + "\"}");
+  obs::FlightRecorder::global().dump("secagg-degraded-" + to_string(reason));
 }
 
 void ObsSession::write_line(const std::string& json) {

@@ -46,10 +46,18 @@ class ObsSession {
   /// stream and at finish into the summary + the --health-out CSV.
   obs::HealthLedger& health() { return health_; }
 
-  /// One JSONL line for a completed round (no-op without a metrics stream),
-  /// followed by the round's health-ledger snapshot line when the ledger
-  /// has observations. test_accuracy's −1 sentinel serializes as null.
+  /// The epilogue of a completed round: one JSONL line (when a metrics
+  /// stream is open), followed by the round's health-ledger snapshot line
+  /// when the ledger has observations, and the `round.done` flight event.
+  /// test_accuracy's −1 sentinel serializes as null.
   void write_round(const RoundMetrics& metrics);
+
+  /// A secure-aggregation round's outcome: feeds the `secure_agg.*`
+  /// counters and, for a degraded round (reason != kNone), records the
+  /// `secagg.degraded` flight event and dumps the black box while the
+  /// events leading here are still in the ring.
+  void secagg_round(std::uint32_t round, std::uint64_t reconstructions,
+                    SecaggDegradeReason reason);
 
   /// Arbitrary pre-rendered JSONL line (the async runner's event stream).
   void write_line(const std::string& json);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -11,7 +10,6 @@
 #include "core/checkpoint.hpp"
 #include "dp/secure_agg.hpp"
 #include "obs/flight.hpp"
-#include "obs/metrics.hpp"
 #include "core/fedavg.hpp"
 #include "core/sampling.hpp"
 #include "core/obs_session.hpp"
@@ -205,11 +203,7 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
   RunResult result;
   result.model_parameters = server.num_parameters();
 
-  // Crash recovery: an empty dir keeps every path below untouched, so a
-  // checkpoint-free run stays bit-identical to a pre-checkpoint build.
-  const CheckpointOptions ckpt = checkpoint_options_from_env(config);
-  std::optional<CheckpointStore> store;
-  if (!ckpt.dir.empty()) store.emplace(ckpt.dir);
+  RunCheckpoints ckpts(config);
   dp::PrivacyAccountant accountant(num_clients);
   // ε is spent once per round by each client that releases an update
   // (basic composition); ε = ∞ rounds are accounted as zero leakage.
@@ -220,24 +214,7 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
   std::vector<comm::Communicator::UplinkHealth> prev_uplink;
 
   std::uint32_t start_round = 1;
-  if (!ckpt.resume_from.empty()) {
-    APPFL_SPAN("ckpt.restore", "ckpt");
-    obs::flight_record("ckpt.restore");
-    // Resuming through the save store (same directory) keeps the A/B
-    // alternation correct: the next save overwrites the slot we did NOT
-    // load from.
-    std::optional<CheckpointStore> separate;
-    CheckpointStore& resume_store =
-        store && ckpt.resume_from == ckpt.dir
-            ? *store
-            : separate.emplace(ckpt.resume_from);
-    const std::optional<RoundCheckpoint> rc =
-        load_latest_round_checkpoint(resume_store);
-    for (const std::string& diag : resume_store.report().diagnostics) {
-      std::fprintf(stderr, "warning: checkpoint recovery: %s\n", diag.c_str());
-    }
-    APPFL_CHECK_MSG(rc.has_value(), "resume_from='" << ckpt.resume_from
-                        << "' holds no loadable checkpoint");
+  if (const std::optional<RoundCheckpoint> rc = ckpts.resume_round()) {
     APPFL_CHECK_MSG(
         rc->seed == config.seed && rc->num_clients == num_clients &&
             rc->param_count == server.num_parameters() &&
@@ -254,13 +231,7 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
       accountant.restore_spent(p, rc->clients[p].dp_spent);
     }
     sampler.set_state(rc->sampler_state);
-    comm::Communicator::PersistentState cs;
-    cs.sim_now = rc->comm.sim_now;
-    cs.stats = rc->comm.stats;
-    cs.link_keys = rc->comm.link_keys;
-    cs.link_seqs = rc->comm.link_seqs;
-    cs.ef_residuals = rc->comm.ef_residuals;
-    comm.restore_persistent_state(cs);
+    comm.restore_persistent_state(rc->comm);
     start_round = rc->rounds_completed + 1;
     result.resumed_from_round = rc->rounds_completed;
   }
@@ -303,7 +274,6 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
     // only → U3); see dp/secure_agg.hpp for the protocol.
     std::vector<char> trained(num_clients, 0);
     std::uint64_t round_reconstructions = 0;
-    bool round_degraded = false;
     SecaggDegradeReason degrade_reason = SecaggDegradeReason::kNone;
     bool shares_below_threshold = false;
     const bool track_health = obs_session.metrics_enabled();
@@ -506,32 +476,13 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
         // running — graceful degradation, never a partial unmask. The
         // reason distinguishes WHERE the cohort thinned: the share wave
         // (U2 < t, nobody even uploaded) or the masked uploads (U3 < t).
-        round_degraded = true;
         degrade_reason = shares_below_threshold
                              ? SecaggDegradeReason::kShareWaveTimeout
                              : SecaggDegradeReason::kBelowThreshold;
       }
-      if (obs::metrics_on()) {
-        static obs::Counter& reconstructions =
-            obs::MetricsRegistry::global().counter(
-                "secure_agg.reconstructions");
-        static obs::Counter& degraded =
-            obs::MetricsRegistry::global().counter(
-                "secure_agg.rounds_degraded");
-        reconstructions.add(round_reconstructions);
-        if (round_degraded) degraded.add(1);
-      }
+      obs_session.secagg_round(round, round_reconstructions, degrade_reason);
     }
-    if (round_degraded) {
-      // Degraded rounds are a flight-recorder trigger: dump the black box
-      // now, while the events leading here are still in the ring.
-      obs::flight_record("secagg.degraded",
-                         "{\"round\":" + std::to_string(round) +
-                             ",\"reason\":\"" + to_string(degrade_reason) +
-                             "\"}");
-      obs::FlightRecorder::global().dump("secagg-degraded-" +
-                                         to_string(degrade_reason));
-    }
+    const bool round_degraded = degrade_reason != SecaggDegradeReason::kNone;
     const comm::TrafficStats after = comm.stats();
     round_span.set_sim(sim_round_start,
                       comm.clock().now() - sim_round_start);
@@ -614,20 +565,10 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
     }
     result.rounds.push_back(metrics);
     obs_session.write_round(metrics);
-    obs::flight_record("round.done",
-                       "{\"round\":" + std::to_string(round) +
-                           ",\"responders\":" +
-                           std::to_string(metrics.responders) + "}");
 
     // (5) Round checkpoint: captured after the server absorbed the round,
     // so a restart replays nothing and skips nothing.
-    const bool halt_here =
-        config.halt_after_round > 0 && round == config.halt_after_round;
-    if (store &&
-        (round % ckpt.every == 0 || round == config.rounds || halt_here)) {
-      APPFL_SPAN("ckpt.save", "ckpt");
-      obs::flight_record("ckpt.save",
-                         "{\"round\":" + std::to_string(round) + "}");
+    ckpts.maybe_save(round, config.rounds, [&] {
       RoundCheckpoint rc;
       rc.algorithm = to_string(config.algorithm);
       rc.seed = config.seed;
@@ -642,16 +583,10 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
         rc.clients.back().dp_spent = accountant.spent(p);
       }
       rc.sampler_state = sampler.state();
-      const comm::Communicator::PersistentState cs = comm.persistent_state();
-      rc.comm.sim_now = cs.sim_now;
-      rc.comm.stats = cs.stats;
-      rc.comm.link_keys = cs.link_keys;
-      rc.comm.link_seqs = cs.link_seqs;
-      rc.comm.ef_residuals = cs.ef_residuals;
-      save_round_checkpoint(*store, rc);
-      ++result.checkpoints_written;
-    }
-    if (halt_here) break;
+      rc.comm = comm.persistent_state();
+      return encode_round_checkpoint(rc);
+    });
+    if (ckpts.halts_at(round)) break;
   }
 
   // Final validation on the post-absorption global parameters.
@@ -666,6 +601,7 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
   result.traffic = comm.stats();
   result.comm_rounds = comm.round_log();
   result.sim_comm_seconds = comm.clock().now();
+  result.checkpoints_written = ckpts.written();
   obs_session.finish(result);
   return result;
 }

@@ -65,7 +65,8 @@ Tensor from_bytes(std::span<const std::uint8_t> bytes) {
 void append_floats(std::vector<std::uint8_t>& out, std::span<const float> v) {
   const std::size_t start = out.size();
   out.resize(start + 4 * v.size());
-  std::memcpy(out.data() + start, v.data(), 4 * v.size());
+  // memcpy with a null pointer is UB even for 0 bytes (empty spans).
+  if (!v.empty()) std::memcpy(out.data() + start, v.data(), 4 * v.size());
 }
 
 std::vector<float> read_floats(std::span<const std::uint8_t> bytes,
@@ -77,7 +78,7 @@ std::vector<float> read_floats(std::span<const std::uint8_t> bytes,
                                                    << offset << ", have "
                                                    << bytes.size() << " bytes");
   std::vector<float> out(count);
-  std::memcpy(out.data(), bytes.data() + offset, 4 * count);
+  if (count > 0) std::memcpy(out.data(), bytes.data() + offset, 4 * count);
   offset += 4 * count;
   return out;
 }

@@ -17,6 +17,7 @@
 #include "core/runner.hpp"
 #include "data/synth.hpp"
 #include "hw/device.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
@@ -495,6 +496,53 @@ TEST(AsyncIIAdmm, RejectsAdaptiveRho) {
   cfg.run.algorithm = appfl::core::Algorithm::kIIAdmm;
   cfg.run.adaptive_rho = true;
   EXPECT_THROW(appfl::core::run_async_iiadmm(cfg, split_of(16)), appfl::Error);
+}
+
+TEST(Async, RejectsSettingsItCannotHonor) {
+  // The async loop has no masking protocol and no communicator codec, so
+  // both would otherwise be silently ignored.
+  AsyncConfig masked = base_async();
+  masked.run.secure_agg = true;
+  EXPECT_THROW(appfl::core::run_async(masked, split_of(16)), appfl::Error);
+  AsyncConfig compressed = base_async();
+  compressed.run.uplink_codec = appfl::comm::UplinkCodec::kFp16;
+  EXPECT_THROW(appfl::core::run_async(compressed, split_of(16)), appfl::Error);
+  AsyncConfig admm = base_async();
+  admm.run.algorithm = appfl::core::Algorithm::kIIAdmm;
+  admm.run.secure_agg = true;
+  EXPECT_THROW(appfl::core::run_async_iiadmm(admm, split_of(16)),
+               appfl::Error);
+}
+
+bool has_flight_event(const char* kind, const std::string& data = "") {
+  for (const auto& e : appfl::obs::FlightRecorder::global().events()) {
+    if (std::string(e.kind) == kind && (data.empty() || e.data == data)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(Async, CheckpointPlaneRecordsFlightEvents) {
+  // Saves and restores land in the black box like the sync loops' do; the
+  // save payload counts applied updates.
+  const auto split = split_of(16);
+  TempDir dir("appfl_async_flight");
+  AsyncConfig killed = base_async();
+  killed.run.obs_level = "metrics";
+  killed.run.checkpoint_dir = dir.str();
+  killed.run.halt_after_round = 4;
+  (void)appfl::core::run_async(killed, split);
+  EXPECT_TRUE(has_flight_event("ckpt.save", "{\"round\":4}"));
+  EXPECT_FALSE(has_flight_event("ckpt.restore"));
+
+  AsyncConfig resumed = killed;
+  resumed.run.halt_after_round = 0;
+  resumed.run.resume_from = dir.str();
+  const auto result = appfl::core::run_async(resumed, split);
+  EXPECT_EQ(result.resumed_from_update, 4U);
+  EXPECT_TRUE(has_flight_event("ckpt.restore"));
+  EXPECT_TRUE(has_flight_event("ckpt.save"));
 }
 
 TEST(AsyncIIAdmm, SharedLoopEmitsAsyncSpansAndSummary) {

@@ -1,4 +1,4 @@
-// Checkpoint persistence and the evaluation module.
+// The checkpoint store's atomic write and the evaluation module.
 #include <gtest/gtest.h>
 
 #include "util/check.hpp"
@@ -14,89 +14,59 @@
 
 namespace {
 
-using appfl::core::Checkpoint;
+namespace fs = std::filesystem;
+using appfl::core::CheckpointStore;
 
-Checkpoint sample_checkpoint() {
-  Checkpoint ckpt;
-  ckpt.algorithm = "IIADMM";
-  ckpt.dataset = "mnist-like";
-  ckpt.model = "mlp";
-  ckpt.rounds_completed = 50;
-  ckpt.final_accuracy = 0.9175;
-  ckpt.parameters = {1.0F, -2.5F, 0.0F, 3.25F};
-  return ckpt;
-}
-
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-TEST(Checkpoint, EncodeDecodeRoundTrip) {
-  const Checkpoint ckpt = sample_checkpoint();
-  const auto bytes = appfl::core::encode_checkpoint(ckpt);
-  EXPECT_EQ(appfl::core::decode_checkpoint(bytes), ckpt);
-}
-
-TEST(Checkpoint, FileRoundTrip) {
-  const Checkpoint ckpt = sample_checkpoint();
-  const std::string path = temp_path("appfl_ckpt_test.bin");
-  appfl::core::save_checkpoint(path, ckpt);
-  EXPECT_EQ(appfl::core::load_checkpoint(path), ckpt);
-  std::filesystem::remove(path);
-}
-
-TEST(Checkpoint, SaveIsAtomicAndCleansUpTempFile) {
-  // Regression: save used to stream straight into the destination, so a
-  // crash mid-write left a torn half-file where a good checkpoint had been.
-  // It now writes a temp file and renames it into place.
-  const std::string path = temp_path("appfl_ckpt_atomic.bin");
-  Checkpoint old_ckpt = sample_checkpoint();
-  old_ckpt.rounds_completed = 1;
-  appfl::core::save_checkpoint(path, old_ckpt);
-
-  // A stale temp file from a previously killed process must not interfere.
-  {
-    std::ofstream junk(path + ".tmp", std::ios::binary);
-    junk << "torn";
+// Fresh (pre-removed) temp path, removed again on scope exit.
+struct TempPath {
+  fs::path path;
+  explicit TempPath(const char* name)
+      : path(fs::temp_directory_path() / name) {
+    fs::remove_all(path);
   }
-  const Checkpoint new_ckpt = sample_checkpoint();
-  appfl::core::save_checkpoint(path, new_ckpt);
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  EXPECT_EQ(appfl::core::load_checkpoint(path), new_ckpt);
-  std::filesystem::remove(path);
+  ~TempPath() { fs::remove_all(path); }
+};
+
+void write_junk(const fs::path& p) {
+  std::ofstream out(p, std::ios::binary | std::ios::trunc);
+  out << "torn";
 }
 
-TEST(Checkpoint, SaveToUnwritableDirectoryThrows) {
-  EXPECT_THROW(
-      appfl::core::save_checkpoint("/nonexistent_dir_appfl/x.bin",
-                                   sample_checkpoint()),
-      appfl::Error);
+TEST(CheckpointStore, SaveReplacesStaleTempFiles) {
+  // A process killed mid-save leaves `<slot>.tmp` behind. The next save
+  // into that slot must write through it and rename it away, never load or
+  // leave the stale bytes.
+  TempPath dir("appfl_store_stale_tmp");
+  CheckpointStore store(dir.path.string());
+  const std::vector<std::uint8_t> a(32, 0xA1);
+  const std::vector<std::uint8_t> b(32, 0xB2);
+  const std::vector<std::uint8_t> c(32, 0xC3);
+  store.save(a, 1);
+  write_junk(dir.path / "slot_a.ckpt.tmp");
+  write_junk(dir.path / "slot_b.ckpt.tmp");
+  store.save(b, 2);
+  store.save(c, 3);
+  EXPECT_FALSE(fs::exists(dir.path / "slot_a.ckpt.tmp"));
+  EXPECT_FALSE(fs::exists(dir.path / "slot_b.ckpt.tmp"));
+  CheckpointStore fresh(dir.path.string());
+  const auto loaded = fresh.load_latest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->sequence, 3U);
+  EXPECT_EQ(loaded->payload, c);
+  EXPECT_EQ(fresh.report().corrupt_quarantined, 0U);
 }
 
-TEST(Checkpoint, RejectsMissingFile) {
-  EXPECT_THROW(appfl::core::load_checkpoint("/nonexistent/dir/x.bin"),
-               appfl::Error);
+TEST(CheckpointStore, UncreatableDirectoryThrows) {
+  // A regular file where a parent directory should be: creating the store
+  // directory fails even with root privileges.
+  TempPath file("appfl_store_not_a_dir");
+  write_junk(file.path);
+  EXPECT_THROW(CheckpointStore((file.path / "ckpt").string()), appfl::Error);
 }
 
-TEST(Checkpoint, RejectsCorruptContent) {
-  auto bytes = appfl::core::encode_checkpoint(sample_checkpoint());
-  bytes.resize(bytes.size() / 2);  // truncate mid-field
-  EXPECT_THROW(appfl::core::decode_checkpoint(bytes), appfl::Error);
-}
-
-TEST(Checkpoint, RejectsWrongVersionAndEmptyParams) {
-  Checkpoint bad = sample_checkpoint();
-  bad.format_version = 99;
-  EXPECT_THROW(appfl::core::decode_checkpoint(appfl::core::encode_checkpoint(bad)),
-               appfl::Error);
-  bad = sample_checkpoint();
-  bad.parameters.clear();
-  EXPECT_THROW(appfl::core::decode_checkpoint(appfl::core::encode_checkpoint(bad)),
-               appfl::Error);
-}
-
-TEST(Checkpoint, TrainedModelSurvivesSaveLoadWithIdenticalAccuracy) {
-  // End-to-end: train, checkpoint, restore into a fresh model, re-evaluate.
+TEST(Evaluation, FinalParametersReproduceFinalAccuracy) {
+  // appfl_cli --report evaluates run_federated's final_parameters; they
+  // must be the exact model behind final_accuracy.
   appfl::data::SynthImageSpec spec;
   spec.train_per_client = 48;
   spec.test_size = 128;
@@ -108,33 +78,11 @@ TEST(Checkpoint, TrainedModelSurvivesSaveLoadWithIdenticalAccuracy) {
   cfg.rounds = 4;
   cfg.seed = 51;
   cfg.validate_every_round = false;
-
-  auto model = appfl::core::build_model(cfg, split.test);
-  std::vector<std::unique_ptr<appfl::core::BaseClient>> clients;
-  for (std::size_t p = 0; p < split.clients.size(); ++p) {
-    clients.push_back(appfl::core::build_client(
-        static_cast<std::uint32_t>(p + 1), cfg, *model, split.clients[p]));
-  }
-  auto server = appfl::core::build_server(cfg, std::move(model), split.test,
-                                          clients.size());
-  const auto result = appfl::core::run_federated(cfg, *server, clients);
-  const std::vector<float> w = server->compute_global(99);
-
-  Checkpoint ckpt;
-  ckpt.algorithm = "FedAvg";
-  ckpt.dataset = split.name;
-  ckpt.rounds_completed = static_cast<std::uint32_t>(cfg.rounds);
-  ckpt.final_accuracy = result.final_accuracy;
-  ckpt.parameters = w;
-  const std::string path = temp_path("appfl_ckpt_e2e.bin");
-  appfl::core::save_checkpoint(path, ckpt);
-
-  const Checkpoint restored = appfl::core::load_checkpoint(path);
+  const auto result = appfl::core::run_federated(cfg, split);
   auto fresh = appfl::core::build_model(cfg, split.test);
   const auto report =
-      appfl::core::evaluate(*fresh, restored.parameters, split.test);
-  EXPECT_NEAR(report.accuracy, result.final_accuracy, 1e-12);
-  std::filesystem::remove(path);
+      appfl::core::evaluate(*fresh, result.final_parameters, split.test);
+  EXPECT_EQ(report.accuracy, result.final_accuracy);
 }
 
 TEST(Evaluation, PerfectAndWorstCaseAccuracy) {

@@ -119,6 +119,16 @@ TEST(Gossip, DisagreementShrinksOverRounds) {
   EXPECT_GT(early, 0.0);
 }
 
+TEST(Gossip, RejectsSecureAggregation) {
+  // Gossip has no server to unmask a sum; running would exchange plain
+  // models while the caller asked for masking.
+  RunConfig cfg = gossip_config();
+  cfg.secure_agg = true;
+  EXPECT_THROW(appfl::core::run_decentralized(
+                   cfg, split_of(4), appfl::core::ring_topology(4)),
+               appfl::Error);
+}
+
 TEST(Gossip, LearnsAboveChanceOnRingAndComplete) {
   const auto split = split_of(6, 64);
   RunConfig cfg = gossip_config();

@@ -110,18 +110,6 @@ TEST(Fuzz, TensorFromBytesNeverCrashes) {
       decode, 3000, 8);
 }
 
-TEST(Fuzz, CheckpointDecodeNeverCrashes) {
-  appfl::core::Checkpoint ckpt;
-  ckpt.algorithm = "IIADMM";
-  ckpt.dataset = "x";
-  ckpt.parameters.assign(20, 1.0F);
-  auto decode = [](std::span<const std::uint8_t> b) {
-    (void)appfl::core::decode_checkpoint(b);
-  };
-  fuzz_random(decode, 3000, 9);
-  fuzz_mutations(appfl::core::encode_checkpoint(ckpt), decode, 3000, 10);
-}
-
 appfl::core::RoundCheckpoint sample_round_ckpt() {
   appfl::core::RoundCheckpoint rc;
   rc.algorithm = "IIADMM";

@@ -11,6 +11,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -453,6 +455,105 @@ TEST(Resume, AsyncRunSurvivesKillAndRestartBitIdentical) {
         << "async run diverged after kill at update " << k;
     EXPECT_EQ(baseline.sim_seconds, resumed.sim_seconds);
   }
+}
+
+TEST(Resume, AsyncTornSlotIsQuarantinedWithDiagnostic) {
+  // The async loop resumes through the same checkpoint plane as the sync
+  // loops: a torn newest slot is quarantined with the stderr diagnostic, and
+  // the run continues from the older slot to the uninterrupted run's bytes.
+  const auto split = make_split();
+  appfl::core::AsyncConfig acfg;
+  acfg.run = base_config(Algorithm::kFedAvg);
+  acfg.run.rounds = 4;  // 12 applied updates
+  const auto baseline = appfl::core::run_async(acfg, split);
+
+  TempDir dir("appfl_resume_async_torn");
+  appfl::core::AsyncConfig killed = acfg;
+  killed.run.checkpoint_dir = dir.str();
+  killed.run.halt_after_round = 6;  // slots hold updates 5 and 6
+  (void)appfl::core::run_async(killed, split);
+  const fs::path newest = dir.path / CheckpointStore::kSlotB;
+  std::vector<std::uint8_t> torn(8, 0x55);
+  std::ofstream(newest, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(torn.data()),
+             static_cast<std::streamsize>(torn.size()));
+
+  appfl::core::AsyncConfig resumed_cfg = acfg;
+  resumed_cfg.run.checkpoint_dir = dir.str();
+  resumed_cfg.run.resume_from = dir.str();
+  testing::internal::CaptureStderr();
+  const auto resumed = appfl::core::run_async(resumed_cfg, split);
+  const std::string err = testing::internal::GetCapturedStderr();
+  const std::string warning = "warning: checkpoint recovery: slot_b.ckpt";
+  ASSERT_NE(err.find(warning), std::string::npos) << err;
+  EXPECT_EQ(err.find(warning, err.find(warning) + 1), std::string::npos)
+      << "exactly one slot should be quarantined: " << err;
+  EXPECT_TRUE(fs::exists(dir.path / (std::string(CheckpointStore::kSlotB) +
+                                     ".quarantined")));
+  EXPECT_EQ(resumed.resumed_from_update, 5U);
+  EXPECT_TRUE(same_bits(baseline.final_w, resumed.final_w));
+  EXPECT_EQ(baseline.sim_seconds, resumed.sim_seconds);
+}
+
+std::vector<std::uint8_t> slurp(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// Link counters are exported in ascending key order, and the slots two
+// identical runs leave behind are byte-identical — whichever pool worker
+// happened to send first on each link.
+void expect_reproducible_slots(
+    const std::string& name,
+    const std::function<void(const std::string& dir)>& run) {
+  TempDir first(name + "_1");
+  TempDir second(name + "_2");
+  run(first.str());
+  run(second.str());
+  CheckpointStore store(first.str());
+  const auto rc = appfl::core::load_latest_round_checkpoint(store);
+  ASSERT_TRUE(rc.has_value());
+  ASSERT_GE(rc->comm.link_keys.size(), 2U);
+  for (std::size_t i = 1; i < rc->comm.link_keys.size(); ++i) {
+    EXPECT_LT(rc->comm.link_keys[i - 1], rc->comm.link_keys[i]);
+  }
+  for (const char* slot : {CheckpointStore::kSlotA, CheckpointStore::kSlotB}) {
+    const std::vector<std::uint8_t> a = slurp(first.path / slot);
+    ASSERT_FALSE(a.empty()) << slot;
+    EXPECT_EQ(a, slurp(second.path / slot)) << slot << " differs";
+  }
+}
+
+TEST(Resume, FaultedCheckpointsAreByteReproducible) {
+  RunConfig cfg = base_config(Algorithm::kFedAvg);
+  cfg.rounds = 3;
+  cfg.faults.drop = 0.2;
+  cfg.faults.corrupt = 0.1;
+  const auto split = make_split();
+  expect_reproducible_slots("appfl_repro_sync", [&](const std::string& dir) {
+    RunConfig c = cfg;
+    c.checkpoint_dir = dir;
+    (void)appfl::core::run_federated(c, split);
+  });
+
+  appfl::data::FemnistSpec spec;
+  spec.num_writers = 200;
+  spec.mean_samples_per_writer = 16;
+  spec.test_size = 64;
+  spec.seed = 7;
+  const appfl::data::SyntheticPopulation pop(spec);
+  RunConfig pcfg = cfg;
+  pcfg.model = ModelKind::kLogistic;
+  pcfg.local_steps = 1;
+  pcfg.batch_size = 8;
+  pcfg.population = 200;
+  pcfg.participants_per_round = 16;
+  pcfg.tree_fan_out = 4;
+  expect_reproducible_slots("appfl_repro_pop", [&](const std::string& dir) {
+    RunConfig c = pcfg;
+    c.checkpoint_dir = dir;
+    (void)appfl::core::run_population(c, pop);
+  });
 }
 
 // ---------------------------------------------------------------------------
