@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -21,30 +19,7 @@ std::string to_string(Protocol p) {
 }
 
 std::string to_string(UplinkCodec codec) {
-  switch (codec) {
-    case UplinkCodec::kNone: return "none";
-    case UplinkCodec::kQuant8: return "quant8";
-    case UplinkCodec::kTopK: return "topk";
-    case UplinkCodec::kFp16: return "fp16";
-    case UplinkCodec::kInt8Ef: return "int8";
-  }
-  return "?";
-}
-
-UplinkCodec uplink_codec_from_env(UplinkCodec base) {
-  const char* env = std::getenv("APPFL_WIRE_CODEC");
-  if (env == nullptr || *env == '\0') return base;
-  const std::string v(env);
-  if (v == "none") return UplinkCodec::kNone;
-  if (v == "fp16") return UplinkCodec::kFp16;
-  if (v == "quant8") return UplinkCodec::kQuant8;
-  if (v == "topk") return UplinkCodec::kTopK;
-  if (v == "int8") return UplinkCodec::kInt8Ef;
-  std::fprintf(stderr,
-               "appfl: ignoring invalid APPFL_WIRE_CODEC='%s' "
-               "(expected none|fp16|quant8|topk|int8)\n",
-               env);
-  return base;
+  return std::string(kUplinkCodecNames[static_cast<std::size_t>(codec)]);
 }
 
 namespace {

@@ -17,10 +17,12 @@
 // fault-free communicator.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "comm/buffer_pool.hpp"
@@ -51,14 +53,11 @@ enum class UplinkCodec : std::uint8_t {
   kInt8Ef = 4,
 };
 
-std::string to_string(UplinkCodec codec);
+/// Codec names, indexed by UplinkCodec.
+inline constexpr std::array<std::string_view, 5> kUplinkCodecNames = {
+    "none", "quant8", "topk", "fp16", "int8"};
 
-/// APPFL_WIRE_CODEC env override of the configured uplink codec
-/// (none | fp16 | quant8 | topk | int8). Returns `base` when the variable is
-/// unset; an unrecognized value warns on stderr and keeps `base`, mirroring
-/// fault_config_from_env. Callers must re-validate the run configuration
-/// when the override changes the codec.
-UplinkCodec uplink_codec_from_env(UplinkCodec base);
+std::string to_string(UplinkCodec codec);
 
 struct CodecConfig {
   UplinkCodec codec = UplinkCodec::kNone;

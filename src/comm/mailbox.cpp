@@ -1,9 +1,6 @@
 #include "comm/mailbox.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
 #include <utility>
 
 #include "rng/rng.hpp"
@@ -116,53 +113,6 @@ void FaultInjector::restore_persistent_state(const PersistentState& s) {
   for (std::size_t i = 0; i < s.link_keys.size(); ++i) {
     link_seq_[s.link_keys[i]] = s.link_seqs[i];
   }
-}
-
-FaultConfig fault_config_from_env(FaultConfig base) {
-  // Garbage values are warned about and ignored (the field keeps its base
-  // value) — silently reading "abc" as 0 would disable a fault campaign
-  // without any hint that the knob never engaged.
-  const auto env_double = [](const char* name, double& field) {
-    const char* value = std::getenv(name);
-    if (!value) return;
-    char* end = nullptr;
-    const double parsed = std::strtod(value, &end);
-    if (end == value || *end != '\0') {
-      std::fprintf(stderr, "warning: ignoring unparseable %s='%s'\n", name,
-                   value);
-      return;
-    }
-    field = parsed;
-  };
-  env_double("APPFL_FAULT_DROP", base.drop);
-  env_double("APPFL_FAULT_DUPLICATE", base.duplicate);
-  env_double("APPFL_FAULT_REORDER", base.reorder);
-  env_double("APPFL_FAULT_CORRUPT", base.corrupt);
-  env_double("APPFL_FAULT_DELAY", base.delay);
-  env_double("APPFL_FAULT_DELAY_MAX_S", base.delay_max_s);
-  if (const char* value = std::getenv("APPFL_FAULT_DEAD")) {
-    base.dead.clear();
-    std::string list(value);
-    std::size_t pos = 0;
-    while (pos < list.size()) {
-      const std::size_t comma = list.find(',', pos);
-      const std::string token =
-          list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-      if (!token.empty()) {
-        if (token.find_first_not_of("0123456789") == std::string::npos) {
-          base.dead.push_back(static_cast<std::uint32_t>(
-              std::strtoul(token.c_str(), nullptr, 10)));
-        } else {
-          std::fprintf(stderr,
-                       "warning: ignoring bad APPFL_FAULT_DEAD token '%s'\n",
-                       token.c_str());
-        }
-      }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-  }
-  return base;
 }
 
 bool Mailbox::push(Datagram d) {

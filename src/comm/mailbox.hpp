@@ -100,13 +100,6 @@ class FaultInjector {
   FaultStats stats_;
 };
 
-/// Returns `base` with APPFL_FAULT_* environment overrides applied:
-/// APPFL_FAULT_DROP, _DUPLICATE, _REORDER, _CORRUPT, _DELAY, _DELAY_MAX_S
-/// (doubles) and APPFL_FAULT_DEAD (comma-separated endpoint ids). Unset
-/// variables leave the corresponding field untouched; unparseable values
-/// are warned about on stderr and ignored rather than silently read as 0.
-FaultConfig fault_config_from_env(FaultConfig base);
-
 /// MPSC queue with blocking and non-blocking receive. Unbounded by default;
 /// set_capacity installs a high-water mark so a misconfigured sender burst
 /// (e.g. a 100k-client fan-in aimed at one box) degrades into counted drops

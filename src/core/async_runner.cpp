@@ -12,6 +12,7 @@
 #include "core/checkpoint.hpp"
 #include "core/iiadmm.hpp"
 #include "core/obs_session.hpp"
+#include "core/options.hpp"
 #include "core/runner.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -102,9 +103,10 @@ bool same_bits(std::span<const float> a, std::span<const float> b) {
 /// FedAvg runs the AsyncStrategyOptions knob's FedAsync/FedBuff/FedCompass,
 /// IIADMM runs exact absorption into the IIAdmmServer's replicas and, when
 /// `duals_consistent` is given, checks them against the clients at the end.
-AsyncRunResult run_async_loop(const AsyncConfig& config,
+AsyncRunResult run_async_loop(const AsyncConfig& configured,
                               const data::FederatedSplit& split,
                               Algorithm algorithm, bool* duals_consistent) {
+  const AsyncConfig config = with_env_overrides(configured);
   RunConfig cfg = config.run;
   cfg.algorithm = algorithm;
   cfg.validate();
@@ -154,9 +156,8 @@ AsyncRunResult run_async_loop(const AsyncConfig& config,
   std::unique_ptr<AsyncStrategy> strategy =
       iiadmm ? AsyncStrategy::make_iiadmm(
                    static_cast<IIAdmmServer&>(*server), cfg.local_steps)
-             : AsyncStrategy::make(
-                   async_strategy_options_from_env(config.strategy),
-                   config.mixing_alpha, cfg.local_steps, seconds_per_step);
+             : AsyncStrategy::make(config.strategy, config.mixing_alpha,
+                                   cfg.local_steps, seconds_per_step);
 
   std::vector<std::unique_ptr<BaseClient>> clients;
   clients.reserve(num_clients);
@@ -175,8 +176,7 @@ AsyncRunResult run_async_loop(const AsyncConfig& config,
   rng::Rng jitter(rng::derive_seed(cfg.seed, {0xA5, iiadmm ? 3U : 1U}));
   // Drop faults get their own stream so fault-free runs stay bit-identical
   // to pre-fault builds (the stream is never drawn from when drop == 0).
-  const comm::FaultConfig faults = comm::fault_config_from_env(cfg.faults);
-  faults.validate();
+  const comm::FaultConfig& faults = cfg.faults;
   rng::Rng drop_rng(rng::derive_seed(cfg.seed, {0xA5, 4}));
 
   // Simulated duration of one dispatch for client p (compute + 2× link).
@@ -416,7 +416,9 @@ SyncBaselineResult run_sync_baseline(const AsyncConfig& config,
   std::vector<hw::DeviceProfile> devices = config.devices;
   if (devices.empty()) devices.push_back(hw::v100());
 
-  // Accuracy from the real synchronous runner.
+  // Accuracy from the real synchronous runner, which also runs this
+  // baseline's env pass: its result carries the resolved fault plane that
+  // the time model below charges.
   RunConfig sync_cfg = cfg;
   sync_cfg.validate_every_round = false;
   const RunResult learning = run_federated(sync_cfg, split);
@@ -428,8 +430,7 @@ SyncBaselineResult run_sync_baseline(const AsyncConfig& config,
   // barrier releases (the sync runner's recovery path); the drop stream is
   // separate so fault-free baselines stay bit-identical.
   rng::Rng jitter(rng::derive_seed(cfg.seed, {0xA5, 2}));
-  const comm::FaultConfig faults = comm::fault_config_from_env(cfg.faults);
-  faults.validate();
+  const comm::FaultConfig& faults = learning.config.faults;
   rng::Rng drop_rng(rng::derive_seed(cfg.seed, {0xA5, 5}));
   auto prototype = build_model(cfg, split.test);
   const double flops_one_pass = 3.0 * prototype->forward_flops(1);

@@ -39,8 +39,8 @@
 // run resumes bit-identically mid-buffer.
 #pragma once
 
+#include <array>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -64,16 +64,17 @@ enum class StalenessWeight {
   kHinge,       // α_s = α for s ≤ s₀, α / (1 + s − s₀) past the knee
 };
 
+/// Names, indexed by AsyncStrategyKind / StalenessWeight.
+inline constexpr std::array<std::string_view, 3> kAsyncStrategyNames = {
+    "fedasync", "fedbuff", "fedcompass"};
+inline constexpr std::array<std::string_view, 3> kStalenessWeightNames = {
+    "constant", "polynomial", "hinge"};
+
 std::string to_string(AsyncStrategyKind k);
 std::string to_string(StalenessWeight w);
-/// nullopt on an unrecognized name ("fedasync"|"fedbuff"|"fedcompass",
-/// "constant"|"polynomial"|"hinge").
-std::optional<AsyncStrategyKind> parse_async_strategy(std::string_view name);
-std::optional<StalenessWeight> parse_staleness_weight(std::string_view name);
 
-/// The async-plane strategy knobs carried by AsyncConfig. APPFL_ASYNC_*
-/// environment variables override them at run start (warn-and-ignore on
-/// garbage, like APPFL_FAULT_* / APPFL_CKPT_*).
+/// The async-plane strategy knobs carried by AsyncConfig (the option table,
+/// core/options.hpp, lists their APPFL_ASYNC_* names).
 struct AsyncStrategyOptions {
   AsyncStrategyKind kind = AsyncStrategyKind::kFedAsync;
   StalenessWeight weight = StalenessWeight::kPolynomial;
@@ -83,12 +84,6 @@ struct AsyncStrategyOptions {
   /// Throws appfl::Error on inconsistent settings (e.g. buffer_k == 0).
   void validate() const;
 };
-
-/// Returns `base` with APPFL_ASYNC_STRATEGY, APPFL_ASYNC_STALENESS_WEIGHT,
-/// APPFL_ASYNC_BUFFER_K, and APPFL_ASYNC_HINGE_S0 overrides applied.
-/// Unparseable values are warned about on stderr and ignored.
-AsyncStrategyOptions async_strategy_options_from_env(
-    const AsyncStrategyOptions& base);
 
 class AsyncStrategy {
  public:

@@ -1,7 +1,6 @@
 #include "core/checkpoint.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -784,25 +783,6 @@ RunCheckpoints::RunCheckpoints(const RunConfig& config)
       every_(config.checkpoint_every_n_rounds),
       resume_from_(config.resume_from),
       halt_after_(config.halt_after_round) {
-  if (const char* value = std::getenv("APPFL_CKPT_DIR")) dir_ = value;
-  if (const char* value = std::getenv("APPFL_CKPT_RESUME")) {
-    resume_from_ = value;
-  }
-  if (const char* value = std::getenv("APPFL_CKPT_EVERY")) {
-    // Same convention as APPFL_FAULT_*: garbage (non-numeric, zero, or
-    // negative) is warned about and ignored instead of silently read as 0 —
-    // a cadence of 0 would otherwise divide-by-zero or mean "never".
-    char* end = nullptr;
-    const long parsed = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || parsed < 1) {
-      std::fprintf(stderr,
-                   "warning: ignoring invalid APPFL_CKPT_EVERY='%s' "
-                   "(need a positive integer)\n",
-                   value);
-    } else {
-      every_ = static_cast<std::size_t>(parsed);
-    }
-  }
   // An empty dir keeps every save path untouched, so a checkpoint-free run
   // stays bit-identical to a pre-checkpoint build.
   if (!dir_.empty()) store_.emplace(dir_);

@@ -221,12 +221,10 @@ std::optional<AsyncCheckpoint> load_latest_async_checkpoint(
     CheckpointStore& store);
 
 /// The checkpoint plane of one run, shared by run_federated, run_population
-/// and the async event loop. It resolves the policy once (config fields,
-/// then the APPFL_CKPT_DIR / APPFL_CKPT_EVERY / APPFL_CKPT_RESUME overrides;
-/// unparseable values are warned about on stderr and ignored, like
-/// APPFL_FAULT_*) and opens the A/B store when a directory is set. A
-/// sequence number is a completed round, or an applied update for async.
-/// Fingerprint checks and state import stay with each loop.
+/// and the async event loop. It reads the policy from the run's resolved
+/// config and opens the A/B store when a directory is set. A sequence number
+/// is a completed round, or an applied update for async. Fingerprint checks
+/// and state import stay with each loop.
 class RunCheckpoints {
  public:
   explicit RunCheckpoints(const RunConfig& config);

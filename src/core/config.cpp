@@ -1,11 +1,12 @@
 #include "core/config.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
+#include "core/options.hpp"
 #include "dp/sensitivity.hpp"
+#include "tensor/gemm.hpp"
 #include "util/check.hpp"
+#include "util/env.hpp"
 
 namespace appfl::core {
 
@@ -154,58 +155,17 @@ void RunConfig::validate() const {
   APPFL_CHECK_MSG(gather_timeout_s > 0.0, "gather_timeout_s must be positive");
   APPFL_CHECK_MSG(ack_timeout_s > 0.0, "ack_timeout_s must be positive");
   APPFL_CHECK(validate_batch >= 1);
-  APPFL_CHECK_MSG(kernel_backend == "auto" || kernel_backend == "reference" ||
-                      kernel_backend == "tiled",
-                  "kernel_backend must be auto|reference|tiled, got '"
-                      << kernel_backend << "'");
+  APPFL_CHECK_MSG(
+      util::find_name(tensor::kKernelBackendNames, kernel_backend).has_value(),
+      "kernel_backend must be "
+          << util::join_names(tensor::kKernelBackendNames) << ", got '"
+          << kernel_backend << "'");
   APPFL_CHECK_MSG(checkpoint_every_n_rounds >= 1,
                   "checkpoint_every_n_rounds must be >= 1");
   APPFL_CHECK_MSG(obs::parse_level(obs_level).has_value(),
-                  "obs_level must be off|metrics|trace, got '" << obs_level
-                                                               << "'");
-  const obs::Level lv = *obs::parse_level(obs_level);
-  APPFL_CHECK_MSG(trace_out.empty() || lv >= obs::Level::kTrace,
-                  "trace_out requires obs_level=trace");
-  APPFL_CHECK_MSG(metrics_out.empty() || lv >= obs::Level::kMetrics,
-                  "metrics_out requires obs_level=metrics or trace");
-  APPFL_CHECK_MSG(critpath_out.empty() || lv >= obs::Level::kTrace,
-                  "critpath_out requires obs_level=trace");
-  APPFL_CHECK_MSG(health_out.empty() || lv >= obs::Level::kMetrics,
-                  "health_out requires obs_level=metrics or trace");
-  APPFL_CHECK_MSG(flight_dir.empty() || lv >= obs::Level::kMetrics,
-                  "flight_dir requires obs_level=metrics or trace");
-}
-
-RunConfig scaling_config_from_env(RunConfig config) {
-  const auto env_size = [](const char* name, std::size_t& field) {
-    const char* value = std::getenv(name);
-    if (!value) return;
-    char* end = nullptr;
-    const long parsed = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || parsed < 0) {
-      std::fprintf(stderr,
-                   "warning: ignoring invalid %s='%s' "
-                   "(need a non-negative integer)\n",
-                   name, value);
-      return;
-    }
-    field = static_cast<std::size_t>(parsed);
-  };
-  env_size("APPFL_TREE_FANOUT", config.tree_fan_out);
-  env_size("APPFL_MAILBOX_CAP", config.mailbox_capacity);
-  return config;
-}
-
-obs::ObsOptions obs_options_from_env(const RunConfig& config) {
-  obs::ObsOptions opts;
-  if (const auto lv = obs::parse_level(config.obs_level)) opts.level = *lv;
-  opts.trace_out = config.trace_out;
-  opts.metrics_out = config.metrics_out;
-  opts.health_out = config.health_out;
-  opts.critpath_out = config.critpath_out;
-  opts.flight_dir = config.flight_dir;
-  obs::apply_env_overrides(opts);
-  return opts;
+                  "obs_level must be " << util::join_names(obs::kLevelNames)
+                                       << ", got '" << obs_level << "'");
+  check_obs_outputs(*this);
 }
 
 }  // namespace appfl::core

@@ -114,14 +114,13 @@ struct RunConfig {
   /// (every participant feeds the server root directly), F >= 2 = a
   /// leader/sub-leader tree with F children per node (core/agg_tree.hpp).
   /// Routing and simulated cost change; the reduced model is byte-identical
-  /// either way. APPFL_TREE_FANOUT overrides at run start.
+  /// either way.
   std::size_t tree_fan_out = 0;
 
   /// Per-mailbox high-water mark handed to the communicator / engine
   /// network (0 = unbounded; see comm::ReliabilityConfig::mailbox_capacity).
-  /// APPFL_MAILBOX_CAP overrides at run start. The population engine
-  /// requires 0 or >= the tree's maximum fan-in, so backpressure can never
-  /// decide which participant's update survives.
+  /// The population engine requires 0 or >= the tree's maximum fan-in, so
+  /// backpressure can never decide which participant's update survives.
   std::size_t mailbox_capacity = 0;
 
   /// Dropout-resilient secure aggregation (dp/secure_agg.hpp): clients
@@ -147,9 +146,7 @@ struct RunConfig {
   /// Fault injection on the in-process network (comm robustness plane).
   /// All-zero (the default) keeps the injector off; wire bytes, sim-clock
   /// times, and results are then bit-identical to a fault-free build.
-  /// APPFL_FAULT_* environment variables override these at run start (see
-  /// comm::fault_config_from_env). Client endpoint ids listed in
-  /// faults.dead are permanently failed.
+  /// Client endpoint ids listed in faults.dead are permanently failed.
   comm::FaultConfig faults;
   /// Sim-seconds the server's deadline gather waits before proceeding with
   /// whatever arrived (fault plane only).
@@ -167,10 +164,7 @@ struct RunConfig {
   /// rounds (applied updates for async), at the last one, and at the halt
   /// point. resume_from names a store directory whose newest valid
   /// checkpoint is restored before the first round — the resumed run
-  /// continues to a bit-identical final model. APPFL_CKPT_DIR /
-  /// APPFL_CKPT_EVERY / APPFL_CKPT_RESUME override these at run start
-  /// (unparseable values are warned about on stderr and ignored, like
-  /// APPFL_FAULT_*).
+  /// continues to a bit-identical final model.
   std::string checkpoint_dir;
   std::size_t checkpoint_every_n_rounds = 1;
   std::string resume_from;
@@ -182,12 +176,12 @@ struct RunConfig {
   std::size_t halt_after_round = 0;
 
   /// Kernel execution engine (tensor substrate). "auto" leaves the
-  /// process-wide setting untouched (env APPFL_KERNEL_BACKEND, default
-  /// tiled); "reference" forces the scalar baseline loops, "tiled" the
-  /// packed parallel GEMM. kernel_threads 0 = keep current (default:
-  /// hardware concurrency). The runner applies these once per run; the
-  /// kernel pool is shared process-wide and nested inside the runner's
-  /// per-client parallelism (clients outer, kernels inner).
+  /// process-wide setting untouched (default tiled); "reference" forces the
+  /// scalar baseline loops, "tiled" the packed parallel GEMM.
+  /// kernel_threads 0 = keep current (default: hardware concurrency). The
+  /// runner applies these once per run; the kernel pool is shared
+  /// process-wide and nested inside the runner's per-client parallelism
+  /// (clients outer, kernels inner).
   std::string kernel_backend = "auto";
   std::size_t kernel_threads = 0;
 
@@ -197,23 +191,19 @@ struct RunConfig {
   /// histograms only), "trace" (metrics plus per-phase spans exported as
   /// Chrome trace JSON). trace_out names the trace file (requires "trace");
   /// metrics_out names a JSONL stream with one line per round plus a final
-  /// summary (requires at least "metrics"). APPFL_OBS_LEVEL /
-  /// APPFL_OBS_TRACE_OUT / APPFL_OBS_METRICS_OUT override these at run
-  /// start; invalid values are warned about on stderr and ignored, like
-  /// APPFL_FAULT_* and APPFL_CKPT_*. The plane only reads clocks and
-  /// counters — never RNG, sim time, or wire bytes — so enabling it does
-  /// not change results.
+  /// summary (requires at least "metrics"). The plane only reads clocks
+  /// and counters — never RNG, sim time, or wire bytes — so enabling it
+  /// does not change results.
   std::string obs_level = "off";
   std::string trace_out;
   std::string metrics_out;
-  /// Causal-analysis outputs (same level rules, same APPFL_OBS_* override
-  /// convention): health_out writes the per-client health ledger CSV at end
-  /// of run (requires at least "metrics"); critpath_out writes the
-  /// critical-path analyzer's per-round JSONL plus a `.csv` sibling
-  /// (requires "trace" — the analyzer consumes span records); flight_dir
-  /// names a directory the flight recorder dumps into on secure-agg
-  /// degraded rounds, unfillable gathers, and fatal-signal/terminate hooks
-  /// (requires at least "metrics").
+  /// Causal-analysis outputs (same level rules): health_out writes the
+  /// per-client health ledger CSV at end of run (requires at least
+  /// "metrics"); critpath_out writes the critical-path analyzer's per-round
+  /// JSONL plus a `.csv` sibling (requires "trace" — the analyzer consumes
+  /// span records); flight_dir names a directory the flight recorder dumps
+  /// into on secure-agg degraded rounds, unfillable gathers, and
+  /// fatal-signal/terminate hooks (requires at least "metrics").
   std::string health_out;
   std::string critpath_out;
   std::string flight_dir;
@@ -224,19 +214,5 @@ struct RunConfig {
   /// Throws appfl::Error on inconsistent settings.
   void validate() const;
 };
-
-/// Returns `config` with APPFL_TREE_FANOUT / APPFL_MAILBOX_CAP applied
-/// (non-negative integers; unparseable values are warned about on stderr
-/// and ignored, matching APPFL_FAULT_*). Callers re-validate afterwards.
-RunConfig scaling_config_from_env(RunConfig config);
-
-/// Resolves the run's observability policy: config fields (obs_level /
-/// trace_out / metrics_out / health_out / critpath_out / flight_dir)
-/// overridden by APPFL_OBS_LEVEL / APPFL_OBS_TRACE_OUT /
-/// APPFL_OBS_METRICS_OUT / APPFL_OBS_HEALTH_OUT / APPFL_OBS_CRITPATH_OUT /
-/// APPFL_OBS_FLIGHT_DIR. Assumes config.validate() passed, so
-/// config.obs_level parses; env values are warned about on stderr and
-/// ignored when invalid.
-obs::ObsOptions obs_options_from_env(const RunConfig& config);
 
 }  // namespace appfl::core

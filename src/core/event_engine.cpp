@@ -22,6 +22,7 @@
 #include "core/checkpoint.hpp"
 #include "core/evaluation.hpp"
 #include "core/obs_session.hpp"
+#include "core/options.hpp"
 #include "core/sampling.hpp"
 #include "dp/secure_agg.hpp"
 #include "hw/device.hpp"
@@ -91,8 +92,9 @@ struct SlotOutcome {
 
 }  // namespace
 
-PopulationRunResult run_population(const RunConfig& config,
+PopulationRunResult run_population(const RunConfig& configured,
                                    const data::SyntheticPopulation& population) {
+  const RunConfig config = with_env_overrides(configured);
   config.validate();
   APPFL_CHECK_MSG(config.population > 0,
                   "run_population needs config.population > 0");
@@ -116,9 +118,8 @@ PopulationRunResult run_population(const RunConfig& config,
   const auto leader_endpoint = [k](std::size_t g) {
     return static_cast<std::uint32_t>(1 + k + g);
   };
-  const comm::FaultConfig faults = comm::fault_config_from_env(config.faults);
-  const bool faults_on = faults.enabled();
-  comm::InProcNetwork net(1 + k + num_groups, faults,
+  const bool faults_on = config.faults.enabled();
+  comm::InProcNetwork net(1 + k + num_groups, config.faults,
                           rng::derive_seed(config.seed, {kNetStream}),
                           config.mailbox_capacity);
   const std::size_t env_overhead = faults_on ? comm::kEnvelopeOverhead : 0;
@@ -871,6 +872,7 @@ PopulationRunResult run_population(const RunConfig& config,
   out.run.traffic = current_stats();
   out.run.sim_comm_seconds = clock.now();
   out.run.checkpoints_written = ckpts.written();
+  out.run.config = config;
   obs_session.finish(out.run);
   return out;
 }

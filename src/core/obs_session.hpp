@@ -1,9 +1,9 @@
 // Per-run observability session. Owns the lifecycle the runners share:
-// resolve the run's ObsOptions (config fields, then APPFL_OBS_* overrides),
-// raise the process-wide level for the duration of the run, clear the global
-// tracer and metrics registry so artifacts describe THIS run, stream one
-// JSONL line per round, and at the end write the summary + metrics lines and
-// the Chrome trace file.
+// read the obs fields of the run's resolved (env-applied, validated)
+// config, raise the process-wide level for the duration of the run, clear
+// the global tracer and metrics registry so artifacts describe THIS run,
+// stream one JSONL line per round, and at the end write the summary +
+// metrics lines and the Chrome trace file.
 //
 // Resume semantics (the contract tests/test_resume.cpp pins): traffic
 // counters CONTINUE across --resume because the JSONL summary reports
@@ -34,10 +34,7 @@ class ObsSession {
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
-  const obs::ObsOptions& options() const { return opts_; }
-  bool metrics_enabled() const {
-    return opts_.level >= obs::Level::kMetrics;
-  }
+  bool metrics_enabled() const { return level_ >= obs::Level::kMetrics; }
   /// True when a JSONL stream is open — callers can skip building lines.
   bool streaming() const { return writer_.has_value() && writer_->ok(); }
 
@@ -72,7 +69,8 @@ class ObsSession {
   void finish();
 
  private:
-  obs::ObsOptions opts_;
+  obs::Level level_ = obs::Level::kOff;
+  std::string trace_out_, health_out_, critpath_out_;  // written by finish()
   obs::Level previous_ = obs::Level::kOff;
   std::optional<obs::JsonlWriter> writer_;
   obs::HealthLedger health_;

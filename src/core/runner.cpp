@@ -13,6 +13,7 @@
 #include "core/fedavg.hpp"
 #include "core/sampling.hpp"
 #include "core/obs_session.hpp"
+#include "core/options.hpp"
 #include "dp/accountant.hpp"
 #include "core/iceadmm.hpp"
 #include "core/fedprox.hpp"
@@ -134,55 +135,27 @@ std::unique_ptr<BaseClient> build_client(std::uint32_t id,
   return nullptr;
 }
 
-RunResult run_federated(const RunConfig& config,
-                        const data::FederatedSplit& split) {
-  config.validate();
-  APPFL_CHECK_MSG(!split.clients.empty(), "split has no clients");
+namespace {
 
-  std::unique_ptr<nn::Module> model = build_model(config, split.test);
-  // The prototype is cloned per client BEFORE the server takes ownership,
-  // so everyone starts from the same z¹ (the one-time init exchange).
-  std::vector<std::unique_ptr<BaseClient>> clients;
-  clients.reserve(split.clients.size());
-  for (std::size_t p = 0; p < split.clients.size(); ++p) {
-    clients.push_back(build_client(static_cast<std::uint32_t>(p + 1), config,
-                                   *model, split.clients[p]));
-  }
-  std::unique_ptr<BaseServer> server =
-      build_server(config, std::move(model), split.test, clients.size());
-  return run_federated(config, *server, clients);
-}
-
-RunResult run_federated(const RunConfig& config, BaseServer& server,
-                        std::vector<std::unique_ptr<BaseClient>>& clients) {
-  config.validate();
+/// The round loop, on a config the env pass and validate() already saw.
+RunResult run_rounds(const RunConfig& config, BaseServer& server,
+                     std::vector<std::unique_ptr<BaseClient>>& clients) {
   tensor::apply_kernel_config(config.kernel_backend, config.kernel_threads);
   const std::size_t num_clients = clients.size();
   APPFL_CHECK(num_clients >= 1);
   APPFL_CHECK(server.num_clients() == num_clients);
 
   comm::ReliabilityConfig reliability;
-  // Env overrides let fault campaigns wrap any existing binary unchanged.
-  reliability.faults = comm::fault_config_from_env(config.faults);
+  reliability.faults = config.faults;
   reliability.gather_timeout_s = config.gather_timeout_s;
   reliability.ack_timeout_s = config.ack_timeout_s;
   reliability.backoff_cap_s =
       std::max(config.ack_timeout_s, reliability.backoff_cap_s);
   reliability.max_retries = config.max_uplink_retries;
   reliability.mailbox_capacity = config.mailbox_capacity;
-  // APPFL_WIRE_CODEC swaps the uplink codec without rebuilding the binary
-  // (codec sweeps over existing benches). The env value bypasses the
-  // caller's validate(), so the combination is re-checked here — an fp16
-  // override on an ADMM run must fail just like a configured one.
-  const comm::UplinkCodec wire_codec =
-      comm::uplink_codec_from_env(config.uplink_codec);
-  if (wire_codec != config.uplink_codec) {
-    RunConfig overridden = config;
-    overridden.uplink_codec = wire_codec;
-    overridden.validate();
-  }
-  comm::CodecConfig codec_config{wire_codec, config.topk_fraction};
-  if (wire_codec == comm::UplinkCodec::kInt8Ef && config.clip > 0.0F) {
+  comm::CodecConfig codec_config{config.uplink_codec, config.topk_fraction};
+  if (config.uplink_codec == comm::UplinkCodec::kInt8Ef &&
+      config.clip > 0.0F) {
     // Clip the pre-quantization deltas to the DP sensitivity bound — the
     // largest honest per-round displacement — so one outlier coordinate
     // cannot blow up a whole block's quantization scale.
@@ -602,8 +575,38 @@ RunResult run_federated(const RunConfig& config, BaseServer& server,
   result.comm_rounds = comm.round_log();
   result.sim_comm_seconds = comm.clock().now();
   result.checkpoints_written = ckpts.written();
+  result.config = config;
   obs_session.finish(result);
   return result;
+}
+
+}  // namespace
+
+RunResult run_federated(const RunConfig& configured,
+                        const data::FederatedSplit& split) {
+  const RunConfig config = with_env_overrides(configured);
+  config.validate();
+  APPFL_CHECK_MSG(!split.clients.empty(), "split has no clients");
+
+  std::unique_ptr<nn::Module> model = build_model(config, split.test);
+  // The prototype is cloned per client BEFORE the server takes ownership,
+  // so everyone starts from the same z¹ (the one-time init exchange).
+  std::vector<std::unique_ptr<BaseClient>> clients;
+  clients.reserve(split.clients.size());
+  for (std::size_t p = 0; p < split.clients.size(); ++p) {
+    clients.push_back(build_client(static_cast<std::uint32_t>(p + 1), config,
+                                   *model, split.clients[p]));
+  }
+  std::unique_ptr<BaseServer> server =
+      build_server(config, std::move(model), split.test, clients.size());
+  return run_rounds(config, *server, clients);
+}
+
+RunResult run_federated(const RunConfig& configured, BaseServer& server,
+                        std::vector<std::unique_ptr<BaseClient>>& clients) {
+  const RunConfig config = with_env_overrides(configured);
+  config.validate();
+  return run_rounds(config, server, clients);
 }
 
 }  // namespace appfl::core

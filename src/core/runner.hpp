@@ -80,6 +80,9 @@ struct RunResult {
   /// Round checkpoints written by this process.
   std::size_t checkpoints_written = 0;
 
+  /// The config the run used: the caller's, after the env pass.
+  RunConfig config;
+
   /// Secure-aggregation run totals (sums of the per-round fields).
   std::uint64_t secagg_reconstructions = 0;
   std::uint64_t secagg_rounds_degraded = 0;
@@ -112,7 +115,8 @@ std::unique_ptr<BaseClient> build_client(std::uint32_t id,
                                          const nn::Module& prototype,
                                          data::TensorDataset dataset);
 
-/// Runs a full federated experiment on a federated split.
+/// Runs a full federated experiment on a federated split. Both overloads
+/// apply the APPFL_* env pass (core/options.hpp) to `config` first.
 RunResult run_federated(const RunConfig& config,
                         const data::FederatedSplit& split);
 

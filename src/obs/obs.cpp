@@ -1,7 +1,6 @@
 #include "obs/obs.hpp"
 
-#include <cstdio>
-#include <cstdlib>
+#include "util/env.hpp"
 
 namespace appfl::obs {
 
@@ -10,73 +9,17 @@ std::atomic<int> g_level{static_cast<int>(Level::kOff)};
 }  // namespace detail
 
 std::string to_string(Level lv) {
-  switch (lv) {
-    case Level::kOff: return "off";
-    case Level::kMetrics: return "metrics";
-    case Level::kTrace: return "trace";
-  }
-  return "?";
+  return std::string(kLevelNames[static_cast<std::size_t>(lv)]);
 }
 
 std::optional<Level> parse_level(const std::string& name) {
-  if (name == "off") return Level::kOff;
-  if (name == "metrics") return Level::kMetrics;
-  if (name == "trace") return Level::kTrace;
-  return std::nullopt;
+  const auto i = util::find_name(kLevelNames, name);
+  if (!i) return std::nullopt;
+  return static_cast<Level>(*i);
 }
 
 void set_level(Level lv) {
   detail::g_level.store(static_cast<int>(lv), std::memory_order_relaxed);
-}
-
-void apply_env_overrides(ObsOptions& opts) {
-  if (const char* value = std::getenv("APPFL_OBS_LEVEL")) {
-    const std::optional<Level> parsed = parse_level(value);
-    if (parsed) {
-      opts.level = *parsed;
-    } else {
-      std::fprintf(stderr,
-                   "warning: ignoring invalid APPFL_OBS_LEVEL='%s' "
-                   "(expected off|metrics|trace)\n",
-                   value);
-    }
-  }
-  if (const char* value = std::getenv("APPFL_OBS_TRACE_OUT")) {
-    if (*value != '\0') opts.trace_out = value;
-  }
-  if (const char* value = std::getenv("APPFL_OBS_METRICS_OUT")) {
-    if (*value != '\0') opts.metrics_out = value;
-  }
-  if (const char* value = std::getenv("APPFL_OBS_HEALTH_OUT")) {
-    if (*value != '\0') opts.health_out = value;
-  }
-  if (const char* value = std::getenv("APPFL_OBS_CRITPATH_OUT")) {
-    if (*value != '\0') opts.critpath_out = value;
-  }
-  if (const char* value = std::getenv("APPFL_OBS_FLIGHT_DIR")) {
-    if (*value != '\0') opts.flight_dir = value;
-  }
-  const auto require_trace = [&](std::string& path, const char* what) {
-    if (path.empty() || opts.level >= Level::kTrace) return;
-    std::fprintf(stderr,
-                 "warning: %s output '%s' requires obs level 'trace' "
-                 "(level is '%s') — ignoring it\n",
-                 what, path.c_str(), to_string(opts.level).c_str());
-    path.clear();
-  };
-  const auto require_metrics = [&](std::string& path, const char* what) {
-    if (path.empty() || opts.level >= Level::kMetrics) return;
-    std::fprintf(stderr,
-                 "warning: %s output '%s' requires obs level 'metrics' "
-                 "or 'trace' (level is 'off') — ignoring it\n",
-                 what, path.c_str());
-    path.clear();
-  };
-  require_trace(opts.trace_out, "trace");
-  require_trace(opts.critpath_out, "critical-path");
-  require_metrics(opts.metrics_out, "metrics");
-  require_metrics(opts.health_out, "health ledger");
-  require_metrics(opts.flight_dir, "flight recorder");
 }
 
 }  // namespace appfl::obs

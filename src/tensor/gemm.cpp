@@ -1,16 +1,17 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/workspace.hpp"
 #include "util/check.hpp"
+#include "util/env.hpp"
 #include "util/thread_pool.hpp"
 
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
@@ -44,18 +45,6 @@ bool g_env_loaded = false;
 std::shared_ptr<util::ThreadPool> g_pool;  // the shared kernel pool
 
 thread_local std::size_t t_last_chunks = 1;
-
-KernelConfig load_env_config() {
-  KernelConfig config;
-  if (const char* backend = std::getenv("APPFL_KERNEL_BACKEND")) {
-    config.backend = parse_kernel_backend(backend);
-  }
-  if (const char* threads = std::getenv("APPFL_KERNEL_THREADS")) {
-    const long parsed = std::strtol(threads, nullptr, 10);
-    if (parsed > 0) config.threads = static_cast<std::size_t>(parsed);
-  }
-  return config;
-}
 
 std::size_t resolved_threads(const KernelConfig& config) {
   if (config.threads > 0) return config.threads;
@@ -355,34 +344,45 @@ void run_row_blocks(std::size_t blocks,
 }  // namespace
 
 std::string to_string(KernelBackend backend) {
-  switch (backend) {
-    case KernelBackend::kReference:
-      return "reference";
-    case KernelBackend::kTiled:
-      return "tiled";
-  }
-  return "?";
+  return std::string(
+      kKernelBackendNames[1 + static_cast<std::size_t>(backend)]);
 }
 
 KernelBackend parse_kernel_backend(const std::string& name) {
-  if (name == "reference") return KernelBackend::kReference;
-  if (name == "tiled") return KernelBackend::kTiled;
-  APPFL_CHECK_MSG(false, "unknown kernel backend '"
-                             << name << "' (expected reference|tiled)");
-  return KernelBackend::kTiled;  // unreachable
+  const auto i = util::find_name(kKernelBackendNames, name);
+  APPFL_CHECK_MSG(i.has_value() && *i > 0,
+                  "unknown kernel backend '" << name << "' (expected "
+                      << util::join_names(std::span(kKernelBackendNames)
+                                              .subspan(1))
+                      << ")");
+  return static_cast<KernelBackend>(*i - 1);
+}
+
+KernelConfig kernel_config_from_env() {
+  KernelConfig config;
+  const auto backend =
+      util::env_choice("APPFL_KERNEL_BACKEND", kKernelBackendNames);
+  if (backend && *backend > 0) {
+    config.backend = static_cast<KernelBackend>(*backend - 1);
+  }
+  if (const auto threads =
+          util::env_uint("APPFL_KERNEL_THREADS", 0, kMaxKernelThreads)) {
+    config.threads = static_cast<std::size_t>(*threads);
+  }
+  return config;
 }
 
 KernelConfig kernel_config() {
   std::lock_guard<std::mutex> lock(g_mutex);
   if (!g_env_loaded) {
-    g_config = load_env_config();
+    g_config = kernel_config_from_env();
     g_env_loaded = true;
   }
   return g_config;
 }
 
 void set_kernel_config(const KernelConfig& config) {
-  APPFL_CHECK_MSG(config.threads <= 1024,
+  APPFL_CHECK_MSG(config.threads <= kMaxKernelThreads,
                   "kernel threads " << config.threads << " is not sane");
   std::lock_guard<std::mutex> lock(g_mutex);
   g_config = config;

@@ -29,9 +29,11 @@
 // not tile position.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 
 namespace appfl::util {
 class ThreadPool;
@@ -44,6 +46,14 @@ enum class KernelBackend {
   kTiled,      // packed + register-tiled + (optionally) parallel
 };
 
+/// Accepted backend names: "auto" keeps the process-wide setting, the rest
+/// follow KernelBackend from index 1.
+inline constexpr std::array<std::string_view, 3> kKernelBackendNames = {
+    "auto", "reference", "tiled"};
+
+/// Largest kernel thread count a KernelConfig may ask for.
+inline constexpr std::size_t kMaxKernelThreads = 1024;
+
 std::string to_string(KernelBackend backend);
 
 /// Parses "reference" / "tiled"; throws appfl::Error otherwise.
@@ -54,9 +64,13 @@ struct KernelConfig {
   std::size_t threads = 0;  // 0 = hardware concurrency
 };
 
-/// Current process-wide engine configuration. First call seeds it from the
-/// environment (APPFL_KERNEL_BACKEND=reference|tiled,
-/// APPFL_KERNEL_THREADS=<n>).
+/// The process default: APPFL_KERNEL_BACKEND (kKernelBackendNames) and
+/// APPFL_KERNEL_THREADS (0..kMaxKernelThreads, 0 = hardware) over the
+/// KernelConfig defaults. Invalid values are warned about and ignored.
+KernelConfig kernel_config_from_env();
+
+/// Current process-wide engine configuration. The first call seeds it from
+/// kernel_config_from_env().
 KernelConfig kernel_config();
 
 void set_kernel_config(const KernelConfig& config);

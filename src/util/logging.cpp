@@ -1,23 +1,17 @@
 #include "util/logging.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <iostream>
 #include <mutex>
+
+#include "util/env.hpp"
 
 namespace appfl::log {
 namespace {
 
 Level parse_env_level() {
-  const char* env = std::getenv("APPFL_LOG_LEVEL");
-  if (env == nullptr) return Level::kInfo;
-  const std::string v{env};
-  if (v == "debug") return Level::kDebug;
-  if (v == "info") return Level::kInfo;
-  if (v == "warn") return Level::kWarn;
-  if (v == "error") return Level::kError;
-  if (v == "off") return Level::kOff;
-  return Level::kInfo;
+  const auto i = util::env_choice("APPFL_LOG_LEVEL", kLevelNames);
+  return i ? static_cast<Level>(*i) : Level::kInfo;
 }
 
 std::atomic<int> g_level{static_cast<int>(parse_env_level())};

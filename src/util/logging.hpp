@@ -2,15 +2,22 @@
 // level is process-global and adjustable at runtime or via APPFL_LOG_LEVEL.
 #pragma once
 
+#include <array>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace appfl::log {
 
 enum class Level { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Current global log level (default Info; override with env APPFL_LOG_LEVEL
-/// set to one of: debug, info, warn, error, off).
+/// Level names, indexed by Level.
+inline constexpr std::array<std::string_view, 5> kLevelNames = {
+    "debug", "info", "warn", "error", "off"};
+
+/// Current global log level (default Info; the process default comes from
+/// APPFL_LOG_LEVEL, one of kLevelNames; an invalid value is warned about
+/// and ignored).
 Level level();
 
 /// Set the global log level programmatically.

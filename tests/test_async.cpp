@@ -514,6 +514,15 @@ TEST(Async, RejectsSettingsItCannotHonor) {
                appfl::Error);
 }
 
+TEST(Async, WireCodecEnvIsRejectedLikeTheConfigField) {
+  // The env pass runs in the async loop too, and its result goes through
+  // the same checks as a configured codec.
+  ::setenv("APPFL_WIRE_CODEC", "fp16", 1);
+  EXPECT_THROW(appfl::core::run_async(base_async(), split_of(16)),
+               appfl::Error);
+  ::unsetenv("APPFL_WIRE_CODEC");
+}
+
 bool has_flight_event(const char* kind, const std::string& data = "") {
   for (const auto& e : appfl::obs::FlightRecorder::global().events()) {
     if (std::string(e.kind) == kind && (data.empty() || e.data == data)) {

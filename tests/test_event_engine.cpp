@@ -111,6 +111,17 @@ TEST(EventEngine, TreeIsByteIdenticalToFlatGatherAtAnyFanOut) {
   }
 }
 
+TEST(EventEngine, TreeFanoutEnvReachesTheEngine) {
+  // APPFL_TREE_FANOUT applies at run start in every loop, not only in the
+  // command-line front end: a flat-configured run builds the tree.
+  const appfl::data::SyntheticPopulation pop(pop_spec(200));
+  ::setenv("APPFL_TREE_FANOUT", "4", 1);
+  const auto result = appfl::core::run_population(engine_config(200, 16), pop);
+  ::unsetenv("APPFL_TREE_FANOUT");
+  EXPECT_GT(result.engine.tree_depth, 1U);
+  EXPECT_EQ(result.run.config.tree_fan_out, 4U);
+}
+
 TEST(EventEngine, KernelThreadCountDoesNotChangeTheResult) {
   const appfl::data::SyntheticPopulation pop(pop_spec(200));
   RunConfig cfg = engine_config(200, 16, /*fan_out=*/4);

@@ -12,6 +12,7 @@
 #include "comm/envelope.hpp"
 #include "comm/mailbox.hpp"
 #include "core/iiadmm.hpp"
+#include "core/options.hpp"
 #include "core/runner.hpp"
 #include "data/synth.hpp"
 
@@ -139,7 +140,8 @@ TEST(FaultInjector, DeadEndpointDropsEverything) {
 TEST(FaultConfig, EnvOverridesApply) {
   ::setenv("APPFL_FAULT_DROP", "0.25", 1);
   ::setenv("APPFL_FAULT_DEAD", "3,9", 1);
-  const FaultConfig cfg = appfl::comm::fault_config_from_env({});
+  const FaultConfig cfg =
+      appfl::core::with_env_overrides(appfl::core::RunConfig{}).faults;
   ::unsetenv("APPFL_FAULT_DROP");
   ::unsetenv("APPFL_FAULT_DEAD");
   EXPECT_DOUBLE_EQ(cfg.drop, 0.25);
@@ -154,9 +156,9 @@ TEST(FaultConfig, EnvIgnoresUnparseableValues) {
   ::setenv("APPFL_FAULT_DROP", "not-a-number", 1);
   ::setenv("APPFL_FAULT_DELAY", "0.5x", 1);
   ::setenv("APPFL_FAULT_DEAD", "3,two,9", 1);
-  FaultConfig base;
-  base.drop = 0.125;
-  const FaultConfig cfg = appfl::comm::fault_config_from_env(base);
+  appfl::core::RunConfig base;
+  base.faults.drop = 0.125;
+  const FaultConfig cfg = appfl::core::with_env_overrides(base).faults;
   ::unsetenv("APPFL_FAULT_DROP");
   ::unsetenv("APPFL_FAULT_DELAY");
   ::unsetenv("APPFL_FAULT_DEAD");

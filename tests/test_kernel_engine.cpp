@@ -60,6 +60,37 @@ TEST(KernelConfigTest, SetAndApply) {
   EXPECT_THROW(appfl::tensor::apply_kernel_config("fast", 0), appfl::Error);
 }
 
+TEST(KernelConfigTest, EnvDefaultsWarnAndIgnoreBadValues) {
+  // Only the parser runs here: no pool is ever built from these values.
+  const auto from_env = [](const char* backend, const char* threads) {
+    ::setenv("APPFL_KERNEL_BACKEND", backend, 1);
+    ::setenv("APPFL_KERNEL_THREADS", threads, 1);
+    const auto config = appfl::tensor::kernel_config_from_env();
+    ::unsetenv("APPFL_KERNEL_BACKEND");
+    ::unsetenv("APPFL_KERNEL_THREADS");
+    return config;
+  };
+  auto config = from_env("reference", "8");
+  EXPECT_EQ(config.backend, KernelBackend::kReference);
+  EXPECT_EQ(config.threads, 8U);
+  testing::internal::CaptureStderr();
+  config = from_env("bogus", "abc");
+  EXPECT_EQ(config.backend, KernelBackend::kTiled);
+  EXPECT_EQ(config.threads, 0U);
+  config = from_env("tiled", "5000");  // above kMaxKernelThreads
+  EXPECT_EQ(config.threads, 0U);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("warning: ignoring invalid APPFL_KERNEL_BACKEND='bogus' "
+                     "(need auto|reference|tiled)"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("APPFL_KERNEL_THREADS='abc'"), std::string::npos);
+  EXPECT_NE(err.find("APPFL_KERNEL_THREADS='5000' (need an integer in "
+                     "[0, 1024])"),
+            std::string::npos)
+      << err;
+}
+
 TEST(KernelEngine, TiledMatchesReference) {
   const Tensor a = big_a(), b = big_b();
   const Tensor expected = appfl::tensor::matmul_reference(a, b);

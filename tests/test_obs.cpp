@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/options.hpp"
 #include "core/runner.hpp"
 #include "util/check.hpp"
 #include "obs/export.hpp"
@@ -104,29 +105,30 @@ TEST(ObsLevel, GuardsFollowLevel) {
 }
 
 TEST(ObsLevel, EnvOverridesFollowWarnAndIgnoreConvention) {
-  obs::ObsOptions opts;
-  opts.level = obs::Level::kMetrics;
+  appfl::core::RunConfig cfg;
+  cfg.obs_level = "metrics";
   setenv("APPFL_OBS_LEVEL", "bogus", 1);
-  obs::apply_env_overrides(opts);
-  EXPECT_EQ(opts.level, obs::Level::kMetrics);  // invalid value ignored
+  cfg = appfl::core::with_env_overrides(cfg);
+  // invalid value ignored
+  EXPECT_EQ(obs::parse_level(cfg.obs_level), obs::Level::kMetrics);
 
   setenv("APPFL_OBS_LEVEL", "trace", 1);
-  obs::apply_env_overrides(opts);
-  EXPECT_EQ(opts.level, obs::Level::kTrace);
+  cfg = appfl::core::with_env_overrides(cfg);
+  EXPECT_EQ(obs::parse_level(cfg.obs_level), obs::Level::kTrace);
   unsetenv("APPFL_OBS_LEVEL");
 }
 
 TEST(ObsLevel, InconsistentOutputPathsAreCleared) {
-  obs::ObsOptions opts;
-  opts.level = obs::Level::kMetrics;
-  opts.trace_out = "t.json";  // trace file below trace level: cleared
-  obs::apply_env_overrides(opts);
-  EXPECT_TRUE(opts.trace_out.empty());
+  appfl::core::RunConfig cfg;
+  cfg.obs_level = "metrics";
+  cfg.trace_out = "t.json";  // trace file below trace level: cleared
+  cfg = appfl::core::with_env_overrides(cfg);
+  EXPECT_TRUE(cfg.trace_out.empty());
 
-  opts.level = obs::Level::kOff;
-  opts.metrics_out = "m.jsonl";
-  obs::apply_env_overrides(opts);
-  EXPECT_TRUE(opts.metrics_out.empty());
+  cfg.obs_level = "off";
+  cfg.metrics_out = "m.jsonl";
+  cfg = appfl::core::with_env_overrides(cfg);
+  EXPECT_TRUE(cfg.metrics_out.empty());
 }
 
 TEST(ObsConfig, ValidateRejectsBadLevelAndOrphanPaths) {

@@ -291,6 +291,20 @@ TEST(Resume, CheckpointingItselfChangesNothing) {
   EXPECT_EQ(plain.final_accuracy, with_ckpt.final_accuracy);
 }
 
+TEST(Resume, EmptyCheckpointEnvLeavesTheConfiguredStore) {
+  // An empty APPFL_* value counts as unset: APPFL_CKPT_DIR= must not turn
+  // off the store the config asked for.
+  const auto split = make_split();
+  TempDir dir("appfl_resume_empty_env");
+  RunConfig cfg = base_config(Algorithm::kFedAvg);
+  cfg.checkpoint_dir = dir.str();
+  ::setenv("APPFL_CKPT_DIR", "", 1);
+  const RunResult result = appfl::core::run_federated(cfg, split);
+  ::unsetenv("APPFL_CKPT_DIR");
+  EXPECT_EQ(result.config.checkpoint_dir, dir.str());
+  EXPECT_EQ(result.checkpoints_written, cfg.rounds);
+}
+
 TEST(Resume, CheckpointCadenceResumesFromLastMultiple)  {
   const auto split = make_split();
   RunConfig cfg = base_config(Algorithm::kFedAvg);

@@ -1,10 +1,14 @@
 // Unit tests for the util module: checks, logging, thread pool, tables.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/env.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -150,6 +154,37 @@ TEST(CsvWriter, WritesFile) {
 TEST(Fmt, FormatsFixedDigits) {
   EXPECT_EQ(appfl::util::fmt(1.23456, 2), "1.23");
   EXPECT_EQ(appfl::util::fmt(2.0, 0), "2");
+}
+
+TEST(Env, EmptyMeansUnsetAndBadValuesWarnInOneFormat) {
+  ::setenv("APPFL_TEST_ENV", "", 1);
+  EXPECT_FALSE(appfl::util::env_value("APPFL_TEST_ENV").has_value());
+  ::setenv("APPFL_TEST_ENV", "loud", 1);
+  testing::internal::CaptureStderr();
+  constexpr std::array<std::string_view, 2> kNames = {"quiet", "verbose"};
+  EXPECT_FALSE(appfl::util::env_choice("APPFL_TEST_ENV", kNames).has_value());
+  EXPECT_FALSE(appfl::util::env_uint("APPFL_TEST_ENV", 1, 9).has_value());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "warning: ignoring invalid APPFL_TEST_ENV='loud' "
+            "(need quiet|verbose)\n"
+            "warning: ignoring invalid APPFL_TEST_ENV='loud' "
+            "(need an integer in [1, 9])\n");
+  ::setenv("APPFL_TEST_ENV", "verbose", 1);
+  EXPECT_EQ(appfl::util::env_choice("APPFL_TEST_ENV", kNames), 1U);
+  ::unsetenv("APPFL_TEST_ENV");
+}
+
+TEST(Env, ParseUintIsStrict) {
+  using appfl::util::parse_uint;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(parse_uint("42", 0, kMax), 42U);
+  for (const char* bad : {"", "-3", "+3", " 3", "3x", "abc",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(parse_uint(bad, 0, kMax).has_value()) << bad;
+  }
+  EXPECT_FALSE(parse_uint("0", 1, kMax).has_value());
+  EXPECT_FALSE(parse_uint("1025", 0, 1024).has_value());
+  EXPECT_EQ(appfl::util::describe_uint(1, kMax), "a positive integer");
 }
 
 }  // namespace
