@@ -90,18 +90,19 @@ WriterStyle make_style(std::uint64_t seed, std::size_t writer_id,
   return s;
 }
 
-}  // namespace
-
-TensorDataset generate_samples(std::size_t channels, std::size_t height,
-                               std::size_t width, std::size_t num_classes,
-                               std::size_t count, double noise,
-                               std::uint64_t seed, std::size_t writer_id,
-                               const std::vector<std::size_t>* class_pool,
-                               std::uint64_t sample_stream,
-                               double proto_gain) {
+/// generate_samples over prototypes already built by make_prototypes for
+/// the same (channels, height, width, num_classes, seed). Data sets and
+/// populations build their prototypes once and draw every writer from them.
+TensorDataset draw_samples(const std::vector<float>& protos,
+                           std::size_t channels, std::size_t height,
+                           std::size_t width, std::size_t num_classes,
+                           std::size_t count, double noise, std::uint64_t seed,
+                           std::size_t writer_id,
+                           const std::vector<std::size_t>* class_pool,
+                           std::uint64_t sample_stream, double proto_gain) {
   APPFL_CHECK(channels > 0 && height > 0 && width > 0 && num_classes > 0);
   APPFL_CHECK(proto_gain > 0.0);
-  const auto protos = make_prototypes(channels, height, width, num_classes, seed);
+  APPFL_CHECK(protos.size() == num_classes * channels * height * width);
   const WriterStyle style = make_style(seed, writer_id, height, width);
   rng::Rng r(rng::derive_seed(seed, {kSampleStream, writer_id, sample_stream}));
 
@@ -143,26 +144,43 @@ TensorDataset generate_samples(std::size_t channels, std::size_t height,
   return TensorDataset(std::move(inputs), std::move(labels), num_classes);
 }
 
+}  // namespace
+
+TensorDataset generate_samples(std::size_t channels, std::size_t height,
+                               std::size_t width, std::size_t num_classes,
+                               std::size_t count, double noise,
+                               std::uint64_t seed, std::size_t writer_id,
+                               const std::vector<std::size_t>* class_pool,
+                               std::uint64_t sample_stream,
+                               double proto_gain) {
+  return draw_samples(
+      make_prototypes(channels, height, width, num_classes, seed), channels,
+      height, width, num_classes, count, noise, seed, writer_id, class_pool,
+      sample_stream, proto_gain);
+}
+
 namespace {
 
 FederatedSplit iid_image_split(std::string name, const SynthImageSpec& spec) {
   FederatedSplit split;
   split.name = std::move(name);
   split.clients.reserve(spec.num_clients);
+  const auto protos = make_prototypes(spec.channels, spec.height, spec.width,
+                                      spec.num_classes, spec.seed);
   for (std::size_t p = 0; p < spec.num_clients; ++p) {
     // Every client draws fresh samples from the same (global) task — same
     // prototypes, independent sample stream — an IID split, like the paper's
     // 4-way splits of MNIST/CIFAR10/CoronaHack.
-    split.clients.push_back(generate_samples(
-        spec.channels, spec.height, spec.width, spec.num_classes,
+    split.clients.push_back(draw_samples(
+        protos, spec.channels, spec.height, spec.width, spec.num_classes,
         spec.train_per_client, spec.noise, spec.seed, /*writer_id=*/0,
-        /*class_pool=*/nullptr, /*sample_stream=*/p + 1));
+        /*class_pool=*/nullptr, /*sample_stream=*/p + 1, /*proto_gain=*/1.0));
   }
-  split.test = generate_samples(spec.channels, spec.height, spec.width,
-                                spec.num_classes, spec.test_size, spec.noise,
-                                spec.seed, /*writer_id=*/0,
-                                /*class_pool=*/nullptr,
-                                /*sample_stream=*/999999);
+  split.test = draw_samples(protos, spec.channels, spec.height, spec.width,
+                            spec.num_classes, spec.test_size, spec.noise,
+                            spec.seed, /*writer_id=*/0,
+                            /*class_pool=*/nullptr,
+                            /*sample_stream=*/999999, /*proto_gain=*/1.0);
   return split;
 }
 
@@ -205,18 +223,20 @@ FederatedSplit smartgrid_like(const SmartGridSpec& spec) {
   // 1-D profiles have few prototype degrees of freedom, so boost the class
   // signal: consumer types differ strongly in reality.
   constexpr double kProfileGain = 3.0;
+  const auto protos =
+      make_prototypes(1, 1, kIntervals, spec.num_classes, spec.seed);
   for (std::size_t u = 0; u < spec.num_utilities; ++u) {
     // Each utility has its own regional style (writer transform) over the
     // shared consumer-type prototypes — feature-level non-IID.
-    split.clients.push_back(generate_samples(
-        1, 1, kIntervals, spec.num_classes, spec.train_per_utility,
+    split.clients.push_back(draw_samples(
+        protos, 1, 1, kIntervals, spec.num_classes, spec.train_per_utility,
         spec.noise, spec.seed, /*writer_id=*/u + 1, /*class_pool=*/nullptr,
         /*sample_stream=*/0, kProfileGain));
   }
-  split.test = generate_samples(1, 1, kIntervals, spec.num_classes,
-                                spec.test_size, spec.noise, spec.seed,
-                                /*writer_id=*/0, /*class_pool=*/nullptr,
-                                /*sample_stream=*/999999, kProfileGain);
+  split.test = draw_samples(protos, 1, 1, kIntervals, spec.num_classes,
+                            spec.test_size, spec.noise, spec.seed,
+                            /*writer_id=*/0, /*class_pool=*/nullptr,
+                            /*sample_stream=*/999999, kProfileGain);
   return split;
 }
 
@@ -231,6 +251,7 @@ FederatedSplit femnist_like(const FemnistSpec& spec) {
   split.clients.reserve(spec.num_writers);
 
   constexpr std::size_t kH = 28, kW = 28, kC = 1;
+  const auto protos = make_prototypes(kC, kH, kW, spec.num_classes, spec.seed);
   rng::Rng meta(rng::derive_seed(spec.seed, {9000}));
 
   for (std::size_t w = 0; w < spec.num_writers; ++w) {
@@ -249,20 +270,23 @@ FederatedSplit femnist_like(const FemnistSpec& spec) {
     std::size_t count = static_cast<std::size_t>(
         std::max(8.0, ln * static_cast<double>(spec.mean_samples_per_writer)));
 
-    split.clients.push_back(generate_samples(
-        kC, kH, kW, spec.num_classes, count, spec.noise, spec.seed,
-        /*writer_id=*/w + 1, &pool));
+    split.clients.push_back(draw_samples(
+        protos, kC, kH, kW, spec.num_classes, count, spec.noise, spec.seed,
+        /*writer_id=*/w + 1, &pool, /*sample_stream=*/0, /*proto_gain=*/1.0));
   }
 
   // Server test set: same task (prototypes), neutral style, all classes.
-  split.test = generate_samples(kC, kH, kW, spec.num_classes, spec.test_size,
-                                spec.noise, spec.seed, /*writer_id=*/0,
-                                /*class_pool=*/nullptr,
-                                /*sample_stream=*/999999);
+  split.test = draw_samples(protos, kC, kH, kW, spec.num_classes,
+                            spec.test_size, spec.noise, spec.seed,
+                            /*writer_id=*/0, /*class_pool=*/nullptr,
+                            /*sample_stream=*/999999, /*proto_gain=*/1.0);
   return split;
 }
 
 namespace {
+
+/// Every SyntheticPopulation writer draws 1×28×28 images.
+constexpr std::size_t kC = 1, kH = 28, kW = 28;
 
 /// A writer's personal recipe — class pool and sample count — drawn from a
 /// per-writer stream so it is a pure O(num_classes) function of (spec, id).
@@ -299,6 +323,7 @@ SyntheticPopulation::SyntheticPopulation(FemnistSpec spec)
   APPFL_CHECK(spec_.min_classes_per_writer >= 1);
   APPFL_CHECK(spec_.max_classes_per_writer >= spec_.min_classes_per_writer);
   APPFL_CHECK(spec_.max_classes_per_writer <= spec_.num_classes);
+  protos_ = make_prototypes(kC, kH, kW, spec_.num_classes, spec_.seed);
 }
 
 std::size_t SyntheticPopulation::sample_count(std::uint32_t id) const {
@@ -312,19 +337,17 @@ TensorDataset SyntheticPopulation::materialize(std::uint32_t id) const {
   APPFL_CHECK_MSG(id >= 1 && id <= spec_.num_writers,
                   "writer " << id << " outside population of "
                             << spec_.num_writers);
-  constexpr std::size_t kH = 28, kW = 28, kC = 1;
   const WriterRecipe recipe = writer_recipe(spec_, id);
-  return generate_samples(kC, kH, kW, spec_.num_classes, recipe.count,
-                          spec_.noise, spec_.seed, /*writer_id=*/id,
-                          &recipe.pool);
+  return draw_samples(protos_, kC, kH, kW, spec_.num_classes, recipe.count,
+                      spec_.noise, spec_.seed, /*writer_id=*/id, &recipe.pool,
+                      /*sample_stream=*/0, /*proto_gain=*/1.0);
 }
 
 TensorDataset SyntheticPopulation::test_set() const {
-  constexpr std::size_t kH = 28, kW = 28, kC = 1;
-  return generate_samples(kC, kH, kW, spec_.num_classes, spec_.test_size,
-                          spec_.noise, spec_.seed, /*writer_id=*/0,
-                          /*class_pool=*/nullptr,
-                          /*sample_stream=*/999999);
+  return draw_samples(protos_, kC, kH, kW, spec_.num_classes, spec_.test_size,
+                      spec_.noise, spec_.seed, /*writer_id=*/0,
+                      /*class_pool=*/nullptr, /*sample_stream=*/999999,
+                      /*proto_gain=*/1.0);
 }
 
 }  // namespace appfl::data

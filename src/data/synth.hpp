@@ -119,6 +119,10 @@ class SyntheticPopulation {
 
  private:
   FemnistSpec spec_;
+  /// The class prototypes, built once by the constructor (62 classes of
+  /// 28×28 floats at the default spec). materialize() only reads them, so
+  /// concurrent calls share them.
+  std::vector<float> protos_;
 };
 
 /// Low-level generator used by all of the above: draws `count` labeled
