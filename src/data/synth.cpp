@@ -60,7 +60,7 @@ std::vector<float> make_prototypes(std::size_t channels, std::size_t h,
     for (std::size_t ch = 0; ch < channels; ++ch) {
       rng::Rng r(rng::derive_seed(seed, {kProtoStream, c, ch}));
       float coarse[kCoarse * kCoarse];
-      for (auto& v : coarse) v = static_cast<float>(rng::normal(r, 0.0, 1.0));
+      rng::fill_normal(r, coarse, 1.0);
       upsample(coarse, protos.data() + (c * channels + ch) * h * w, h, w);
     }
   }
@@ -110,6 +110,7 @@ TensorDataset draw_samples(const std::vector<float>& protos,
   std::vector<std::size_t> labels(count);
   float* out = inputs.raw();
   const std::size_t plane = height * width;
+  std::vector<float> pixel_noise(channels * plane);
 
   for (std::size_t i = 0; i < count; ++i) {
     std::size_t label;
@@ -121,8 +122,10 @@ TensorDataset draw_samples(const std::vector<float>& protos,
       label = r.uniform_below(num_classes);
     }
     labels[i] = label;
+    rng::fill_normal(r, pixel_noise, noise);
     for (std::size_t ch = 0; ch < channels; ++ch) {
       const float* proto = protos.data() + (label * channels + ch) * plane;
+      const float* eps = pixel_noise.data() + ch * plane;
       float* dst = out + (i * channels + ch) * plane;
       for (std::size_t y = 0; y < height; ++y) {
         const long sy = static_cast<long>(y) - style.shift_y;
@@ -135,8 +138,7 @@ TensorDataset draw_samples(const std::vector<float>& protos,
           }
           dst[y * width + x] =
               style.contrast * static_cast<float>(proto_gain) * base +
-              style.brightness +
-              static_cast<float>(rng::normal(r, 0.0, noise));
+              style.brightness + eps[y * width + x];
         }
       }
     }

@@ -23,9 +23,7 @@ LaplaceMechanism LaplaceMechanism::calibrated(double epsilon,
 }
 
 void LaplaceMechanism::apply(std::span<float> values, rng::Rng& rng) const {
-  for (auto& v : values) {
-    v += static_cast<float>(rng::laplace(rng, 0.0, scale_));
-  }
+  rng::add_laplace(rng, values, scale_);
 }
 
 GaussianMechanism::GaussianMechanism(double sigma) : sigma_(sigma) {
@@ -43,9 +41,7 @@ GaussianMechanism GaussianMechanism::calibrated(double epsilon, double delta,
 }
 
 void GaussianMechanism::apply(std::span<float> values, rng::Rng& rng) const {
-  for (auto& v : values) {
-    v += static_cast<float>(rng::normal(rng, 0.0, sigma_));
-  }
+  rng::add_normal(rng, values, sigma_);
 }
 
 std::unique_ptr<Mechanism> make_laplace_for_budget(double epsilon,

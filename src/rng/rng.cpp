@@ -31,21 +31,34 @@ Rng::Rng(std::uint64_t seed) {
 }
 
 namespace {
+
 inline std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
+
+/// One xoshiro256** step over the state words s[0..3].
+inline std::uint64_t step(std::uint64_t* s) {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
 }  // namespace
 
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
+std::uint64_t Rng::next() { return step(s_); }
+
+void Rng::fill_words(std::span<std::uint64_t> out) {
+  // A local copy of the state: stores to `out` cannot alias it, so it stays
+  // in registers across the loop.
+  std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+  for (auto& w : out) w = step(s);
+  for (std::size_t i = 0; i < 4; ++i) s_[i] = s[i];
 }
 
 double Rng::uniform01() {
@@ -53,10 +66,7 @@ double Rng::uniform01() {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-double Rng::uniform01_open() {
-  // (next() >> 11) is in [0, 2^53); adding 0.5 keeps the result in (0,1).
-  return (static_cast<double>(next() >> 11) + 0.5) * 0x1.0p-53;
-}
+double Rng::uniform01_open() { return open01_from_word(next()); }
 
 std::array<std::uint64_t, 4> Rng::state() const {
   return {s_[0], s_[1], s_[2], s_[3]};

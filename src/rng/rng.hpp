@@ -8,7 +8,9 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
+#include <span>
 
 namespace appfl::rng {
 
@@ -35,6 +37,19 @@ constexpr std::uint64_t kCommFault = 0xFA;
 constexpr std::uint64_t kSecureAgg = 0x5A;
 }  // namespace stream
 
+/// The one word → uniform mapping behind uniform01_open() and every batched
+/// sampler: ((w >> 12) + 0.5)·2⁻⁵², a 52-bit grid strictly inside (0, 1) —
+/// the smallest value is 2⁻⁵³ and the largest 1 − 2⁻⁵³. Computed as
+/// (1 + m·2⁻⁵²) − (1 − 2⁻⁵³) with m = w >> 12: the OR builds the first term
+/// exactly and the subtraction is exact, so a vector twin (one OR, one SUB)
+/// gives the same bits.
+inline double open01_from_word(std::uint64_t w) {
+  const std::uint64_t bits = (w >> 12) | 0x3FF0000000000000ULL;
+  double one_plus;
+  std::memcpy(&one_plus, &bits, sizeof one_plus);
+  return one_plus - (1.0 - 0x1.0p-53);
+}
+
 /// xoshiro256** engine. Satisfies UniformRandomBitGenerator.
 class Rng {
  public:
@@ -44,6 +59,10 @@ class Rng {
 
   std::uint64_t next();
 
+  /// Writes exactly the words out.size() next() calls would return, with
+  /// the state held in registers across the loop.
+  void fill_words(std::span<std::uint64_t> out);
+
   // UniformRandomBitGenerator interface.
   result_type operator()() { return next(); }
   static constexpr result_type min() { return 0; }
@@ -52,7 +71,8 @@ class Rng {
   /// Uniform double in [0, 1) with 53 bits of entropy.
   double uniform01();
 
-  /// Uniform double in (0, 1): never returns exactly 0 — safe for log().
+  /// Uniform double strictly inside (0, 1): open01_from_word(next()), so
+  /// neither log(u) nor log(1 − u) is ever infinite.
   double uniform01_open();
 
   /// Uniform integer in [0, n). Requires n > 0. Uses rejection sampling so

@@ -342,4 +342,38 @@ TEST(Synth, FemnistWritersHaveDistinctStyles) {
             0.02);
 }
 
+TEST(Synth, PrototypesBuiltOncePerDatasetMatchTheStandaloneGenerator) {
+  // Data sets and populations build their class prototypes once; every
+  // shard must equal what generate_samples (which builds its own) draws.
+  auto same = [](const TensorDataset& a, const TensorDataset& b) {
+    return a.inputs().equals(b.inputs()) && a.labels() == b.labels();
+  };
+  appfl::data::SynthImageSpec spec;
+  spec.train_per_client = 12;
+  spec.test_size = 10;
+  spec.seed = 71;
+  const auto split = appfl::data::cifar10_like(spec);
+  for (std::size_t p = 0; p < split.num_clients(); ++p) {
+    EXPECT_TRUE(same(split.clients[p],
+                     appfl::data::generate_samples(
+                         3, 32, 32, 10, 12, 1.4, 71, /*writer_id=*/0,
+                         /*class_pool=*/nullptr, /*sample_stream=*/p + 1)))
+        << p;
+  }
+
+  appfl::data::FemnistSpec fspec;
+  fspec.num_writers = 40;
+  fspec.test_size = 16;
+  fspec.seed = 72;
+  const auto femnist = appfl::data::femnist_like(fspec);
+  const appfl::data::SyntheticPopulation pop(fspec);
+  const auto standalone_test = appfl::data::generate_samples(
+      1, 28, 28, 62, 16, fspec.noise, 72, /*writer_id=*/0,
+      /*class_pool=*/nullptr, /*sample_stream=*/999999);
+  EXPECT_TRUE(same(femnist.test, standalone_test));
+  EXPECT_TRUE(same(pop.test_set(), standalone_test));
+  // A writer's shard is a pure function of (spec, id), cache or not.
+  EXPECT_TRUE(same(pop.materialize(7), pop.materialize(7)));
+}
+
 }  // namespace

@@ -11,6 +11,7 @@
 #include "dp/accountant.hpp"
 #include "dp/mechanism.hpp"
 #include "dp/sensitivity.hpp"
+#include "rng/distributions.hpp"
 #include "rng/rng.hpp"
 
 namespace {
@@ -147,6 +148,32 @@ TEST(Mechanism, NoiseIsDeterministicPerRngSeed) {
   mech.apply(a, r1);
   mech.apply(b, r2);
   EXPECT_EQ(a, b);
+}
+
+TEST(Mechanism, ApplyAddsTheBatchedNoiseInPlace) {
+  // The mechanisms add exactly the values the batched samplers would fill,
+  // one word per Laplace value and one Box–Muller pair per two Gaussian
+  // values, whatever the length.
+  for (const std::size_t n : {1, 2, 255, 256, 1001}) {
+    std::vector<float> base(n);
+    for (std::size_t i = 0; i < n; ++i) base[i] = 0.5F - 0.001F * i;
+    std::vector<float> noise(n);
+
+    std::vector<float> lap = base;
+    appfl::rng::Rng r1(17), r2(17);
+    appfl::dp::LaplaceMechanism(0.2).apply(lap, r1);
+    appfl::rng::fill_laplace(r2, noise, 0.2);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(lap[i], base[i] + noise[i]);
+    EXPECT_EQ(r1.state(), r2.state());
+
+    std::vector<float> gauss = base;
+    appfl::dp::GaussianMechanism(0.3).apply(gauss, r1);
+    appfl::rng::fill_normal(r2, noise, 0.3);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(gauss[i], base[i] + noise[i]);
+    }
+    EXPECT_EQ(r1.state(), r2.state());
+  }
 }
 
 }  // namespace
