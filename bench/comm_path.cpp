@@ -1,7 +1,8 @@
-// Comm data path before/after bench: CRC32 (bytewise seed loop vs
-// sliced/parallel), proto encode (push-back growth vs pooled exact-reserve
-// append), proto decode (owning vs zero-copy view + detach_into), and
-// server aggregation (serial vs chunked-parallel) at FEMNIST client counts.
+// Comm data path before/after bench: CRC32 (bytewise seed loop vs the
+// carry-less-multiply fold), proto encode (push-back growth vs pooled
+// exact-reserve append), proto decode (owning vs zero-copy view +
+// detach_into), and server aggregation (serial vs chunked-parallel) at
+// FEMNIST client counts.
 // Writes BENCH_comm.json so the perf claims of the comm-path PR are
 // reproducible from one binary.
 //
@@ -133,7 +134,7 @@ std::string size_label(std::size_t payload_bytes) {
 BenchCase crc_case(std::size_t payload_bytes, int reps) {
   const auto buf = random_bytes(payload_bytes, payload_bytes);
   APPFL_CHECK_MSG(appfl::comm::crc32(buf) == appfl::comm::crc32_bytewise(buf),
-                  "sliced CRC diverged from the bytewise baseline");
+                  "CRC diverged from the bytewise baseline");
   BenchCase c;
   c.name = "crc32_" + size_label(payload_bytes);
   c.bytes = payload_bytes;
@@ -185,7 +186,7 @@ BenchCase e2e_case(std::size_t floats, int reps) {
   // The seed pipeline, reconstructed: push-back proto encode, bytewise CRC
   // at the sender, O(n) front insertion of the envelope header, bytewise
   // re-CRC at the receiver, owning decode. (seal_envelope itself now runs
-  // the sliced CRC, so timing it would contaminate the baseline.)
+  // the fast CRC, so timing it would contaminate the baseline.)
   c.before_ms = time_best_of(reps, [&] {
     auto payload = encode_proto_seed(msg);
     const std::uint32_t send_crc = appfl::comm::crc32_bytewise(payload);
@@ -325,9 +326,9 @@ int run_smoke() {
   sw.reset();
   appfl::comm::seal_envelope_in_place(buf);
   const double crc_ms = sw.elapsed_seconds() * 1e3;
-  const auto big = random_bytes(7, appfl::comm::kParallelCrcThreshold + 17);
+  const auto big = random_bytes(7, (std::size_t{1} << 20) + 17);
   APPFL_CHECK_MSG(appfl::comm::crc32(big) == appfl::comm::crc32_bytewise(big),
-                  "parallel CRC diverged from the bytewise baseline");
+                  "CRC diverged from the bytewise baseline");
 
   sw.reset();
   const auto payload = appfl::comm::open_envelope(buf);
@@ -384,9 +385,9 @@ void write_report(const std::vector<BenchCase>& cases,
   out << "  \"schema\": \"appfl-bench-comm-v1\",\n";
   out << "  \"note\": \"before = seed comm path (bytewise CRC, push-back "
          "proto encode, owning decode, decode-then-reduce aggregate); after "
-         "= sliced/parallel CRC, pooled append encode, zero-copy view "
-         "decode, fused single-pass streaming aggregate (AVX2 when "
-         "available)\",\n";
+         "= carry-less-multiply CRC fold (slicing-by-8 without PCLMULQDQ), "
+         "pooled append encode, zero-copy view decode, fused single-pass "
+         "streaming aggregate (AVX2 when available)\",\n";
   const std::size_t hw = std::thread::hardware_concurrency();
   const appfl::tensor::KernelConfig kc = appfl::tensor::kernel_config();
   out << "  \"hardware_threads\": " << hw << ",\n";
@@ -394,6 +395,8 @@ void write_report(const std::vector<BenchCase>& cases,
       << ",\n";
   out << "  \"accumulate_uses_avx2\": "
       << (appfl::tensor::accumulate_uses_avx2() ? "true" : "false") << ",\n";
+  out << "  \"crc32_uses_pclmul\": "
+      << (appfl::comm::crc32_uses_pclmul() ? "true" : "false") << ",\n";
   out << "  \"fp16_wire_ratio\": " << fp16_ratio << ",\n";
   out << "  \"cases\": [\n";
   for (std::size_t i = 0; i < cases.size(); ++i) {

@@ -250,10 +250,11 @@ void Communicator::broadcast_global(
   }
   const double now = clock_.now();
   std::size_t bytes_each = 0;
+  // One copy for the whole fan-out: only the receiver differs per frame.
+  Message copy = m;
   for (std::uint32_t c : participants) {
     APPFL_CHECK_MSG(c >= 1 && c <= num_clients_,
                     "broadcast to bad client id " << c);
-    Message copy = m;
     copy.receiver = c;
     std::vector<std::uint8_t> bytes = pool_.acquire();
     encode_into(copy, bytes);
@@ -268,7 +269,7 @@ void Communicator::broadcast_global(
     // deadline gather treats it as a straggler.
     (void)network_.send(0, c, std::move(bytes), now);
   }
-  last_broadcast_primal_ = m.primal;  // kTopK delta reference
+  last_broadcast_primal_ = std::move(copy.primal);  // kTopK delta reference
   const std::size_t count = participants.size();
   if (protocol_ == Protocol::kMpi) {
     pending_broadcast_s_ = mpi_model_.broadcast_seconds(count, bytes_each);

@@ -1,12 +1,16 @@
 #include "comm/envelope.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 
-#include "tensor/gemm.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
+
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+#define APPFL_CRC_X86 1
+#include <immintrin.h>
+#else
+#define APPFL_CRC_X86 0
+#endif
 
 namespace appfl::comm {
 
@@ -43,9 +47,9 @@ const CrcTables& crc_tables() {
   return tables;
 }
 
-/// Sliced serial kernel over one contiguous range, starting from (and
-/// returning) a raw register value (pre/post-conditioning is the caller's
-/// job so chunks can be chained).
+/// Sliced kernel over one contiguous range, starting from (and returning) a
+/// raw register value: pre/post-conditioning is the caller's job, so the
+/// fold below can hand its remainder on.
 std::uint32_t crc32_sliced_raw(std::uint32_t crc, const std::uint8_t* p,
                                std::size_t n) {
   const CrcTables& t = crc_tables();
@@ -67,31 +71,80 @@ std::uint32_t crc32_sliced_raw(std::uint32_t crc, const std::uint8_t* p,
   return crc;
 }
 
-std::uint32_t crc32_serial(std::span<const std::uint8_t> bytes) {
-  return crc32_sliced_raw(0xFFFFFFFFU, bytes.data(), bytes.size()) ^
-         0xFFFFFFFFU;
+// -- Carry-less-multiply fold (Gopal et al., Intel 2009) --------------------
+//
+// Four 128-bit lanes each fold 64 bytes ahead per step: a lane x becomes
+// x.lo * k1 ^ x.hi * k2 ^ (the next 16 bytes of its stride). The lanes then
+// fold into one at a 16-byte stride (k3, k4), that lane absorbs the
+// remaining 16-byte blocks, and a 128 → 64 → 32-bit reduction (k4, k5) ends
+// in a Barrett step (µ, P). All of it runs in the bit-reflected domain:
+// k_n = reflect32(x^n mod P) << 1 for n = 544, 480, 160, 96, 64, µ =
+// reflect33(x^64 div P) and P = reflect33(0x104C11DB7), so the result is
+// the register the sliced loop computes.
+
+#if APPFL_CRC_X86
+
+#define APPFL_CLMUL __attribute__((target("pclmul,sse4.1")))
+
+APPFL_CLMUL inline __m128i load16(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
 }
 
-// -- GF(2) matrix helpers for crc32_combine (zlib's algorithm) ---------------
+/// x.lo * k.lo ^ x.hi * k.hi ^ next: one lane advanced past `next`'s stride.
+APPFL_CLMUL inline __m128i fold(__m128i x, __m128i k, __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       next);
+}
 
-std::uint32_t gf2_matrix_times(const std::uint32_t* mat, std::uint32_t vec) {
-  std::uint32_t sum = 0;
-  while (vec != 0) {
-    if ((vec & 1U) != 0) sum ^= *mat;
-    vec >>= 1;
-    ++mat;
+/// Raw-register CRC over n bytes: the fold covers the 16-byte multiple of
+/// inputs of 64 bytes or more, and the sliced loop takes what is left.
+APPFL_CLMUL std::uint32_t crc32_fold_raw(std::uint32_t crc,
+                                         const std::uint8_t* p,
+                                         std::size_t n) {
+  if (n < 64) return crc32_sliced_raw(crc, p, n);
+  const __m128i k1k2 = _mm_set_epi64x(0x1C6E41596, 0x154442BD4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0CCAA009E, 0x1751997D0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163CD6124);
+  const __m128i mu_p = _mm_set_epi64x(0x1F7011641, 0x1DB710641);
+  const __m128i low32 = _mm_set_epi32(0, 0, 0, -1);
+
+  __m128i x1 =
+      _mm_xor_si128(load16(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x2 = load16(p + 16);
+  __m128i x3 = load16(p + 32);
+  __m128i x4 = load16(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x1 = fold(x1, k1k2, load16(p));
+    x2 = fold(x2, k1k2, load16(p + 16));
+    x3 = fold(x3, k1k2, load16(p + 32));
+    x4 = fold(x4, k1k2, load16(p + 48));
   }
-  return sum;
+  x1 = fold(x1, k3k4, x2);
+  x1 = fold(x1, k3k4, x3);
+  x1 = fold(x1, k3k4, x4);
+  for (; n >= 16; p += 16, n -= 16) x1 = fold(x1, k3k4, load16(p));
+
+  // 128 → 64 bits (appending 32 zero bits), 64 → 32, then Barrett.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00));
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), mu_p, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), mu_p, 0x00);
+  const int folded = _mm_extract_epi32(_mm_xor_si128(x1, q), 1);
+  return crc32_sliced_raw(static_cast<std::uint32_t>(folded), p, n);
 }
 
-void gf2_matrix_square(std::uint32_t* square, const std::uint32_t* mat) {
-  for (int n = 0; n < 32; ++n) square[n] = gf2_matrix_times(mat, mat[n]);
+#undef APPFL_CLMUL
+
+bool detect_pclmul() {
+  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
 }
 
-/// Fixed chunk width for the parallel path. Chunk boundaries depend only on
-/// the buffer size — never on the thread count — and crc32_combine is exact,
-/// so the result is identical to the serial CRC regardless of pool size.
-constexpr std::size_t kCrcChunk = std::size_t{1} << 19;  // 512 KiB
+#endif  // APPFL_CRC_X86
 
 void put_u32(std::uint8_t* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
@@ -114,59 +167,26 @@ std::uint32_t crc32_bytewise(std::span<const std::uint8_t> bytes) {
   return crc ^ 0xFFFFFFFFU;
 }
 
-std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                            std::size_t len_b) {
-  if (len_b == 0) return crc_a;
-  std::uint32_t even[32];  // operator for 2^(2k) zero bytes
-  std::uint32_t odd[32];   // operator for 2^(2k+1) zero bytes
-
-  // odd = operator for one zero bit.
-  odd[0] = kPoly;
-  std::uint32_t row = 1;
-  for (int n = 1; n < 32; ++n) {
-    odd[n] = row;
-    row <<= 1;
-  }
-  gf2_matrix_square(even, odd);  // two zero bits
-  gf2_matrix_square(odd, even);  // four zero bits (one nibble)
-
-  // Advance crc_a through len_b zero *bytes*, squaring as len_b's bits run
-  // out, then add crc_b's effect.
-  std::uint64_t len = len_b;
-  do {
-    gf2_matrix_square(even, odd);
-    if ((len & 1U) != 0) crc_a = gf2_matrix_times(even, crc_a);
-    len >>= 1;
-    if (len == 0) break;
-    gf2_matrix_square(odd, even);
-    if ((len & 1U) != 0) crc_a = gf2_matrix_times(odd, crc_a);
-    len >>= 1;
-  } while (len != 0);
-  return crc_a ^ crc_b;
+std::uint32_t crc32_portable(std::span<const std::uint8_t> bytes) {
+  return crc32_sliced_raw(0xFFFFFFFFU, bytes.data(), bytes.size()) ^
+         0xFFFFFFFFU;
 }
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kParallelCrcThreshold ||
-      util::ThreadPool::on_worker_thread()) {
-    return crc32_serial(bytes);
-  }
-  const auto pool = tensor::kernel_pool();
-  if (pool->size() <= 1) return crc32_serial(bytes);
+#if APPFL_CRC_X86
+  static const auto fn = detect_pclmul() ? crc32_fold_raw : crc32_sliced_raw;
+#else
+  static const auto fn = crc32_sliced_raw;
+#endif
+  return fn(0xFFFFFFFFU, bytes.data(), bytes.size()) ^ 0xFFFFFFFFU;
+}
 
-  const std::size_t chunks = (bytes.size() + kCrcChunk - 1) / kCrcChunk;
-  std::vector<std::uint32_t> partial(chunks);
-  pool->parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * kCrcChunk;
-    const std::size_t len = std::min(kCrcChunk, bytes.size() - begin);
-    partial[c] = crc32_serial(bytes.subspan(begin, len));
-  });
-  std::uint32_t crc = partial[0];
-  for (std::size_t c = 1; c < chunks; ++c) {
-    const std::size_t begin = c * kCrcChunk;
-    const std::size_t len = std::min(kCrcChunk, bytes.size() - begin);
-    crc = crc32_combine(crc, partial[c], len);
-  }
-  return crc;
+bool crc32_uses_pclmul() {
+#if APPFL_CRC_X86
+  return detect_pclmul();
+#else
+  return false;
+#endif
 }
 
 std::vector<std::uint8_t> seal_envelope(std::vector<std::uint8_t> payload) {

@@ -11,12 +11,12 @@
 // fault injection off the envelope is skipped entirely, keeping the wire
 // bytes bit-identical to a fault-free build.
 //
-// CRC engine: crc32() runs slicing-by-8 (eight bytes per table step instead
-// of one), and payloads past a size threshold are chunked across the shared
-// kernel ThreadPool with the partial CRCs stitched together by
-// crc32_combine() — checksums stay bit-identical to the original bytewise
-// loop (kept as crc32_bytewise for tests and benchmarks) for every input,
-// thread count, and chunking.
+// CRC engine: crc32() folds 64 bytes per step with carry-less multiplies
+// (PCLMULQDQ) when the CPU has them, picked once at runtime, and hands
+// sub-16-byte tails to its portable twin, slicing-by-8 (eight table lookups
+// per eight bytes), which is the whole engine on other hosts. Both compute
+// the original bytewise loop's function (kept as crc32_bytewise for tests
+// and benchmarks) on every input, so checksums never depend on the host.
 #pragma once
 
 #include <cstdint>
@@ -27,23 +27,19 @@
 namespace appfl::comm {
 
 /// IEEE CRC-32 (polynomial 0xEDB88320, reflected), as used by Ethernet/zip.
-/// Slicing-by-8 with transparent chunked-parallel computation for large
-/// buffers; bit-identical to crc32_bytewise on every input.
+/// The carry-less-multiply fold where the CPU has PCLMULQDQ, otherwise
+/// crc32_portable; bit-identical to crc32_bytewise on every input.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
+
+/// The portable twin: slicing-by-8 alone, whatever the CPU.
+std::uint32_t crc32_portable(std::span<const std::uint8_t> bytes);
 
 /// The original one-table bytewise loop, kept as the correctness baseline
 /// (known-answer tests) and the "before" side of bench/comm_path.
 std::uint32_t crc32_bytewise(std::span<const std::uint8_t> bytes);
 
-/// CRC of the concatenation A‖B from crc32(A), crc32(B) and |B| alone
-/// (zlib's crc32_combine, GF(2) matrix exponentiation) — what lets chunk
-/// CRCs computed in parallel collapse into the whole-buffer checksum.
-std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                            std::size_t len_b);
-
-/// Buffers at or above this size fan their CRC out over the kernel pool
-/// (unless the caller is already inside a pool worker).
-constexpr std::size_t kParallelCrcThreshold = std::size_t{1} << 20;  // 1 MiB
+/// True when crc32() runs the carry-less-multiply fold.
+bool crc32_uses_pclmul();
 
 /// Bytes the envelope adds in front of the payload (magic + checksum).
 constexpr std::size_t kEnvelopeOverhead = 8;

@@ -210,15 +210,23 @@ __attribute__((target("avx2"))) void delta_avx2(double w,
   delta_scalar(w, z + 4 * i, base + i, out + i, n - i);
 }
 
-__attribute__((target("avx2,f16c"))) void widen_f16c(const std::uint8_t* src,
-                                                     float* dst,
-                                                     std::size_t n) {
+// Returns how many values it widened; widen_f16c runs the scalar tail after
+// the return, where the compiler clears the upper register halves. A tail
+// call from inside the AVX loop's function would skip that vzeroupper and
+// leave later SSE code paying transition stalls.
+__attribute__((target("avx2,f16c"))) std::size_t widen_f16c_kernel(
+    const std::uint8_t* src, float* dst, std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __m128i h;
     std::memcpy(&h, src + 2 * i, 16);
     _mm256_storeu_ps(dst + i, _mm256_cvtph_ps(h));
   }
+  return i;
+}
+
+void widen_f16c(const std::uint8_t* src, float* dst, std::size_t n) {
+  const std::size_t i = widen_f16c_kernel(src, dst, n);
   widen_scalar(src + 2 * i, dst + i, n - i);
 }
 

@@ -1,4 +1,4 @@
-// Fast comm data path: sliced/parallel CRC32 bit-identity, fp16 codec
+// Fast comm data path: CRC32 fold and portable-twin bit-identity, fp16 codec
 // bounds, pooled zero-copy encode/decode equivalence, and deterministic
 // parallel aggregation.
 #include <gtest/gtest.h>
@@ -54,8 +54,7 @@ TEST(Crc32, EmptyIsZero) {
 }
 
 TEST(Crc32, SlicedMatchesBytewiseOnRandomBuffers) {
-  // Odd sizes exercise the slicing tail; small sizes stay below the
-  // parallel threshold so this isolates the slicing-by-8 path.
+  // Odd sizes exercise the slicing tail.
   for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
                         std::size_t{9}, std::size_t{63}, std::size_t{1024},
                         std::size_t{65537}}) {
@@ -65,28 +64,65 @@ TEST(Crc32, SlicedMatchesBytewiseOnRandomBuffers) {
   }
 }
 
+/// Every length 0..2048 at every start offset 0..15 of one random buffer:
+/// covers the fold's 64-byte entry, its 16-byte blocks, the sliced tail and
+/// every load alignment.
+void expect_matches_bytewise_on_all_windows(
+    std::uint32_t (*crc)(std::span<const std::uint8_t>)) {
+  const auto buf = random_bytes(2048, 2048 + 16);
+  const std::span<const std::uint8_t> all{buf};
+  int mismatches = 0;
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t n = 0; n <= 2048; ++n) {
+      const auto window = all.subspan(offset, n);
+      if (crc(window) != appfl::comm::crc32_bytewise(window) &&
+          ++mismatches <= 5) {
+        ADD_FAILURE() << "offset=" << offset << " n=" << n;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+/// 3.26 MB buffers (one sync-iiadmm-dp frame) of random bytes, all 0x00 and
+/// all 0xFF.
+void expect_matches_bytewise_on_frames(
+    std::uint32_t (*crc)(std::span<const std::uint8_t>)) {
+  constexpr std::size_t kFrame = 3'256'717;
+  const std::vector<std::vector<std::uint8_t>> frames = {
+      random_bytes(326, kFrame), std::vector<std::uint8_t>(kFrame, 0x00),
+      std::vector<std::uint8_t>(kFrame, 0xFF)};
+  for (const auto& f : frames) {
+    EXPECT_EQ(crc(f), appfl::comm::crc32_bytewise(f))
+        << "first byte " << int{f[0]};
+  }
+}
+
+TEST(Crc32, FoldMatchesBytewiseAtEveryLengthAndOffset) {
+  if (!appfl::comm::crc32_uses_pclmul()) GTEST_SKIP() << "no PCLMULQDQ";
+  expect_matches_bytewise_on_all_windows(appfl::comm::crc32);
+}
+
+TEST(Crc32, FoldMatchesBytewiseOnFrames) {
+  if (!appfl::comm::crc32_uses_pclmul()) GTEST_SKIP() << "no PCLMULQDQ";
+  expect_matches_bytewise_on_frames(appfl::comm::crc32);
+}
+
+TEST(Crc32, PortableMatchesBytewiseAtEveryLengthAndOffset) {
+  expect_matches_bytewise_on_all_windows(appfl::comm::crc32_portable);
+}
+
+TEST(Crc32, PortableMatchesBytewiseOnFrames) {
+  expect_matches_bytewise_on_frames(appfl::comm::crc32_portable);
+}
+
 TEST(Crc32, ParallelMatchesBytewiseAcrossThreadCounts) {
-  // Above kParallelCrcThreshold the CRC fans out over the kernel pool;
-  // the fixed chunk width must make the answer thread-count invariant.
-  const auto buf =
-      random_bytes(99, appfl::comm::kParallelCrcThreshold * 3 + 12345);
+  // The kernel pool's size must never reach the checksum.
+  const auto buf = random_bytes(99, (std::size_t{3} << 20) + 12345);
   const std::uint32_t expected = appfl::comm::crc32_bytewise(buf);
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     ScopedKernelConfig scoped(appfl::tensor::KernelBackend::kTiled, threads);
     EXPECT_EQ(appfl::comm::crc32(buf), expected) << "threads=" << threads;
-  }
-}
-
-TEST(Crc32, CombineSplicesAnySplit) {
-  const auto buf = random_bytes(7, 4096);
-  const std::uint32_t whole = appfl::comm::crc32_bytewise(buf);
-  for (std::size_t split : {std::size_t{0}, std::size_t{1}, std::size_t{513},
-                            std::size_t{4095}, std::size_t{4096}}) {
-    const std::span<const std::uint8_t> all{buf};
-    const auto a = appfl::comm::crc32_bytewise(all.subspan(0, split));
-    const auto b = appfl::comm::crc32_bytewise(all.subspan(split));
-    EXPECT_EQ(appfl::comm::crc32_combine(a, b, buf.size() - split), whole)
-        << "split=" << split;
   }
 }
 
