@@ -161,8 +161,21 @@ class BaseServer {
     return false;
   }
 
-  /// Accuracy of parameters `w` on the server-held test set.
-  double validate(std::span<const float> w);
+  /// Validation of `w` on the server-held test set splits into
+  /// validation_tasks() tasks, one per validate_batch batch in test-set
+  /// order. Task t runs its batch through its own clone of the server's
+  /// model, under nn::NoGradGuard, and returns its count of correct
+  /// predictions; accuracy() turns the tasks' counts into the test
+  /// accuracy (0 for an empty test set). A task only reads `w`, the test
+  /// set and the model, so tasks may run on any thread, beside each other
+  /// and beside client updates, while nothing writes the server's model.
+  std::size_t validation_tasks() const;
+  std::size_t count_correct(std::span<const float> w, std::size_t task) const;
+  double accuracy(std::span<const std::size_t> correct) const;
+
+  /// Accuracy of parameters `w` on the server-held test set: every
+  /// validation task, run inline on the calling thread.
+  double validate(std::span<const float> w) const;
 
   /// Penalty ρ^t the server will announce with the next broadcast. The
   /// base implementation returns the configured constant; adaptive servers

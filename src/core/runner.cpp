@@ -137,6 +137,17 @@ std::unique_ptr<BaseClient> build_client(std::uint32_t id,
 
 namespace {
 
+/// Validation task `task` of `w` (BaseServer::count_correct) in an
+/// fl.validate span under `parent`: pool threads start with empty span
+/// stacks, so the lexical parent link does not cross the dispatch.
+std::size_t validation_task(const BaseServer& server, std::span<const float> w,
+                            std::size_t task, std::uint64_t parent) {
+  obs::ScopedSpan span("fl.validate", "fl");
+  span.set_parent(parent);
+  span.set_arg("batch", task);
+  return server.count_correct(w, task);
+}
+
 /// The round loop, on a config the env pass and validate() already saw.
 RunResult run_rounds(const RunConfig& config, BaseServer& server,
                      std::vector<std::unique_ptr<BaseClient>>& clients) {
@@ -242,6 +253,10 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
     // one whose uplink was lost is told so (ADMM clients roll their
     // speculative dual update back).
     //
+    // Validation of w (§II-A5) only reads w and the server's model, so its
+    // tasks queue behind the participants in the same pool dispatch and
+    // fill the threads the short clients leave idle.
+    //
     // Secure-aggregation mode splits the uplink into a share-distribution
     // phase (kSecAggShares → U2) and a masked-upload phase (U2 members
     // only → U3); see dp/secure_agg.hpp for the protocol.
@@ -270,6 +285,10 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
       pending_updates.resize(participants.size());
       sec_clients.resize(participants.size());
     }
+    const bool validating =
+        config.validate_every_round || round == config.rounds;
+    std::vector<std::size_t> correct(validating ? server.validation_tasks()
+                                                : 0);
     {
       // The wall time of this block is the round's parallel local-update
       // phase — the numerator's complement in the Fig 3b gather-share
@@ -279,7 +298,13 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
       // Pool workers have their own (empty) span stacks, so the lexical
       // parent link does not cross the dispatch; hand the phase's id in.
       const std::uint64_t phase_id = phase_span.id();
-      pool.parallel_for(participants.size(), [&](std::size_t i) {
+      const std::size_t tasks = participants.size() + correct.size();
+      pool.parallel_for(tasks, [&](std::size_t i) {
+        if (i >= participants.size()) {
+          const std::size_t task = i - participants.size();
+          correct[task] = validation_task(server, w, task, phase_id);
+          return;
+        }
         const std::uint32_t id = participants[i];
         obs::ScopedSpan client_span("fl.client_update", "fl");
         client_span.set_parent(phase_id);
@@ -516,12 +541,7 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
     const auto& rec = comm.round_log().back();
     metrics.broadcast_s = rec.broadcast_s;
     metrics.gather_s = rec.gather_s;
-    if (config.validate_every_round || round == config.rounds) {
-      APPFL_SPAN("fl.validate", "fl");
-      metrics.test_accuracy = server.validate(w);
-    } else {
-      metrics.test_accuracy = -1.0;
-    }
+    metrics.test_accuracy = validating ? server.accuracy(correct) : -1.0;
     if (comm.fault_plane_active()) {
       APPFL_LOG_DEBUG(to_string(config.algorithm)
                       << " round " << round << ": loss=" << metrics.train_loss
@@ -562,13 +582,15 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
     if (ckpts.halts_at(round)) break;
   }
 
-  // Final validation on the post-absorption global parameters.
+  // Final validation on the post-absorption global parameters, its tasks
+  // fanned out over the client pool.
   const std::vector<float> w_final =
       server.compute_global(static_cast<std::uint32_t>(config.rounds + 1));
-  {
-    APPFL_SPAN("fl.validate", "fl");
-    result.final_accuracy = server.validate(w_final);
-  }
+  std::vector<std::size_t> final_correct(server.validation_tasks());
+  pool.parallel_for(final_correct.size(), [&](std::size_t task) {
+    final_correct[task] = validation_task(server, w_final, task, 0);
+  });
+  result.final_accuracy = server.accuracy(final_correct);
   result.final_parameters = w_final;
   result.dp_epsilon_spent = accountant.max_spent();
   result.traffic = comm.stats();

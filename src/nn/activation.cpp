@@ -7,7 +7,7 @@
 namespace appfl::nn {
 
 Tensor ReLU::forward(const Tensor& input) {
-  cached_input_ = input;
+  keep_for_backward(cached_input_, input);
   Tensor out = input;
   for (auto& v : out.data()) v = v > 0.0F ? v : 0.0F;
   return out;
@@ -35,7 +35,7 @@ double ReLU::forward_flops(std::size_t batch) const {
 Tensor Tanh::forward(const Tensor& input) {
   Tensor out = input;
   for (auto& v : out.data()) v = std::tanh(v);
-  cached_output_ = out;
+  keep_for_backward(cached_output_, out);
   return out;
 }
 

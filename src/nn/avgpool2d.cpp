@@ -14,7 +14,7 @@ AvgPool2d::AvgPool2d(std::size_t kernel, std::size_t stride)
 Tensor AvgPool2d::forward(const Tensor& input) {
   APPFL_CHECK_MSG(input.rank() == 4, "AvgPool2d input must be NCHW, got "
                                          << tensor::to_string(input.shape()));
-  cached_input_shape_ = input.shape();
+  keep_for_backward(cached_input_shape_, input.shape());
   const std::size_t n = input.dim(0), c = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   APPFL_CHECK(h >= kernel_ && w >= kernel_);

@@ -36,7 +36,7 @@ Conv2d::Backend Conv2d::resolved_backend() const {
 Tensor Conv2d::forward(const Tensor& input) {
   last_h_ = input.dim(2);
   last_w_ = input.dim(3);
-  cached_input_ = input;
+  keep_for_backward(cached_input_, input);
   if (resolved_backend() == Backend::kGemm) {
     return tensor::conv2d_forward_gemm(input, weight_.value, bias_.value,
                                        spec_);

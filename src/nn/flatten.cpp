@@ -6,7 +6,7 @@ namespace appfl::nn {
 
 Tensor Flatten::forward(const Tensor& input) {
   APPFL_CHECK_MSG(input.rank() >= 1, "Flatten needs a batch axis");
-  cached_input_shape_ = input.shape();
+  keep_for_backward(cached_input_shape_, input.shape());
   const std::size_t n = input.dim(0);
   const std::size_t rest = n == 0 ? 0 : input.size() / n;
   return input.reshaped({n, rest});

@@ -26,7 +26,7 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, rng::Rng& rng)
 Tensor Linear::forward(const Tensor& input) {
   APPFL_CHECK_MSG(input.rank() == 2 && input.dim(1) == in_,
                   name() << " got input " << tensor::to_string(input.shape()));
-  cached_input_ = input;
+  keep_for_backward(cached_input_, input);
   Tensor out = tensor::matmul_bt(input, weight_.value);  // [N, out]
   auto od = out.data();
   const auto bd = bias_.value.data();

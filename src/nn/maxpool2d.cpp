@@ -13,7 +13,7 @@ Tensor MaxPool2d::forward(const Tensor& input) {
   cached_input_shape_ = input.shape();
   last_elems_ = input.size();
   auto result = tensor::maxpool2d_forward(input, spec_);
-  cached_argmax_ = std::move(result.argmax);
+  keep_for_backward(cached_argmax_, std::move(result.argmax));
   return std::move(result.output);
 }
 

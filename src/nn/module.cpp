@@ -5,6 +5,18 @@
 
 namespace appfl::nn {
 
+namespace {
+thread_local bool t_grad_enabled = true;
+}  // namespace
+
+bool grad_enabled() { return t_grad_enabled; }
+
+NoGradGuard::NoGradGuard() : previous_(t_grad_enabled) {
+  t_grad_enabled = false;
+}
+
+NoGradGuard::~NoGradGuard() { t_grad_enabled = previous_; }
+
 std::size_t Module::num_parameters() {
   std::size_t n = 0;
   for (Param* p : params()) n += p->value.size();

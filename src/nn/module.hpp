@@ -5,11 +5,14 @@
 // (flat_parameters / set_flat_parameters), exactly how APPFL moves PyTorch
 // state_dicts across the wire. forward() caches whatever backward() needs,
 // so the usage protocol is strictly: forward → backward → (read grads).
+// Under a NoGradGuard (the torch.no_grad() idiom) forward keeps no backward
+// caches, for passes that only read the output, such as validation.
 #pragma once
 
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -27,6 +30,38 @@ struct Param {
   explicit Param(std::string n, Tensor v)
       : name(std::move(n)), value(std::move(v)), grad(value.shape()) {}
 };
+
+/// True unless a NoGradGuard is live on the calling thread.
+bool grad_enabled();
+
+/// While one is live on a thread, the layers that cache activations for
+/// backward (Linear, Conv2d, ReLU, Tanh, MaxPool2d, AvgPool2d, Flatten)
+/// drop and skip those caches in forward() on that thread, so a following
+/// backward() fails as if forward had never run. Outputs are unchanged.
+/// Guards nest; each restores the state it found. Independent of
+/// set_training: Dropout and BatchNorm follow train/eval mode alone.
+class NoGradGuard {
+ public:
+  NoGradGuard();
+  ~NoGradGuard();
+
+  NoGradGuard(const NoGradGuard&) = delete;
+  NoGradGuard& operator=(const NoGradGuard&) = delete;
+
+ private:
+  bool previous_;
+};
+
+/// A forward pass's store of what backward needs: `cache = value`, or an
+/// empty `cache` (memory released) while a NoGradGuard is live.
+template <class T, class U>
+void keep_for_backward(T& cache, U&& value) {
+  if (grad_enabled()) {
+    cache = std::forward<U>(value);
+  } else {
+    cache = T();
+  }
+}
 
 class Module {
  public:

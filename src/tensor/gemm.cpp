@@ -29,15 +29,11 @@ namespace {
 // registers (12 accumulators + 2 B vectors + 1 broadcast + spare); KC keeps
 // an A panel (MC×KC) plus the active B panel slice in L2; NC bounds the
 // packed-B buffer to ~1 MiB of floats at KC=256.
-constexpr std::size_t kMr = 6;
+constexpr std::size_t kMr = kGemmRowTile;
 constexpr std::size_t kNr = 16;
 constexpr std::size_t kKc = 256;
 constexpr std::size_t kMc = 96;   // multiple of kMr
 constexpr std::size_t kNc = 1024;  // multiple of kNr
-
-// Below this many multiply-adds the pack/dispatch overhead beats any tiling
-// win; route straight to the reference loops (32³ ≈ a small MLP layer).
-constexpr std::size_t kTinyFlops = 32 * 32 * 32;
 
 std::mutex g_mutex;
 KernelConfig g_config;
@@ -532,7 +528,8 @@ void gemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
   const bool timed = obs::metrics_on();
   const double t0 = timed ? obs::Tracer::global().now() : 0.0;
   const KernelConfig config = kernel_config();
-  if (config.backend == KernelBackend::kReference || m * n * k < kTinyFlops) {
+  if (config.backend == KernelBackend::kReference ||
+      m * n * k < kGemmTinyFlops) {
     gemm_reference(ta, tb, m, n, k, a, lda, b, ldb, c);
   } else {
     gemm_tiled(ta, tb, m, n, k, a, lda, b, ldb, c);

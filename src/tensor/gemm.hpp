@@ -79,6 +79,18 @@ void set_kernel_config(const KernelConfig& config);
 /// threads 0 keeps the current setting. Throws on an unknown backend name.
 void apply_kernel_config(const std::string& backend, std::size_t threads);
 
+/// Rows of the tiled GEMM's register tile (its MR). Row panels start at
+/// multiples of it, so a product over a block of A's rows that starts at
+/// such a multiple computes every element of the block with the same
+/// micro-kernel over the same K blocks as the product over all rows, as
+/// long as both take the tiled path.
+inline constexpr std::size_t kGemmRowTile = 6;
+
+/// Products below this many multiply-adds (m·n·k) run the reference loops
+/// whatever the backend: packing and dispatch would cost more than tiling
+/// saves (32³ is about a small MLP layer).
+inline constexpr std::size_t kGemmTinyFlops = 32 * 32 * 32;
+
 /// Operand transposition for the raw driver. Storage is always row-major;
 /// kYes means the logical operand is the transpose of what is stored.
 enum class Trans { kNo, kYes };
@@ -103,7 +115,7 @@ void gemm_tiled(Trans ta, Trans tb, std::size_t m, std::size_t n,
 
 /// The process-wide kernel ThreadPool, (re)built lazily to the configured
 /// size (kernel_config().threads, 0 = hardware concurrency). Shared by the
-/// GEMM driver, the comm data path (chunked CRC32) and the deterministic
+/// GEMM driver, the conv forward's image groups and the deterministic
 /// aggregation reductions so the process never runs more than one set of
 /// compute workers. Callers must consult ThreadPool::on_worker_thread()
 /// first and fall back to serial execution when already inside a worker.

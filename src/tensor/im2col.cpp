@@ -1,26 +1,33 @@
 #include "tensor/im2col.hpp"
 
+#include <algorithm>
+#include <numeric>
+
 #include "tensor/gemm.hpp"
 #include "tensor/workspace.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace appfl::tensor {
 
-void im2col_into(const Tensor& input, const Conv2dSpec& spec, float* out) {
-  APPFL_CHECK_MSG(input.rank() == 4, "im2col input must be NCHW, got "
-                                         << to_string(input.shape()));
-  APPFL_CHECK(input.dim(1) == spec.in_channels);
-  const std::size_t n = input.dim(0), cin = input.dim(1);
+namespace {
+
+/// The patch rows of images [first, first + count) of `input` (checked by
+/// the caller), written from `out` on: row (i, oy, ox) is the receptive
+/// field of output position (oy, ox) of image first + i.
+void im2col_images(const Tensor& input, const Conv2dSpec& spec,
+                   std::size_t first, std::size_t count, float* out) {
+  const std::size_t cin = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   const std::size_t oh = spec.out_extent(h), ow = spec.out_extent(w);
   const std::size_t k = spec.kernel;
   const std::size_t patch = cin * k * k;
 
-  const float* X = input.raw();
+  const float* X = input.raw() + first * cin * h * w;
   const long pad = static_cast<long>(spec.padding);
   const long window = static_cast<long>(k);
 
-  for (std::size_t img = 0; img < n; ++img) {
+  for (std::size_t img = 0; img < count; ++img) {
     for (std::size_t oy = 0; oy < oh; ++oy) {
       const long iy0 = static_cast<long>(oy * spec.stride) - pad;
       const bool rows_inside = iy0 >= 0 && iy0 + window <= static_cast<long>(h);
@@ -59,6 +66,15 @@ void im2col_into(const Tensor& input, const Conv2dSpec& spec, float* out) {
       }
     }
   }
+}
+
+}  // namespace
+
+void im2col_into(const Tensor& input, const Conv2dSpec& spec, float* out) {
+  APPFL_CHECK_MSG(input.rank() == 4, "im2col input must be NCHW, got "
+                                         << to_string(input.shape()));
+  APPFL_CHECK(input.dim(1) == spec.in_channels);
+  im2col_images(input, spec, 0, input.dim(0), out);
 }
 
 Tensor im2col(const Tensor& input, const Conv2dSpec& spec) {
@@ -124,38 +140,75 @@ Tensor col2im(const Tensor& columns, const Shape& input_shape,
   return col2im_from(columns.raw(), input_shape, spec);
 }
 
+std::size_t conv2d_forward_group(const Conv2dSpec& spec, std::size_t h,
+                                 std::size_t w) {
+  const std::size_t plane = spec.out_extent(h) * spec.out_extent(w);
+  const std::size_t image_flops = plane * spec.out_channels *
+                                  spec.in_channels * spec.kernel * spec.kernel;
+  // The fewest images whose rows fill whole row tiles, times the fewest such
+  // steps whose product clears the tiny-product cut.
+  const std::size_t step = kGemmRowTile / std::gcd(plane, kGemmRowTile);
+  const std::size_t step_flops = std::max<std::size_t>(1, step * image_flops);
+  return step * ((kGemmTinyFlops + step_flops - 1) / step_flops);
+}
+
 Tensor conv2d_forward_gemm(const Tensor& input, const Tensor& weight,
                            const Tensor& bias, const Conv2dSpec& spec) {
+  APPFL_CHECK_MSG(input.rank() == 4, "im2col input must be NCHW, got "
+                                         << to_string(input.shape()));
+  APPFL_CHECK(input.dim(1) == spec.in_channels);
   const std::size_t n = input.dim(0);
   const std::size_t h = input.dim(2), w = input.dim(3);
-  const std::size_t oh = spec.out_extent(h), ow = spec.out_extent(w);
+  const std::size_t plane = spec.out_extent(h) * spec.out_extent(w);
   const std::size_t cout = spec.out_channels;
   const std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
-  const std::size_t rows = n * oh * ow;
   APPFL_CHECK(weight.dim(0) == cout);
   APPFL_CHECK(bias.rank() == 1 && bias.dim(0) == cout);
 
-  Workspace& ws = Workspace::tls();
-  float* columns = ws.floats(kWsIm2col, rows * patch);
-  im2col_into(input, spec, columns);
-
-  // out_mat[row, oc] = Σ_patch col[row, patch]·W[oc, patch]  (= col · Wᵀ).
-  float* out_mat = ws.floats(kWsGemmAux, rows * cout);
-  gemm(Trans::kNo, Trans::kYes, rows, cout, patch, columns, patch,
-       weight.raw(), patch, out_mat);
-
-  // Reorder [N·OH·OW, Cout] → [N, Cout, OH, OW], adding the bias.
-  Tensor out({n, cout, oh, ow});
+  // im2col + GEMM one group of images at a time, so a thread's patch matrix
+  // holds one group, not the batch. Every group but the last has `group`
+  // images and the last takes the remainder too: groups start at row-tile
+  // multiples and each clears the tiny-product cut whenever the whole batch
+  // does, so each output keeps the bits of one GEMM over the batch.
+  const std::size_t group = conv2d_forward_group(spec, h, w);
+  const std::size_t groups = std::max<std::size_t>(1, n / group);
+  Tensor out({n, cout, spec.out_extent(h), spec.out_extent(w)});
   const float* B = bias.raw();
-  float* Y = out.raw();
-  for (std::size_t img = 0; img < n; ++img) {
-    for (std::size_t pos = 0; pos < oh * ow; ++pos) {
-      const float* src = out_mat + (img * oh * ow + pos) * cout;
-      for (std::size_t oc = 0; oc < cout; ++oc) {
-        Y[(img * cout + oc) * oh * ow + pos] = src[oc] + B[oc];
+  const auto run_group = [&](std::size_t g) {
+    const std::size_t first = g * group;
+    const std::size_t count = g + 1 < groups ? group : n - first;
+    const std::size_t rows = count * plane;
+    Workspace& ws = Workspace::tls();
+    float* columns = ws.floats(kWsIm2col, rows * patch);
+    im2col_images(input, spec, first, count, columns);
+
+    // out_mat[row, oc] = Σ_patch col[row, patch]·W[oc, patch]  (= col · Wᵀ).
+    float* out_mat = ws.floats(kWsGemmAux, rows * cout);
+    gemm(Trans::kNo, Trans::kYes, rows, cout, patch, columns, patch,
+         weight.raw(), patch, out_mat);
+
+    // Reorder [count·OH·OW, Cout] → [count, Cout, OH, OW], adding the bias.
+    float* Y = out.raw() + first * cout * plane;
+    for (std::size_t img = 0; img < count; ++img) {
+      for (std::size_t pos = 0; pos < plane; ++pos) {
+        const float* src = out_mat + (img * plane + pos) * cout;
+        for (std::size_t oc = 0; oc < cout; ++oc) {
+          Y[(img * cout + oc) * plane + pos] = src[oc] + B[oc];
+        }
       }
     }
+  };
+  // Outside a pool worker the groups, not each group's GEMM rows, fan out
+  // over the kernel pool: one wake-up per call instead of one per group.
+  // Each group's GEMM then runs serially on its worker, with the same bits.
+  if (groups > 1 && !util::ThreadPool::on_worker_thread()) {
+    const std::shared_ptr<util::ThreadPool> pool = kernel_pool();
+    if (pool->size() > 1) {
+      pool->parallel_for(groups, run_group);
+      return out;
+    }
   }
+  for (std::size_t g = 0; g < groups; ++g) run_group(g);
   return out;
 }
 

@@ -6,9 +6,10 @@
 // matrix, and the GEMM output all live in the calling thread's workspace
 // arena (workspace.hpp), so repeated conv calls — every layer of every
 // local step — reuse one allocation per thread instead of heap-allocating
-// a fresh [N·OH·OW, Cin·K·K] matrix each time. Produces results equal to
-// the direct kernels in conv.hpp within float tolerance; equivalence is
-// pinned by tests, and micro_substrate compares their throughput.
+// a fresh [N·OH·OW, Cin·K·K] matrix each time; the forward lowers a few
+// images at a time. Produces results equal to the direct kernels in
+// conv.hpp within float tolerance; equivalence is pinned by tests, and
+// micro_substrate compares their throughput.
 #pragma once
 
 #include "tensor/conv.hpp"
@@ -34,9 +35,21 @@ Tensor col2im(const Tensor& columns, const Shape& input_shape,
 Tensor col2im_from(const float* columns, const Shape& input_shape,
                    const Conv2dSpec& spec);
 
-/// GEMM-path forward: identical contract to conv2d_forward.
+/// GEMM-path forward: identical contract to conv2d_forward. Runs im2col +
+/// GEMM over groups of conv2d_forward_group() images, so a thread's patch
+/// matrix holds one group (at most the last one, which also takes the
+/// batch's remainder), and every output has the bits of one GEMM over the
+/// whole batch. Outside a pool worker the groups fan out over the kernel
+/// pool; inside one they run in order on the calling thread.
 Tensor conv2d_forward_gemm(const Tensor& input, const Tensor& weight,
                            const Tensor& bias, const Conv2dSpec& spec);
+
+/// Images per group of conv2d_forward_gemm on H×W inputs: the fewest whose
+/// patch rows are a whole multiple of kGemmRowTile and whose GEMM clears
+/// kGemmTinyFlops. Row tiles then fall where they fall in one GEMM over the
+/// batch, and no group drops to the reference loops unless that GEMM would.
+std::size_t conv2d_forward_group(const Conv2dSpec& spec, std::size_t h,
+                                 std::size_t w);
 
 /// GEMM-path backward w.r.t. weight: identical contract to
 /// conv2d_backward_weight.

@@ -9,10 +9,18 @@ float* Workspace::floats(std::size_t slot, std::size_t count) {
                                                           << " out of range");
   auto& buf = slots_[slot];
   if (buf.size() < count) {
-    buf.resize(count);
+    // A fresh exact-size buffer: resize() would copy the dead contents and
+    // could round the capacity up to twice the old size.
+    std::vector<float>(count).swap(buf);
     ++allocations_;
   }
   return buf.data();
+}
+
+std::size_t Workspace::slot_floats(std::size_t slot) const {
+  APPFL_CHECK_MSG(slot < slots_.size(), "workspace slot " << slot
+                                                          << " out of range");
+  return slots_[slot].capacity();
 }
 
 std::size_t Workspace::bytes_reserved() const {

@@ -6,8 +6,9 @@
 // small-model profiles the federated experiments run at, so each thread
 // keeps a grow-only arena: a buffer is requested by slot id, kept alive for
 // the thread's lifetime, and reused by every subsequent kernel call that
-// asks for the same slot. Buffers only ever grow; release() returns the
-// memory (used by tests and by long-lived worker shutdown paths).
+// asks for the same slot. Buffers only ever grow, each to exactly the
+// largest request its slot has seen; release() returns the memory (used by
+// tests and by long-lived worker shutdown paths).
 //
 // Slots are coarse role ids, not per-callsite keys: two live buffers must
 // use different slots, and a kernel must finish with a slot before any
@@ -33,9 +34,14 @@ inline constexpr std::size_t kWorkspaceSlots = 4;
 class Workspace {
  public:
   /// Returns a buffer of at least `count` floats for `slot`, growing the
-  /// slot if needed. Contents are unspecified (previous uses of the slot
-  /// leak through); callers must fully overwrite what they read.
+  /// slot to exactly `count` if it is smaller. Contents are unspecified
+  /// (previous uses of the slot leak through, and a grow keeps none of
+  /// them); callers must fully overwrite what they read.
   float* floats(std::size_t slot, std::size_t count);
+
+  /// Floats currently held by `slot`: its largest request since
+  /// construction/release.
+  std::size_t slot_floats(std::size_t slot) const;
 
   /// Total bytes currently reserved across all slots.
   std::size_t bytes_reserved() const;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -414,6 +415,74 @@ TEST(CritPath, WritersEmitParseableArtifacts) {
   EXPECT_EQ(obs::critpath_csv_path("plain"), "plain.csv");
   std::filesystem::remove(jsonl);
   std::filesystem::remove(csv);
+}
+
+TEST(CritPath, ValidationTasksRunInsideTheLocalPhaseOfATracedRound) {
+  // Two clients with eight samples each and 2048 test samples in one
+  // validation batch: the validation task is the last span to end in every
+  // round's local phase.
+  appfl::data::SynthImageSpec spec;
+  spec.num_clients = 2;
+  spec.train_per_client = 8;
+  spec.test_size = 2048;
+  spec.seed = 13;
+  const auto split = appfl::data::mnist_like(spec);
+  appfl::core::RunConfig cfg;
+  cfg.algorithm = appfl::core::Algorithm::kFedAvg;
+  cfg.model = appfl::core::ModelKind::kLogistic;
+  cfg.rounds = 3;
+  cfg.local_steps = 1;
+  cfg.batch_size = 8;
+  cfg.validate_batch = 2048;
+  cfg.seed = 4;
+  cfg.obs_level = "trace";
+  const auto result = appfl::core::run_federated(cfg, split);
+  ASSERT_EQ(result.rounds.size(), 3u);
+  const auto records = obs::Tracer::global().collect();
+  ASSERT_FALSE(records.empty());
+
+  std::vector<std::uint64_t> ids;
+  for (const auto& r : records) ids.push_back(r.span_id);
+  std::sort(ids.begin(), ids.end());
+  std::vector<std::uint64_t> rounds, phases;
+  for (const auto& r : records) {
+    if (r.parent_id != 0) {
+      EXPECT_TRUE(std::binary_search(ids.begin(), ids.end(), r.parent_id))
+          << "dangling parent of " << r.name;
+    }
+    if (std::strcmp(r.name, "fl.round") == 0) rounds.push_back(r.span_id);
+    if (std::strcmp(r.name, "fl.local_update_phase") == 0) {
+      phases.push_back(r.span_id);
+    }
+  }
+  ASSERT_EQ(rounds.size(), 3u);
+  ASSERT_EQ(phases.size(), 3u);
+
+  // One fl.validate per round under that round's local phase, never a
+  // phase of its own; the final validation's task is a root.
+  std::size_t in_phase = 0, roots = 0;
+  for (const auto& r : records) {
+    if (std::strcmp(r.name, "fl.validate") != 0) continue;
+    EXPECT_EQ(std::count(rounds.begin(), rounds.end(), r.parent_id), 0);
+    if (std::count(phases.begin(), phases.end(), r.parent_id) == 1) {
+      ++in_phase;
+    } else {
+      EXPECT_EQ(r.parent_id, 0u);
+      ++roots;
+    }
+  }
+  EXPECT_EQ(in_phase, 3u);
+  EXPECT_EQ(roots, 1u);
+
+  // The validation task ended last, so the local phase's blocker is it,
+  // and the round stays attributed.
+  std::size_t validation_bound = 0;
+  for (const auto& p : obs::critical_paths(records)) {
+    EXPECT_GE(p.attributed_frac, 0.95) << "round " << p.round;
+    EXPECT_FALSE(p.bounded_by.empty()) << "round " << p.round;
+    if (p.bounded_by == "fl.validate") ++validation_bound;
+  }
+  EXPECT_GT(validation_bound, 0u);
 }
 
 // -------------------------------------------------------- health ledger ----

@@ -323,6 +323,127 @@ TEST(Conv2dLayer, AutoBackendFollowsEngineConfig) {
   EXPECT_EQ(direct.resolved_backend(), appfl::nn::Conv2d::Backend::kDirect);
 }
 
+// The grouped forward against one im2col + GEMM over the whole batch: every
+// output bit must match, since the GEMM's bits depend on where its row tiles
+// fall and on whether a product is tiny enough for the reference loops.
+struct GroupLayer {
+  const char* name;
+  Conv2dSpec spec;
+  std::size_t h, w;
+};
+
+Tensor one_shot_forward(const Tensor& x, const Tensor& weight,
+                        const Tensor& bias, const Conv2dSpec& spec) {
+  const std::size_t n = x.dim(0);
+  const std::size_t oh = spec.out_extent(x.dim(2));
+  const std::size_t ow = spec.out_extent(x.dim(3));
+  const std::size_t plane = oh * ow, cout = spec.out_channels;
+  const Tensor cols = appfl::tensor::im2col(x, spec);
+  std::vector<float> mat(n * plane * cout);
+  appfl::tensor::gemm(appfl::tensor::Trans::kNo, appfl::tensor::Trans::kYes,
+                      n * plane, cout, cols.dim(1), cols.raw(), cols.dim(1),
+                      weight.raw(), cols.dim(1), mat.data());
+  Tensor out({n, cout, oh, ow});
+  for (std::size_t img = 0; img < n; ++img) {
+    for (std::size_t pos = 0; pos < plane; ++pos) {
+      for (std::size_t oc = 0; oc < cout; ++oc) {
+        out.raw()[(img * cout + oc) * plane + pos] =
+            mat[(img * plane + pos) * cout + oc] + bias.raw()[oc];
+      }
+    }
+  }
+  return out;
+}
+
+const GroupLayer kGroupLayers[] = {
+    // The paper CNN's two convolutions on 28×28 inputs.
+    {"paper_conv1", {1, 8, 3, 1, 1}, 28, 28},
+    {"paper_conv2", {8, 16, 3, 1, 1}, 28, 28},
+    // Small images: the group sits just above the tiny-product cut. With 8
+    // outputs every tile is a ragged one; with 16 the tiles are full, so a
+    // tiny group's reference loops would round differently.
+    {"small8", {1, 8, 3, 1, 0}, 8, 8},
+    {"small16", {1, 16, 3, 1, 0}, 8, 8},
+};
+
+TEST(ConvGroups, GroupSizeFillsRowTilesAndClearsTheTinyCut) {
+  for (const GroupLayer& l : kGroupLayers) {
+    const std::size_t g = appfl::tensor::conv2d_forward_group(l.spec, l.h, l.w);
+    const std::size_t plane = l.spec.out_extent(l.h) * l.spec.out_extent(l.w);
+    const std::size_t image_flops = plane * l.spec.out_channels *
+                                    l.spec.in_channels * l.spec.kernel *
+                                    l.spec.kernel;
+    EXPECT_EQ(g * plane % appfl::tensor::kGemmRowTile, 0U) << l.name;
+    EXPECT_GE(g * image_flops, appfl::tensor::kGemmTinyFlops) << l.name;
+    // The fewest such images.
+    for (std::size_t fewer = 1; fewer < g; ++fewer) {
+      EXPECT_TRUE(fewer * plane % appfl::tensor::kGemmRowTile != 0 ||
+                  fewer * image_flops < appfl::tensor::kGemmTinyFlops)
+          << l.name << " fewer=" << fewer;
+    }
+  }
+  // small8 has 36 rows and 2592 multiply-adds per image: 13 images (33696)
+  // sit just above the cut.
+  EXPECT_EQ(appfl::tensor::conv2d_forward_group(kGroupLayers[2].spec, 8, 8),
+            13U);
+}
+
+TEST(ConvGroups, GroupedForwardIsBitIdenticalToOneShotGemm) {
+  for (const std::size_t threads : {1UL, 4UL}) {
+    appfl::testutil::ScopedKernelConfig guard(
+        appfl::tensor::KernelBackend::kTiled, threads);
+    for (const GroupLayer& l : kGroupLayers) {
+      const Conv2dSpec& spec = l.spec;
+      const std::size_t g = appfl::tensor::conv2d_forward_group(spec, l.h, l.w);
+      appfl::rng::Rng r(spec.in_channels * 131 + spec.out_channels);
+      const Tensor w = Tensor::randn(
+          {spec.out_channels, spec.in_channels, spec.kernel, spec.kernel}, r);
+      const Tensor b = Tensor::randn({spec.out_channels}, r);
+      for (const std::size_t n : {std::size_t{1}, g - 1, g, g + 1, 2 * g - 1,
+                                  2 * g, std::size_t{255}, std::size_t{256},
+                                  std::size_t{257}}) {
+        if (n == 0) continue;
+        const Tensor x = Tensor::randn({n, spec.in_channels, l.h, l.w}, r);
+        const Tensor grouped =
+            appfl::tensor::conv2d_forward_gemm(x, w, b, spec);
+        const Tensor oracle = one_shot_forward(x, w, b, spec);
+        ASSERT_EQ(grouped.shape(), oracle.shape());
+        EXPECT_EQ(std::memcmp(grouped.raw(), oracle.raw(),
+                              oracle.size() * sizeof(float)),
+                  0)
+            << l.name << " n=" << n << " group=" << g
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(ConvGroups, PatchMatrixHoldsOnlyTheLastGroup) {
+  appfl::testutil::ScopedKernelConfig guard(
+      appfl::tensor::KernelBackend::kTiled, 1);
+  for (const GroupLayer& l : kGroupLayers) {
+    const Conv2dSpec& spec = l.spec;
+    const std::size_t n = 256;
+    const std::size_t g = appfl::tensor::conv2d_forward_group(spec, l.h, l.w);
+    const std::size_t last = g + n % g;  // the remainder rides the last group
+    const std::size_t plane = spec.out_extent(l.h) * spec.out_extent(l.w);
+    const std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
+    appfl::rng::Rng r(3);
+    const Tensor x = Tensor::randn({n, spec.in_channels, l.h, l.w}, r);
+    const Tensor w = Tensor::randn(
+        {spec.out_channels, spec.in_channels, spec.kernel, spec.kernel}, r);
+    const Tensor b = Tensor::randn({spec.out_channels}, r);
+    appfl::tensor::Workspace& ws = appfl::tensor::Workspace::tls();
+    ws.release();
+    appfl::tensor::conv2d_forward_gemm(x, w, b, spec);
+    EXPECT_LE(ws.slot_floats(appfl::tensor::kWsIm2col), last * plane * patch)
+        << l.name;
+    EXPECT_LT(ws.slot_floats(appfl::tensor::kWsIm2col), n * plane * patch)
+        << l.name;
+    ws.release();
+  }
+}
+
 TEST(Im2col, IntoMatchesAllocatingFlavor) {
   Conv2dSpec spec{2, 1, 3, 2, 1};
   appfl::rng::Rng r(6);

@@ -7,6 +7,7 @@
 
 #include "core/runner.hpp"
 #include "data/synth.hpp"
+#include "tensor/ops.hpp"
 
 namespace {
 
@@ -176,6 +177,119 @@ TEST(Runner, TrafficScalesWithModelAndClientsAndRounds) {
   const auto r2 = appfl::core::run_federated(cfg, split);
   EXPECT_NEAR(static_cast<double>(r2.traffic.bytes_up) / r1.traffic.bytes_up,
               2.0, 0.01);
+}
+
+// ---------------------------------------------------- validation oracle ----
+
+/// Forwards every call to the algorithm's own server and records each w it
+/// hands out; validation runs on this object's model and test set.
+class RecordingServer : public appfl::core::BaseServer {
+ public:
+  RecordingServer(const RunConfig& config,
+                  std::unique_ptr<appfl::nn::Module> model,
+                  appfl::data::TensorDataset test, std::size_t num_clients,
+                  std::unique_ptr<appfl::core::BaseServer> inner)
+      : BaseServer(config, std::move(model), std::move(test), num_clients),
+        inner_(std::move(inner)) {}
+
+  std::vector<float> compute_global(std::uint32_t round) override {
+    ws.push_back(inner_->compute_global(round));
+    return ws.back();
+  }
+  void update(const std::vector<appfl::comm::Message>& locals,
+              std::span<const float> global, std::uint32_t round) override {
+    inner_->update(locals, global, round);
+  }
+  bool absorb(const appfl::comm::GatherBatch& batch,
+              std::span<const float> global, std::uint32_t round) override {
+    return inner_->absorb(batch, global, round);
+  }
+  float current_rho() const override { return inner_->current_rho(); }
+
+  std::vector<std::vector<float>> ws;
+
+ private:
+  std::unique_ptr<appfl::core::BaseServer> inner_;
+};
+
+/// The serial validation loop: one fresh clone, in training mode, forwarded
+/// over validate_batch batches in test-set order.
+double serial_accuracy(const appfl::nn::Module& prototype,
+                       std::span<const float> w,
+                       const appfl::data::TensorDataset& test,
+                       std::size_t batch) {
+  auto model = prototype.clone();
+  model->set_flat_parameters(w);
+  const std::size_t n = test.size();
+  std::size_t correct = 0;
+  for (std::size_t start = 0; start < n; start += batch) {
+    const std::size_t count = std::min(batch, n - start);
+    std::vector<std::size_t> idx(count);
+    for (std::size_t i = 0; i < count; ++i) idx[i] = start + i;
+    const appfl::data::Batch b = test.gather(idx);
+    const auto preds = appfl::tensor::argmax_rows(model->forward(b.inputs));
+    for (std::size_t i = 0; i < count; ++i) {
+      if (preds[i] == b.labels[i]) ++correct;
+    }
+  }
+  return n == 0 ? 0.0 : static_cast<double>(correct) / static_cast<double>(n);
+}
+
+TEST(RunnerValidation, MatchesTheSerialLoopOnEveryRoundAndTheFinalModel) {
+  bool every_round = true;  // alternates over the cases
+  for (const std::size_t test_size : {1UL, 100UL, 1000UL}) {
+    // 1×8×8 images of 4 classes: the paper CNN's conv path at a test's cost.
+    appfl::data::FederatedSplit split;
+    for (std::uint64_t p = 0; p < 3; ++p) {
+      split.clients.push_back(
+          appfl::data::generate_samples(1, 8, 8, 4, 12, 0.9, 41 + p));
+    }
+    split.test = appfl::data::generate_samples(1, 8, 8, 4, test_size, 0.9, 40);
+    for (const std::size_t batch : {1UL, 7UL, 256UL}) {
+      every_round = !every_round;
+      SCOPED_TRACE("test_size=" + std::to_string(test_size) + " batch=" +
+                   std::to_string(batch) +
+                   " every_round=" + std::to_string(every_round));
+      RunConfig cfg = quick_config();
+      cfg.model = ModelKind::kPaperCnn;
+      cfg.rounds = 2;
+      cfg.validate_batch = batch;
+      cfg.validate_every_round = every_round;
+      auto model = appfl::core::build_model(cfg, split.test);
+      const auto prototype = model->clone();
+      std::vector<std::unique_ptr<appfl::core::BaseClient>> clients;
+      for (std::size_t p = 0; p < split.clients.size(); ++p) {
+        clients.push_back(appfl::core::build_client(
+            static_cast<std::uint32_t>(p + 1), cfg, *model,
+            split.clients[p]));
+      }
+      auto validation_model = model->clone();
+      RecordingServer server(
+          cfg, std::move(validation_model), split.test, clients.size(),
+          appfl::core::build_server(cfg, std::move(model),
+                                    appfl::data::TensorDataset(),
+                                    clients.size()));
+      const auto result = appfl::core::run_federated(cfg, server, clients);
+
+      ASSERT_EQ(result.rounds.size(), cfg.rounds);
+      ASSERT_EQ(server.ws.size(), cfg.rounds + 1);
+      EXPECT_EQ(server.validation_tasks(), (test_size + batch - 1) / batch);
+      for (std::size_t r = 0; r < cfg.rounds; ++r) {
+        if (every_round || r + 1 == cfg.rounds) {
+          EXPECT_EQ(result.rounds[r].test_accuracy,
+                    serial_accuracy(*prototype, server.ws[r], split.test,
+                                    batch))
+              << "round " << r + 1;
+        } else {
+          EXPECT_EQ(result.rounds[r].test_accuracy, -1.0);
+        }
+      }
+      EXPECT_EQ(result.final_accuracy,
+                serial_accuracy(*prototype, server.ws.back(), split.test,
+                                batch));
+      EXPECT_EQ(server.validate(server.ws.back()), result.final_accuracy);
+    }
+  }
 }
 
 }  // namespace
