@@ -169,6 +169,10 @@ class BaseServer {
   /// accuracy (0 for an empty test set). A task only reads `w`, the test
   /// set and the model, so tasks may run on any thread, beside each other
   /// and beside client updates, while nothing writes the server's model.
+  /// Each clone restarts a training-mode Dropout layer's masks from the
+  /// layer's seed, so every validation of every round draws the same
+  /// masks; and since the server's model itself never runs, its BatchNorm
+  /// running estimates do not move.
   std::size_t validation_tasks() const;
   std::size_t count_correct(std::span<const float> w, std::size_t task) const;
   double accuracy(std::span<const std::size_t> correct) const;

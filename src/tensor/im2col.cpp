@@ -165,20 +165,25 @@ Tensor conv2d_forward_gemm(const Tensor& input, const Tensor& weight,
   APPFL_CHECK(weight.dim(0) == cout);
   APPFL_CHECK(bias.rank() == 1 && bias.dim(0) == cout);
 
-  // im2col + GEMM one group of images at a time, so a thread's patch matrix
-  // holds one group, not the batch. Every group but the last has `group`
-  // images and the last takes the remainder too: groups start at row-tile
-  // multiples and each clears the tiny-product cut whenever the whole batch
-  // does, so each output keeps the bits of one GEMM over the batch.
-  const std::size_t group = conv2d_forward_group(spec, h, w);
+  // On a pool worker (a client update or a validation task), im2col + GEMM
+  // one group of images at a time, so the worker's patch matrix holds one
+  // group, not the batch. Every group but the last has `group` images and
+  // the last takes the remainder too: groups start at row-tile multiples
+  // and each clears the tiny-product cut whenever the whole batch does, so
+  // each output keeps the bits of one GEMM over the batch. Elsewhere the
+  // batch is one group, whose GEMM fans its row blocks out over the kernel
+  // pool.
+  const std::size_t group = util::ThreadPool::on_worker_thread()
+                                ? conv2d_forward_group(spec, h, w)
+                                : std::max<std::size_t>(1, n);
   const std::size_t groups = std::max<std::size_t>(1, n / group);
   Tensor out({n, cout, spec.out_extent(h), spec.out_extent(w)});
   const float* B = bias.raw();
-  const auto run_group = [&](std::size_t g) {
+  Workspace& ws = Workspace::tls();
+  for (std::size_t g = 0; g < groups; ++g) {
     const std::size_t first = g * group;
     const std::size_t count = g + 1 < groups ? group : n - first;
     const std::size_t rows = count * plane;
-    Workspace& ws = Workspace::tls();
     float* columns = ws.floats(kWsIm2col, rows * patch);
     im2col_images(input, spec, first, count, columns);
 
@@ -197,18 +202,7 @@ Tensor conv2d_forward_gemm(const Tensor& input, const Tensor& weight,
         }
       }
     }
-  };
-  // Outside a pool worker the groups, not each group's GEMM rows, fan out
-  // over the kernel pool: one wake-up per call instead of one per group.
-  // Each group's GEMM then runs serially on its worker, with the same bits.
-  if (groups > 1 && !util::ThreadPool::on_worker_thread()) {
-    const std::shared_ptr<util::ThreadPool> pool = kernel_pool();
-    if (pool->size() > 1) {
-      pool->parallel_for(groups, run_group);
-      return out;
-    }
   }
-  for (std::size_t g = 0; g < groups; ++g) run_group(g);
   return out;
 }
 

@@ -35,12 +35,12 @@ Tensor col2im(const Tensor& columns, const Shape& input_shape,
 Tensor col2im_from(const float* columns, const Shape& input_shape,
                    const Conv2dSpec& spec);
 
-/// GEMM-path forward: identical contract to conv2d_forward. Runs im2col +
-/// GEMM over groups of conv2d_forward_group() images, so a thread's patch
-/// matrix holds one group (at most the last one, which also takes the
-/// batch's remainder), and every output has the bits of one GEMM over the
-/// whole batch. Outside a pool worker the groups fan out over the kernel
-/// pool; inside one they run in order on the calling thread.
+/// GEMM-path forward: identical contract to conv2d_forward. On a pool
+/// worker it runs im2col + GEMM over groups of conv2d_forward_group()
+/// images, so the worker's patch matrix holds one group (at most the last
+/// one, which also takes the batch's remainder); elsewhere it runs one
+/// im2col + GEMM over the batch, whose row blocks fan out over the kernel
+/// pool. Every output has the bits of one GEMM over the whole batch.
 Tensor conv2d_forward_gemm(const Tensor& input, const Tensor& weight,
                            const Tensor& bias, const Conv2dSpec& spec);
 

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "scoped_kernel_config.hpp"
@@ -16,6 +18,7 @@
 #include "tensor/workspace.hpp"
 #include "nn/conv2d.hpp"
 #include "tensor/im2col.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -388,6 +391,13 @@ TEST(ConvGroups, GroupSizeFillsRowTilesAndClearsTheTinyCut) {
             13U);
 }
 
+/// Runs fn() on the worker of a one-thread pool: the conv forward groups
+/// its images only on a pool worker.
+void on_pool_worker(const std::function<void()>& fn) {
+  appfl::util::ThreadPool pool(1);
+  pool.submit(fn).get();
+}
+
 TEST(ConvGroups, GroupedForwardIsBitIdenticalToOneShotGemm) {
   for (const std::size_t threads : {1UL, 4UL}) {
     appfl::testutil::ScopedKernelConfig guard(
@@ -404,15 +414,22 @@ TEST(ConvGroups, GroupedForwardIsBitIdenticalToOneShotGemm) {
                                   std::size_t{257}}) {
         if (n == 0) continue;
         const Tensor x = Tensor::randn({n, spec.in_channels, l.h, l.w}, r);
-        const Tensor grouped =
-            appfl::tensor::conv2d_forward_gemm(x, w, b, spec);
         const Tensor oracle = one_shot_forward(x, w, b, spec);
-        ASSERT_EQ(grouped.shape(), oracle.shape());
-        EXPECT_EQ(std::memcmp(grouped.raw(), oracle.raw(),
-                              oracle.size() * sizeof(float)),
-                  0)
-            << l.name << " n=" << n << " group=" << g
-            << " threads=" << threads;
+        Tensor grouped;
+        on_pool_worker([&] {
+          grouped = appfl::tensor::conv2d_forward_gemm(x, w, b, spec);
+        });
+        const Tensor whole = appfl::tensor::conv2d_forward_gemm(x, w, b, spec);
+        for (const auto& [got, where] :
+             {std::pair<const Tensor*, const char*>{&grouped, "on a worker"},
+              {&whole, "off the pool"}}) {
+          ASSERT_EQ(got->shape(), oracle.shape());
+          EXPECT_EQ(std::memcmp(got->raw(), oracle.raw(),
+                                oracle.size() * sizeof(float)),
+                    0)
+              << l.name << " n=" << n << " group=" << g
+              << " threads=" << threads << " " << where;
+        }
       }
     }
   }
@@ -433,12 +450,21 @@ TEST(ConvGroups, PatchMatrixHoldsOnlyTheLastGroup) {
     const Tensor w = Tensor::randn(
         {spec.out_channels, spec.in_channels, spec.kernel, spec.kernel}, r);
     const Tensor b = Tensor::randn({spec.out_channels}, r);
+    std::size_t worker_slot = 0;
+    on_pool_worker([&] {
+      appfl::tensor::Workspace& ws = appfl::tensor::Workspace::tls();
+      ws.release();
+      appfl::tensor::conv2d_forward_gemm(x, w, b, spec);
+      worker_slot = ws.slot_floats(appfl::tensor::kWsIm2col);
+    });
+    EXPECT_LE(worker_slot, last * plane * patch) << l.name;
+    EXPECT_LT(worker_slot, n * plane * patch) << l.name;
+
+    // Off the pool the batch is one group.
     appfl::tensor::Workspace& ws = appfl::tensor::Workspace::tls();
     ws.release();
     appfl::tensor::conv2d_forward_gemm(x, w, b, spec);
-    EXPECT_LE(ws.slot_floats(appfl::tensor::kWsIm2col), last * plane * patch)
-        << l.name;
-    EXPECT_LT(ws.slot_floats(appfl::tensor::kWsIm2col), n * plane * patch)
+    EXPECT_EQ(ws.slot_floats(appfl::tensor::kWsIm2col), n * plane * patch)
         << l.name;
     ws.release();
   }

@@ -237,57 +237,64 @@ double serial_accuracy(const appfl::nn::Module& prototype,
 
 TEST(RunnerValidation, MatchesTheSerialLoopOnEveryRoundAndTheFinalModel) {
   bool every_round = true;  // alternates over the cases
-  for (const std::size_t test_size : {1UL, 100UL, 1000UL}) {
-    // 1×8×8 images of 4 classes: the paper CNN's conv path at a test's cost.
-    appfl::data::FederatedSplit split;
-    for (std::uint64_t p = 0; p < 3; ++p) {
-      split.clients.push_back(
-          appfl::data::generate_samples(1, 8, 8, 4, 12, 0.9, 41 + p));
-    }
-    split.test = appfl::data::generate_samples(1, 8, 8, 4, test_size, 0.9, 40);
-    for (const std::size_t batch : {1UL, 7UL, 256UL}) {
-      every_round = !every_round;
-      SCOPED_TRACE("test_size=" + std::to_string(test_size) + " batch=" +
-                   std::to_string(batch) +
-                   " every_round=" + std::to_string(every_round));
-      RunConfig cfg = quick_config();
-      cfg.model = ModelKind::kPaperCnn;
-      cfg.rounds = 2;
-      cfg.validate_batch = batch;
-      cfg.validate_every_round = every_round;
-      auto model = appfl::core::build_model(cfg, split.test);
-      const auto prototype = model->clone();
-      std::vector<std::unique_ptr<appfl::core::BaseClient>> clients;
-      for (std::size_t p = 0; p < split.clients.size(); ++p) {
-        clients.push_back(appfl::core::build_client(
-            static_cast<std::uint32_t>(p + 1), cfg, *model,
-            split.clients[p]));
+  // One client or three: the participants share the pool dispatch with the
+  // validation tasks either way.
+  for (const std::size_t num_clients : {1UL, 3UL}) {
+    for (const std::size_t test_size : {1UL, 100UL, 1000UL}) {
+      // 1×8×8 images of 4 classes: the paper CNN's conv path at a test's
+      // cost.
+      appfl::data::FederatedSplit split;
+      for (std::uint64_t p = 0; p < num_clients; ++p) {
+        split.clients.push_back(
+            appfl::data::generate_samples(1, 8, 8, 4, 12, 0.9, 41 + p));
       }
-      auto validation_model = model->clone();
-      RecordingServer server(
-          cfg, std::move(validation_model), split.test, clients.size(),
-          appfl::core::build_server(cfg, std::move(model),
-                                    appfl::data::TensorDataset(),
-                                    clients.size()));
-      const auto result = appfl::core::run_federated(cfg, server, clients);
-
-      ASSERT_EQ(result.rounds.size(), cfg.rounds);
-      ASSERT_EQ(server.ws.size(), cfg.rounds + 1);
-      EXPECT_EQ(server.validation_tasks(), (test_size + batch - 1) / batch);
-      for (std::size_t r = 0; r < cfg.rounds; ++r) {
-        if (every_round || r + 1 == cfg.rounds) {
-          EXPECT_EQ(result.rounds[r].test_accuracy,
-                    serial_accuracy(*prototype, server.ws[r], split.test,
-                                    batch))
-              << "round " << r + 1;
-        } else {
-          EXPECT_EQ(result.rounds[r].test_accuracy, -1.0);
+      split.test =
+          appfl::data::generate_samples(1, 8, 8, 4, test_size, 0.9, 40);
+      for (const std::size_t batch : {1UL, 7UL, 256UL}) {
+        every_round = !every_round;
+        SCOPED_TRACE("clients=" + std::to_string(num_clients) +
+                     " test_size=" + std::to_string(test_size) + " batch=" +
+                     std::to_string(batch) +
+                     " every_round=" + std::to_string(every_round));
+        RunConfig cfg = quick_config();
+        cfg.model = ModelKind::kPaperCnn;
+        cfg.rounds = 2;
+        cfg.validate_batch = batch;
+        cfg.validate_every_round = every_round;
+        auto model = appfl::core::build_model(cfg, split.test);
+        const auto prototype = model->clone();
+        std::vector<std::unique_ptr<appfl::core::BaseClient>> clients;
+        for (std::size_t p = 0; p < split.clients.size(); ++p) {
+          clients.push_back(appfl::core::build_client(
+              static_cast<std::uint32_t>(p + 1), cfg, *model,
+              split.clients[p]));
         }
+        auto validation_model = model->clone();
+        RecordingServer server(
+            cfg, std::move(validation_model), split.test, clients.size(),
+            appfl::core::build_server(cfg, std::move(model),
+                                      appfl::data::TensorDataset(),
+                                      clients.size()));
+        const auto result = appfl::core::run_federated(cfg, server, clients);
+
+        ASSERT_EQ(result.rounds.size(), cfg.rounds);
+        ASSERT_EQ(server.ws.size(), cfg.rounds + 1);
+        EXPECT_EQ(server.validation_tasks(), (test_size + batch - 1) / batch);
+        for (std::size_t r = 0; r < cfg.rounds; ++r) {
+          if (every_round || r + 1 == cfg.rounds) {
+            EXPECT_EQ(result.rounds[r].test_accuracy,
+                      serial_accuracy(*prototype, server.ws[r], split.test,
+                                      batch))
+                << "round " << r + 1;
+          } else {
+            EXPECT_EQ(result.rounds[r].test_accuracy, -1.0);
+          }
+        }
+        EXPECT_EQ(result.final_accuracy,
+                  serial_accuracy(*prototype, server.ws.back(), split.test,
+                                  batch));
+        EXPECT_EQ(server.validate(server.ws.back()), result.final_accuracy);
       }
-      EXPECT_EQ(result.final_accuracy,
-                serial_accuracy(*prototype, server.ws.back(), split.test,
-                                batch));
-      EXPECT_EQ(server.validate(server.ws.back()), result.final_accuracy);
     }
   }
 }
