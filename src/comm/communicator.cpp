@@ -381,11 +381,7 @@ std::optional<Message> Communicator::try_recv_global(std::uint32_t client,
   const double now = clock_.now();
   while (auto d = network_.try_recv_ready(client, now)) {
     if (d->from != 0) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.discards;
-      }
-      if (obs::metrics_on()) instruments().discards.inc();
+      count_discard();
       pool_.release(std::move(d->bytes));
       continue;
     }
@@ -399,11 +395,7 @@ std::optional<Message> Communicator::try_recv_global(std::uint32_t client,
     }
     if (v) {
       // A broadcast from an earlier round that was delayed past its window.
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.discards;
-      }
-      if (obs::metrics_on()) instruments().discards.inc();
+      count_discard();
     }  // else: counted by decode_frame_view
     pool_.release(std::move(d->bytes));
   }
@@ -450,11 +442,7 @@ GatherBatch Communicator::gather_batch(std::uint32_t round,
     } else if (v->kind != MessageKind::kLocalUpdate || v->sender < 1 ||
                v->sender > num_clients_ || v->round != round ||
                seen[v->sender]) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.discards;
-      }
-      if (obs::metrics_on()) instruments().discards.inc();
+      count_discard();
     } else {
       GatherUpdate u;
       u.sender = v->sender;
@@ -508,67 +496,8 @@ GatherBatch Communicator::gather_batch(std::uint32_t round,
   auto& out = batch.updates_;
 
   const double start = clock_.now();
-  double waited_s = 0.0;  // extra sim-time spent waiting on late deliveries
-  if (!network_.faults_enabled()) {
-    // Fault-free path: block until every expected update has arrived —
-    // identical timing and byte accounting to the pre-fault communicator.
-    // Discards are still tolerated (a caller may legitimately double-send),
-    // but once one has consumed a datagram and the mailbox runs dry the
-    // missing update can never be replaced: fail loudly instead of letting
-    // the blocking recv turn a caller bug into a silent deadlock.
-    std::size_t discarded = 0;
-    while (out.size() < expected) {
-      std::optional<Datagram> d = network_.try_recv(0);
-      if (!d) {
-        if (discarded > 0) {
-          // Unfillable gather: a flight-recorder trigger — dump the black
-          // box before the error unwinds (or takes the process down).
-          obs::flight_record(
-              "gather.unfillable",
-              "{\"round\":" + std::to_string(round) +
-                  ",\"discarded\":" + std::to_string(discarded) +
-                  ",\"received\":" + std::to_string(out.size()) +
-                  ",\"expected\":" + std::to_string(expected) + "}");
-          obs::FlightRecorder::global().dump("unfillable-gather");
-        }
-        APPFL_CHECK_MSG(discarded == 0,
-                        "gather(round " << round << ") would block forever: "
-                            << discarded << " message(s) were discarded "
-                            << "(stale round, duplicate sender, or bad kind) "
-                            << "and only " << out.size() << " of " << expected
-                            << " expected updates arrived");
-        d = network_.recv(0);
-      }
-      if (!consider(*d)) ++discarded;
-    }
-  } else {
-    // Deadline drain: consume everything deliverable "now", fast-forward to
-    // the next scheduled delivery while it is within the deadline, and give
-    // up on whoever is left once nothing more can arrive in time.
-    const double deadline = start + reliability_.gather_timeout_s;
-    double vt = start;
-    while (out.size() < expected) {
-      if (auto d = network_.try_recv_ready(0, vt)) {
-        consider(*d);
-        continue;
-      }
-      const double next = network_.next_deliver_at(0);
-      if (next >= 0.0 && next <= deadline) {
-        vt = std::max(vt, next);
-        continue;
-      }
-      break;  // nothing else can make the deadline
-    }
-    if (out.size() < expected) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.gather_timeouts;
-      }
-      if (obs::metrics_on()) instruments().gather_timeouts.inc();
-      vt = deadline;  // the server waited the round out
-    }
-    waited_s = vt - start;
-  }
+  // Extra sim-time spent waiting on late deliveries.
+  const double waited_s = drain_uplinks(round, expected, consider);
   std::sort(out.begin(), out.end(),
             [](const GatherUpdate& a, const GatherUpdate& b) {
               return a.sender < b.sender;
@@ -650,89 +579,107 @@ std::vector<Message> Communicator::gather_secagg_shares(std::uint32_t round,
   // (e.g. a previous round's delayed update drifting in).
   const auto consider = [&](Datagram& d) {
     std::optional<MessageView> v = decode_frame_view(d.bytes);
+    bool accepted = false;
     if (!v) {
       // counted by decode_frame_view
     } else if (v->kind != MessageKind::kSecAggShares || v->sender < 1 ||
                v->sender > num_clients_ || v->round != round ||
                seen[v->sender]) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.discards;
-      }
-      if (obs::metrics_on()) instruments().discards.inc();
+      count_discard();
     } else {
-      Message m;
-      m.kind = MessageKind::kSecAggShares;
-      m.sender = v->sender;
-      m.receiver = v->receiver;
-      m.round = v->round;
-      m.sample_count = v->sample_count;
-      v->primal.copy_into(m.primal);
-      seen[m.sender] = true;
-      out.push_back(std::move(m));
+      seen[v->sender] = true;
+      out.push_back(v->detach());
+      accepted = true;
     }
     pool_.release(std::move(d.bytes));
+    return accepted;
   };
 
   const double start = clock_.now();
-  if (!network_.faults_enabled()) {
-    // Fault-free path: every packet arrives; the deadlock guard mirrors
-    // gather_batch.
-    std::size_t discarded = 0;
-    while (out.size() < expected) {
-      std::optional<Datagram> d = network_.try_recv(0);
-      if (!d) {
-        if (discarded > 0) {
-          obs::flight_record(
-              "gather.unfillable",
-              "{\"round\":" + std::to_string(round) +
-                  ",\"discarded\":" + std::to_string(discarded) +
-                  ",\"received\":" + std::to_string(out.size()) +
-                  ",\"expected\":" + std::to_string(expected) + "}");
-          obs::FlightRecorder::global().dump("unfillable-gather");
-        }
-        APPFL_CHECK_MSG(discarded == 0,
-                        "share gather(round " << round
-                            << ") would block forever: " << discarded
-                            << " message(s) were discarded and only "
-                            << out.size() << " of " << expected
-                            << " expected packets arrived");
-        d = network_.recv(0);
-      }
-      const std::size_t before = out.size();
-      consider(*d);
-      if (out.size() == before) ++discarded;
-    }
-  } else {
-    const double deadline = start + reliability_.gather_timeout_s;
-    double vt = start;
-    while (out.size() < expected) {
-      if (auto d = network_.try_recv_ready(0, vt)) {
-        consider(*d);
-        continue;
-      }
-      const double next = network_.next_deliver_at(0);
-      if (next >= 0.0 && next <= deadline) {
-        vt = std::max(vt, next);
-        continue;
-      }
-      break;  // nothing else can make the deadline
-    }
-    if (out.size() < expected) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.gather_timeouts;
-      }
-      if (obs::metrics_on()) instruments().gather_timeouts.inc();
-      vt = deadline;  // the server waited the share phase out
-    }
-    span.set_sim(start, vt - start);
-    clock_.advance(vt - start);
+  const double waited_s = drain_uplinks(round, expected, consider);
+  if (network_.faults_enabled()) {
+    span.set_sim(start, waited_s);
+    clock_.advance(waited_s);
   }
   std::sort(out.begin(), out.end(), [](const Message& a, const Message& b) {
     return a.sender < b.sender;
   });
   return out;
+}
+
+void Communicator::count_discard() {
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.discards;
+  }
+  if (obs::metrics_on()) instruments().discards.inc();
+}
+
+double Communicator::drain_uplinks(
+    std::uint32_t round, std::size_t expected,
+    const std::function<bool(Datagram&)>& consider) {
+  std::size_t accepted = 0;
+  if (!network_.faults_enabled()) {
+    // Fault-free path: block until every expected message has arrived —
+    // identical timing and byte accounting to the pre-fault communicator.
+    // Discards are still tolerated (a caller may legitimately double-send),
+    // but once one has consumed a datagram and the mailbox runs dry the
+    // missing message can never be replaced: fail loudly instead of letting
+    // the blocking recv turn a caller bug into a silent deadlock.
+    std::size_t discarded = 0;
+    while (accepted < expected) {
+      std::optional<Datagram> d = network_.try_recv(0);
+      if (!d) {
+        if (discarded > 0) {
+          // Unfillable gather: a flight-recorder trigger — dump the black
+          // box before the error unwinds (or takes the process down).
+          obs::flight_record(
+              "gather.unfillable",
+              "{\"round\":" + std::to_string(round) +
+                  ",\"discarded\":" + std::to_string(discarded) +
+                  ",\"received\":" + std::to_string(accepted) +
+                  ",\"expected\":" + std::to_string(expected) + "}");
+          obs::FlightRecorder::global().dump("unfillable-gather");
+        }
+        APPFL_CHECK_MSG(discarded == 0,
+                        "gather(round " << round << ") would block forever: "
+                            << discarded << " message(s) were discarded "
+                            << "(stale round, duplicate sender, or bad kind) "
+                            << "and only " << accepted << " of " << expected
+                            << " expected messages arrived");
+        d = network_.recv(0);
+      }
+      consider(*d) ? ++accepted : ++discarded;
+    }
+    return 0.0;
+  }
+  // Deadline drain: consume everything deliverable "now", fast-forward to
+  // the next scheduled delivery while it is within the deadline, and give
+  // up on whoever is left once nothing more can arrive in time.
+  const double start = clock_.now();
+  const double deadline = start + reliability_.gather_timeout_s;
+  double vt = start;
+  while (accepted < expected) {
+    if (auto d = network_.try_recv_ready(0, vt)) {
+      if (consider(*d)) ++accepted;
+      continue;
+    }
+    const double next = network_.next_deliver_at(0);
+    if (next >= 0.0 && next <= deadline) {
+      vt = std::max(vt, next);
+      continue;
+    }
+    break;  // nothing else can make the deadline
+  }
+  if (accepted < expected) {
+    {
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      ++stats_.gather_timeouts;
+    }
+    if (obs::metrics_on()) instruments().gather_timeouts.inc();
+    vt = deadline;  // the server waited the round out
+  }
+  return vt - start;
 }
 
 GatherBatch::~GatherBatch() { release_buffers(); }

@@ -19,6 +19,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -320,6 +321,17 @@ class Communicator {
   /// nullopt returned. The view borrows from `bytes`.
   std::optional<MessageView> decode_frame_view(
       std::span<const std::uint8_t> bytes);
+
+  /// Counts one discarded datagram (stats and the metrics counter).
+  void count_discard();
+
+  /// The server-side drain of both gathers: hands datagrams to `consider`
+  /// (true = accepted) until `expected` were accepted. Fault plane off, it
+  /// blocks, and fails once a discard left the gather unfillable; on, it
+  /// drains against the gather deadline (a short drain bumps
+  /// gather_timeouts). Returns the simulated seconds waited (0 when off).
+  double drain_uplinks(std::uint32_t round, std::size_t expected,
+                       const std::function<bool(Datagram&)>& consider);
 
   /// Packs m.primal into m.packed per the configured codec (send side).
   /// Non-const: kInt8Ef updates the sending client's error-feedback

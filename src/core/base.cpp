@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
+#include "core/evaluation.hpp"
 #include "nn/loss.hpp"
 #include "obs/trace.hpp"
 #include "rng/rng.hpp"
@@ -162,44 +162,21 @@ void BaseServer::import_state(const ServerStateCkpt& s) {
 }
 
 std::size_t BaseServer::validation_tasks() const {
-  const std::size_t batch = config_.validate_batch;
-  return (test_set_.size() + batch - 1) / batch;
+  return core::validation_tasks(test_set_, config_.validate_batch);
 }
 
 std::size_t BaseServer::count_correct(std::span<const float> w,
                                       std::size_t task) const {
-  APPFL_CHECK(task < validation_tasks());
-  const std::size_t start = task * config_.validate_batch;
-  const std::size_t count =
-      std::min(config_.validate_batch, test_set_.size() - start);
-  std::vector<std::size_t> idx(count);
-  for (std::size_t i = 0; i < count; ++i) idx[i] = start + i;
-  const data::Batch b = test_set_.gather(idx);
-  const std::unique_ptr<nn::Module> model = model_->clone();
-  model->set_flat_parameters(w);
-  const nn::NoGradGuard no_grad;
-  const auto preds = tensor::argmax_rows(model->forward(b.inputs));
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (preds[i] == b.labels[i]) ++correct;
-  }
-  return correct;
+  return core::count_correct(*model_, w, test_set_, config_.validate_batch,
+                             task);
 }
 
 double BaseServer::accuracy(std::span<const std::size_t> correct) const {
-  const std::size_t n = test_set_.size();
-  if (n == 0) return 0.0;
-  const std::size_t sum =
-      std::accumulate(correct.begin(), correct.end(), std::size_t{0});
-  return static_cast<double>(sum) / static_cast<double>(n);
+  return core::accuracy(test_set_, correct);
 }
 
 double BaseServer::validate(std::span<const float> w) const {
-  std::vector<std::size_t> correct(validation_tasks());
-  for (std::size_t t = 0; t < correct.size(); ++t) {
-    correct[t] = count_correct(w, t);
-  }
-  return accuracy(correct);
+  return validation_accuracy(*model_, w, test_set_, config_.validate_batch);
 }
 
 }  // namespace appfl::core

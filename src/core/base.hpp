@@ -161,18 +161,9 @@ class BaseServer {
     return false;
   }
 
-  /// Validation of `w` on the server-held test set splits into
-  /// validation_tasks() tasks, one per validate_batch batch in test-set
-  /// order. Task t runs its batch through its own clone of the server's
-  /// model, under nn::NoGradGuard, and returns its count of correct
-  /// predictions; accuracy() turns the tasks' counts into the test
-  /// accuracy (0 for an empty test set). A task only reads `w`, the test
-  /// set and the model, so tasks may run on any thread, beside each other
-  /// and beside client updates, while nothing writes the server's model.
-  /// Each clone restarts a training-mode Dropout layer's masks from the
-  /// layer's seed, so every validation of every round draws the same
-  /// masks; and since the server's model itself never runs, its BatchNorm
-  /// running estimates do not move.
+  /// Validation of `w` on the server-held test set: core/evaluation.hpp's
+  /// validation loop over the server's model at config.validate_batch. Its
+  /// tasks may run beside client updates; nothing writes the server's model.
   std::size_t validation_tasks() const;
   std::size_t count_correct(std::span<const float> w, std::size_t task) const;
   double accuracy(std::span<const std::size_t> correct) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/evaluation.hpp"
 #include "core/runner.hpp"
 #include "tensor/ops.hpp"
 #include "rng/rng.hpp"
@@ -145,27 +146,6 @@ DecentralizedResult run_decentralized(const RunConfig& config,
   const std::size_t m = prototype->num_parameters();
   std::vector<std::vector<float>> x(n, prototype->flat_parameters());
 
-  auto evaluate_mean = [&](appfl::nn::Module& model) {
-    std::vector<float> mean(m, 0.0F);
-    const float inv = 1.0F / static_cast<float>(n);
-    for (const auto& xi : x) {
-      for (std::size_t i = 0; i < m; ++i) mean[i] += inv * xi[i];
-    }
-    model.set_flat_parameters(mean);
-    std::size_t correct = 0;
-    const data::Batch all = split.test.all();
-    const auto logits = model.forward(all.inputs);
-    const auto preds = tensor::argmax_rows(logits);
-    for (std::size_t i = 0; i < preds.size(); ++i) {
-      if (preds[i] == all.labels[i]) ++correct;
-    }
-    return std::make_pair(
-        split.test.size() == 0
-            ? 0.0
-            : static_cast<double>(correct) / static_cast<double>(split.test.size()),
-        mean);
-  };
-
   DecentralizedResult result;
   const std::uint64_t bytes_per_exchange = 4ULL * m;
 
@@ -187,8 +167,13 @@ DecentralizedResult run_decentralized(const RunConfig& config,
       x[p] = std::move(mixed);
     }
 
-    auto [acc, mean] = evaluate_mean(*prototype);
-    result.round_accuracy.push_back(acc);
+    std::vector<float> mean(m, 0.0F);
+    const float inv = 1.0F / static_cast<float>(n);
+    for (const auto& xi : x) {
+      for (std::size_t i = 0; i < m; ++i) mean[i] += inv * xi[i];
+    }
+    result.round_accuracy.push_back(validation_accuracy(
+        *prototype, mean, split.test, cfg.validate_batch));
     double disagreement = 0.0;
     for (const auto& xi : x) {
       double d2 = 0.0;

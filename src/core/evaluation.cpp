@@ -1,6 +1,8 @@
 #include "core/evaluation.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
 
 #include "nn/loss.hpp"
 #include "tensor/ops.hpp"
@@ -63,6 +65,51 @@ EvalReport evaluate(nn::Module& model, std::span<const float> parameters,
     }
   }
   return report;
+}
+
+std::size_t validation_tasks(const data::Dataset& test_set,
+                             std::size_t batch_size) {
+  APPFL_CHECK(batch_size >= 1);
+  return (test_set.size() + batch_size - 1) / batch_size;
+}
+
+std::size_t count_correct(const nn::Module& model, std::span<const float> w,
+                          const data::Dataset& test_set,
+                          std::size_t batch_size, std::size_t task) {
+  APPFL_CHECK(task < validation_tasks(test_set, batch_size));
+  const std::size_t start = task * batch_size;
+  const std::size_t count = std::min(batch_size, test_set.size() - start);
+  std::vector<std::size_t> idx(count);
+  std::iota(idx.begin(), idx.end(), start);
+  const data::Batch b = test_set.gather(idx);
+  const std::unique_ptr<nn::Module> replica = model.clone();
+  replica->set_flat_parameters(w);
+  const nn::NoGradGuard no_grad;
+  const auto preds = tensor::argmax_rows(replica->forward(b.inputs));
+  std::size_t correct = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (preds[i] == b.labels[i]) ++correct;
+  }
+  return correct;
+}
+
+double accuracy(const data::Dataset& test_set,
+                std::span<const std::size_t> correct) {
+  const std::size_t n = test_set.size();
+  if (n == 0) return 0.0;
+  const std::size_t sum =
+      std::accumulate(correct.begin(), correct.end(), std::size_t{0});
+  return static_cast<double>(sum) / static_cast<double>(n);
+}
+
+double validation_accuracy(const nn::Module& model, std::span<const float> w,
+                           const data::Dataset& test_set,
+                           std::size_t batch_size) {
+  std::vector<std::size_t> correct(validation_tasks(test_set, batch_size));
+  for (std::size_t t = 0; t < correct.size(); ++t) {
+    correct[t] = count_correct(model, w, test_set, batch_size, t);
+  }
+  return accuracy(test_set, correct);
 }
 
 }  // namespace appfl::core

@@ -5,7 +5,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <queue>
@@ -24,7 +23,6 @@
 #include "core/obs_session.hpp"
 #include "core/options.hpp"
 #include "core/sampling.hpp"
-#include "dp/secure_agg.hpp"
 #include "hw/device.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
@@ -211,17 +209,12 @@ PopulationRunResult run_population(const RunConfig& configured,
     out.run.resumed_from_round = rc->rounds_completed;
   }
 
-  // Secure aggregation (dp/secure_agg.hpp): the share fan-out rides the same
-  // fault-injected network as the updates — slot endpoint → root (endpoint
-  // 0), a link distinct from the slot → leaf-leader uplink — and the masked
-  // uploads then flow through the ordinary tree pipeline. The root reduce
-  // becomes an integer sum + unmask instead of weighted_sum_stream.
+  // Secure aggregation (core/secure_round.hpp): share packets ride their own
+  // slot → root links (endpoint 0) of the fault-injected network, masked
+  // uploads the ordinary tree, and the root reduce becomes an unmask.
   const bool secure = config.secure_agg;
-  const std::size_t secagg_threshold =
-      secure ? (config.secure_agg_threshold != 0 ? config.secure_agg_threshold
-                                                 : k / 2 + 1)
-             : 0;
-  const std::size_t expected_primal = secure ? 2 * param_count : param_count;
+  const std::size_t expected_primal =
+      secure ? masked_upload_floats(param_count) : param_count;
 
   const auto wall_start = std::chrono::steady_clock::now();
   std::uint64_t events_processed = 0;
@@ -294,24 +287,93 @@ PopulationRunResult run_population(const RunConfig& configured,
     double round_loss = 0.0;
     double gather_s = 0.0;
 
-    // Secure-aggregation round state. Slot-indexed so parallel handlers
-    // never share an entry; the sec server and U2 live on the orchestration
-    // thread only.
-    const std::uint64_t round_seed =
-        secure ? rng::derive_seed(config.seed, {rng::stream::kSecureAgg, round})
-               : 0;
-    std::optional<dp::SecureAggServer> sec_server;
-    if (secure) sec_server.emplace(participants, round_seed, secagg_threshold);
-    std::vector<std::unique_ptr<dp::SecureAggClient>> sec_clients(
-        secure ? k : 0);
-    std::vector<comm::Message> pending_updates(secure ? k : 0);
-    std::vector<SlotOutcome> share_slots(secure ? k : 0);
+    // Secure-aggregation round state: pool handlers touch only their own
+    // slot; deposits, U2 and the unmask run on the orchestration thread.
+    std::optional<SecureRound> secure_round;
+    if (secure) secure_round.emplace(config, participants, round);
     std::size_t shares_outstanding = 0;
     double share_latest = bcast_done;
     bool masked_phase_done = !secure;  // plain mode: no share phase to wait on
     bool root_reduced = false;
-    SecaggDegradeReason degrade_reason = SecaggDegradeReason::kNone;
-    std::uint64_t round_reconstructions = 0;
+    SecureRound::Result secured;  // the secure round's outcome
+
+    // Slot `slot` sends `m` to endpoint `to` at `t_send`: encode, gRPC
+    // jitter from `jitter_stream`, CRC envelope, network. Records the frame
+    // in slots[slot], counts one that does not arrive intact as a dropped
+    // frame, and returns whether it arrived intact (the sender's ack).
+    const auto send_uplink = [&](std::size_t slot, const comm::Message& m,
+                                 std::uint32_t to, std::uint64_t jitter_stream,
+                                 double t_send) {
+      std::vector<std::uint8_t> bytes =
+          is_grpc ? comm::encode_proto(m) : comm::encode_raw(m);
+      double t_up = t_send;
+      if (is_grpc) {
+        rng::Rng jitter(
+            rng::derive_seed(config.seed, {jitter_stream, round, slot}));
+        t_up += grpc.transfer_seconds(bytes.size() + env_overhead, jitter);
+      }
+      if (faults_on) bytes = comm::seal_envelope(std::move(bytes));
+      const std::size_t up_bytes = bytes.size();
+      const comm::InProcNetwork::SendOutcome outcome =
+          net.send(static_cast<std::uint32_t>(1 + slot), to, std::move(bytes),
+                   t_up);
+      slots[slot] = {outcome.delivered, outcome.deliver_at, up_bytes};
+      const bool intact = outcome.delivered && !outcome.corrupted;
+      if (track_health && !intact) {
+        obs_session.health().add_dropped_frames(participants[slot], 1);
+      }
+      return intact;
+    };
+
+    // Folds slot `slot`'s sent uplink into the traffic ledger and, when it
+    // was delivered, queues its arrival as a `kind` event. Runs on the
+    // orchestration thread in event (or slot) order.
+    const auto fold_uplink = [&](std::size_t slot, EventKind kind) {
+      const SlotOutcome& so = slots[slot];
+      stats.messages_up += 1;
+      stats.bytes_up += so.up_bytes;
+      stats.bytes_up_precodec += so.up_bytes;  // codec is always off
+      if (so.delivered) {
+        queue.push({so.deliver_at, seq++, kind,
+                    static_cast<std::uint32_t>(slot)});
+      }
+      return so.delivered;
+    };
+
+    // The frame check of both drains (root shares, leader updates): CRC, a
+    // sender among slots [lo, hi), and a decodable `kind` frame of this
+    // round from the slot's participant (an update of the model's size). A
+    // bad CRC counts in `crc`, other rejects in `discards`. The view
+    // borrows `d`'s bytes.
+    const auto check_frame =
+        [&](const comm::Datagram& d, comm::MessageKind kind, std::size_t lo,
+            std::size_t hi, std::uint64_t& crc,
+            std::uint64_t& discards) -> std::optional<comm::MessageView> {
+      std::span<const std::uint8_t> body(d.bytes);
+      if (faults_on) {
+        const auto opened = comm::open_envelope(body);
+        if (!opened) {
+          ++crc;
+          return std::nullopt;
+        }
+        body = *opened;
+      }
+      if (d.from >= 1 + lo && d.from < 1 + hi) {
+        try {
+          const comm::MessageView v = is_grpc ? comm::decode_proto_view(body)
+                                              : comm::decode_raw_view(body);
+          if (v.kind == kind && v.round == round &&
+              v.sender == participants[d.from - 1] &&
+              (kind != comm::MessageKind::kLocalUpdate ||
+               v.primal.size() == expected_primal)) {
+            return v;
+          }
+        } catch (const Error&) {
+        }
+      }
+      ++discards;
+      return std::nullopt;
+    };
 
     // Group readiness can only be decided once every training executed and
     // every surviving uplink's arrival has been observed — a late gRPC
@@ -341,120 +403,53 @@ PopulationRunResult run_population(const RunConfig& configured,
         return;
       masked_phase_done = true;
       obs::ScopedSpan span("fl.secagg_share_gather", "fl");
-      std::size_t shares_sent = 0;
-      for (std::size_t slot = 0; slot < k; ++slot) {
-        if (sec_clients[slot]) ++shares_sent;
-      }
-      std::size_t deposited = 0;
       while (std::optional<comm::Datagram> d = net.try_recv(0)) {
-        std::span<const std::uint8_t> body(d->bytes);
-        if (faults_on) {
-          const auto opened = comm::open_envelope(body);
-          if (!opened) {
-            ++stats.crc_failures;
-            continue;
-          }
-          body = *opened;
-        }
-        if (d->from < 1 || d->from > k) {
-          ++stats.discards;
-          continue;
-        }
-        const std::size_t slot = d->from - 1;
+        const std::optional<comm::MessageView> v =
+            check_frame(*d, comm::MessageKind::kSecAggShares, 0, k,
+                        stats.crc_failures, stats.discards);
+        if (!v) continue;
         try {
-          const comm::MessageView v = is_grpc ? comm::decode_proto_view(body)
-                                              : comm::decode_raw_view(body);
-          if (v.kind != comm::MessageKind::kSecAggShares || v.round != round ||
-              v.sender != participants[slot]) {
-            ++stats.discards;
+          if (secure_round->deposit_share(v->sender, v->primal.to_vector())) {
             continue;
-          }
-          if (sec_server->deposit_share_packet(
-                  v.sender, dp::unpack_bytes_from_floats(v.primal.to_vector()))) {
-            ++deposited;
-          } else {
-            ++stats.discards;  // duplicate delivery or tampered packet
           }
         } catch (const Error&) {
-          ++stats.discards;
         }
+        ++stats.discards;  // duplicate delivery or tampered packet
       }
-      const std::vector<std::uint32_t> u2 = sec_server->share_survivors();
-      span.set_arg("u2", u2.size());
-      // A complete share phase ends with the last arrival; a lossy one runs
-      // into the server's gather deadline before U2 is frozen.
+      const bool recoverable = secure_round->close_share_wave();
+      span.set_arg("u2", secure_round->u2().size());
+      // Every slot trained and sent one share packet. A complete share phase
+      // ends with the last arrival; a lossy one runs into the server's
+      // gather deadline before U2 is frozen.
       const double u2_time =
-          deposited == shares_sent
+          secure_round->u2().size() == k
               ? share_latest
               : std::max(share_latest, bcast_done + config.gather_timeout_s);
       round_end = std::max(round_end, u2_time);
-      if (u2.size() < secagg_threshold) {
+      if (!recoverable) {
         // Too few share packets survived: nobody uploads this round.
-        degrade_reason = SecaggDegradeReason::kShareWaveTimeout;
+        secured.degrade = SecaggDegradeReason::kShareWaveTimeout;
         maybe_schedule_groups();
         return;
       }
-      std::vector<char> slot_in_u2(k, 0);
-      for (std::uint32_t id : u2) {
-        const auto it =
-            std::lower_bound(participants.begin(), participants.end(), id);
-        slot_in_u2[static_cast<std::size_t>(it - participants.begin())] = 1;
-      }
       if (track_health) {
-        // Trained slots outside U2: their share packet was lost, and their
-        // update is discarded with it.
+        // Slots outside U2: their share packet was lost, and their update
+        // is discarded with it.
         for (std::size_t slot = 0; slot < k; ++slot) {
-          if (sec_clients[slot] && !slot_in_u2[slot]) {
+          if (!secure_round->in_u2(slot)) {
             obs_session.health().add_share_discards(participants[slot], 1);
           }
         }
       }
       pool.parallel_for(k, [&](std::size_t slot) {
-        if (!slot_in_u2[slot] || !sec_clients[slot]) return;
-        const comm::Message& update = pending_updates[slot];
-        const double weight =
-            config.weighted_aggregation
-                ? static_cast<double>(update.sample_count)
-                : 1.0;
-        comm::Message masked;
-        masked.kind = comm::MessageKind::kLocalUpdate;
-        masked.sender = update.sender;
-        masked.receiver = 0;
-        masked.round = round;
-        masked.sample_count = update.sample_count;
-        masked.loss = update.loss;
-        masked.primal = dp::pack_words_as_floats(sec_clients[slot]->mask(
-            update.primal, u2, dp::kDefaultScale, weight));
-        std::vector<std::uint8_t> bytes =
-            is_grpc ? comm::encode_proto(masked) : comm::encode_raw(masked);
-        double t_up = u2_time;
-        if (is_grpc) {
-          rng::Rng jitter(
-              rng::derive_seed(config.seed, {kUpJitterStream, round, slot}));
-          t_up += grpc.transfer_seconds(bytes.size() + env_overhead, jitter);
-        }
-        if (faults_on) bytes = comm::seal_envelope(std::move(bytes));
-        SlotOutcome& so = slots[slot];
-        so.up_bytes = bytes.size();
-        const comm::InProcNetwork::SendOutcome outcome =
-            net.send(static_cast<std::uint32_t>(1 + slot),
-                     leader_endpoint(tree.group_of(slot)), std::move(bytes),
-                     t_up);
-        so.delivered = outcome.delivered;
-        so.deliver_at = outcome.deliver_at;
-        if (track_health && !outcome.delivered) {
-          obs_session.health().add_dropped_frames(masked.sender, 1);
-        }
+        if (!secure_round->uploads(slot)) return;
+        send_uplink(slot, secure_round->masked_upload(slot),
+                    leader_endpoint(tree.group_of(slot)), kUpJitterStream,
+                    u2_time);
       });
       for (std::size_t slot = 0; slot < k; ++slot) {
-        if (!slot_in_u2[slot] || !sec_clients[slot]) continue;
-        const SlotOutcome& so = slots[slot];
-        stats.messages_up += 1;
-        stats.bytes_up += so.up_bytes;
-        stats.bytes_up_precodec += so.up_bytes;
-        if (so.delivered) {
-          queue.push({so.deliver_at, seq++, EventKind::kUplink,
-                      static_cast<std::uint32_t>(slot)});
+        if (secure_round->uploads(slot) &&
+            fold_uplink(slot, EventKind::kUplink)) {
           ++uplinks_outstanding;
         }
       }
@@ -506,77 +501,21 @@ PopulationRunResult run_population(const RunConfig& configured,
             if (secure) {
               // Hold the update; ship the Shamir share packet to the root
               // first. Losing it on this link keeps the slot out of U2.
-              sec_clients[slot] = std::make_unique<dp::SecureAggClient>(
-                  id, participants, round_seed, secagg_threshold);
-              pending_updates[slot] = std::move(update);
-              comm::Message shares;
-              shares.kind = comm::MessageKind::kSecAggShares;
-              shares.sender = id;
-              shares.receiver = 0;
-              shares.round = round;
-              shares.primal = dp::pack_bytes_as_floats(
-                  sec_clients[slot]->share_packet());
-              std::vector<std::uint8_t> bytes = is_grpc
-                                                    ? comm::encode_proto(shares)
-                                                    : comm::encode_raw(shares);
-              double t_up = t_send;
-              if (is_grpc) {
-                rng::Rng jitter(rng::derive_seed(
-                    config.seed, {kShareJitterStream, round, slot}));
-                t_up = t_send + grpc.transfer_seconds(
-                                    bytes.size() + env_overhead, jitter);
-              }
-              if (faults_on) bytes = comm::seal_envelope(std::move(bytes));
-              SlotOutcome& so = share_slots[slot];
-              so.up_bytes = bytes.size();
-              const comm::InProcNetwork::SendOutcome outcome = net.send(
-                  static_cast<std::uint32_t>(1 + slot), 0, std::move(bytes),
-                  t_up);
-              so.delivered = outcome.delivered;
-              so.deliver_at = outcome.deliver_at;
-              if (track_health && !(outcome.delivered && !outcome.corrupted)) {
-                obs_session.health().add_dropped_frames(id, 1);
-              }
-              client->on_uplink_result(outcome.delivered &&
-                                       !outcome.corrupted);
+              client->on_uplink_result(send_uplink(
+                  slot, secure_round->share_message(slot, std::move(update)),
+                  0, kShareJitterStream, t_send));
               return;
             }
-            double t_up = t_send;
-            std::vector<std::uint8_t> bytes =
-                is_grpc ? comm::encode_proto(update) : comm::encode_raw(update);
-            if (is_grpc) {
-              rng::Rng jitter(rng::derive_seed(
-                  config.seed, {kUpJitterStream, round, slot}));
-              t_up = t_send +
-                     grpc.transfer_seconds(bytes.size() + env_overhead, jitter);
-            }
-            if (faults_on) bytes = comm::seal_envelope(std::move(bytes));
-            SlotOutcome& so = slots[slot];
-            so.up_bytes = bytes.size();
-            const comm::InProcNetwork::SendOutcome outcome =
-                net.send(static_cast<std::uint32_t>(1 + slot),
-                         leader_endpoint(tree.group_of(slot)),
-                         std::move(bytes), t_up);
-            so.delivered = outcome.delivered;
-            so.deliver_at = outcome.deliver_at;
-            if (track_health && !(outcome.delivered && !outcome.corrupted)) {
-              obs_session.health().add_dropped_frames(id, 1);
-            }
-            client->on_uplink_result(outcome.delivered && !outcome.corrupted);
+            client->on_uplink_result(send_uplink(
+                slot, update, leader_endpoint(tree.group_of(slot)),
+                kUpJitterStream, t_send));
           });
           // Fold on the orchestration thread, in wave (event) order.
           for (const Event& e : wave) {
-            const SlotOutcome& so =
-                secure ? share_slots[e.arg] : slots[e.arg];
             --slots_outstanding;
-            stats.messages_up += 1;
-            stats.bytes_up += so.up_bytes;
-            stats.bytes_up_precodec += so.up_bytes;  // codec is always off
-            ++participation[participants[e.arg]];    // trained ⇒ ε spent
-            if (so.delivered) {
-              queue.push({so.deliver_at, seq++,
-                          secure ? EventKind::kShareArrive : EventKind::kUplink,
-                          e.arg});
+            ++participation[participants[e.arg]];  // trained ⇒ ε spent
+            if (fold_uplink(e.arg, secure ? EventKind::kShareArrive
+                                          : EventKind::kUplink)) {
               secure ? ++shares_outstanding : ++uplinks_outstanding;
             }
           }
@@ -589,7 +528,6 @@ PopulationRunResult run_population(const RunConfig& configured,
           for (const Event& e : wave) {
             share_latest = std::max(share_latest, e.t);
             --shares_outstanding;
-            (void)e;
           }
           maybe_start_masked_phase();
           break;
@@ -618,39 +556,16 @@ PopulationRunResult run_population(const RunConfig& configured,
             const auto [lo, hi] = tree.leaf_group(g);
             while (std::optional<comm::Datagram> d =
                        net.try_recv(leader_endpoint(g))) {
-              std::span<const std::uint8_t> body(d->bytes);
-              if (faults_on) {
-                const auto opened = comm::open_envelope(body);
-                if (!opened) {
-                  ++group_crc[g];
-                  continue;
-                }
-                body = *opened;
+              if (!check_frame(*d, comm::MessageKind::kLocalUpdate, lo, hi,
+                               group_crc[g], group_discards[g])) {
+                continue;
               }
-              if (d->from < 1 + lo || d->from >= 1 + hi) {
+              std::vector<std::uint8_t>& frame = update_frames[d->from - 1];
+              if (!frame.empty()) {  // duplicate delivery
                 ++group_discards[g];
                 continue;
               }
-              const std::size_t slot = d->from - 1;
-              if (!update_frames[slot].empty()) {  // duplicate delivery
-                ++group_discards[g];
-                continue;
-              }
-              try {
-                const comm::MessageView v = is_grpc
-                                                ? comm::decode_proto_view(body)
-                                                : comm::decode_raw_view(body);
-                if (v.kind != comm::MessageKind::kLocalUpdate ||
-                    v.round != round || v.sender != participants[slot] ||
-                    v.primal.size() != expected_primal) {
-                  ++group_discards[g];
-                  continue;
-                }
-              } catch (const Error&) {
-                ++group_discards[g];
-                continue;
-              }
-              update_frames[slot] = std::move(d->bytes);
+              frame = std::move(d->bytes);
             }
           });
           for (const Event& e : wave) {
@@ -665,76 +580,55 @@ PopulationRunResult run_population(const RunConfig& configured,
 
         case EventKind::kRootReduce: {
           // The numeric reduce: slot-ordered terms, one weighted_sum_stream
-          // — the tree contributed routing and cost, never float order.
-          std::vector<comm::MessageView> views;
-          std::vector<std::size_t> resp_slots;
-          views.reserve(k);
-          resp_slots.reserve(k);
+          // (or one unmask) — the tree contributed routing and cost, never
+          // float order.
+          std::vector<comm::GatherUpdate> updates;
+          updates.reserve(k);
           std::size_t max_up_bytes = 0;
           for (std::size_t slot = 0; slot < k; ++slot) {
             if (update_frames[slot].empty()) continue;
             std::span<const std::uint8_t> body(update_frames[slot]);
             if (faults_on) body = *comm::open_envelope(body);
-            views.push_back(is_grpc ? comm::decode_proto_view(body)
-                                    : comm::decode_raw_view(body));
-            resp_slots.push_back(slot);
+            const comm::MessageView v = is_grpc ? comm::decode_proto_view(body)
+                                                : comm::decode_raw_view(body);
+            comm::GatherUpdate& u = updates.emplace_back();
+            u.sender = v.sender;
+            u.sample_count = v.sample_count;
+            u.loss = v.loss;
+            u.primal =
+                comm::WirePayload::f32_bytes(v.primal.bytes(), v.primal.size());
             max_up_bytes = std::max(max_up_bytes, slots[slot].up_bytes);
           }
-          responders = views.size();
-          double total_samples = 0.0;
+          responders = updates.size();
           double loss_acc = 0.0;
           std::uint64_t samples = 0;
-          for (const comm::MessageView& v : views) {
-            total_samples += static_cast<double>(v.sample_count);
-            loss_acc += v.loss * static_cast<double>(v.sample_count);
-            samples += v.sample_count;
+          for (const comm::GatherUpdate& u : updates) {
+            loss_acc += u.loss * static_cast<double>(u.sample_count);
+            samples += u.sample_count;
           }
+          const auto total_samples = static_cast<double>(samples);
           round_loss =
               samples > 0 ? loss_acc / static_cast<double>(samples) : 0.0;
           root_reduced = true;
           if (secure) {
-            // Integer reduce + unmask: U3 is the responder set, in slot
-            // (ascending sender) order. The aggregation weights were folded
-            // into the quantization scale client-side, so one division by
-            // scale · Σweights recovers the weighted survivor mean exactly.
+            // U3 is the responder set, in slot (ascending sender) order.
             APPFL_SPAN("fl.secagg_unmask", "fl");
-            std::vector<std::uint32_t> u3;
-            std::vector<std::vector<std::uint64_t>> uploads;
-            u3.reserve(views.size());
-            uploads.reserve(views.size());
-            double total_weight = 0.0;
-            for (const comm::MessageView& v : views) {
-              u3.push_back(v.sender);
-              std::vector<std::uint64_t> words(v.primal.size() / 2);
-              std::memcpy(words.data(), v.primal.bytes(),
-                          v.primal.size() * 4);
-              uploads.push_back(std::move(words));
-              total_weight += config.weighted_aggregation
-                                  ? static_cast<double>(v.sample_count)
-                                  : 1.0;
+            secured = secure_round->unmask(updates);
+            // |U3| < t leaves the model unchanged.
+            if (secured.degrade == SecaggDegradeReason::kNone) {
+              w = std::move(secured.mean);
             }
-            const dp::SecureAggServer::Recovery recovery =
-                sec_server->unmask(u3, uploads);
-            if (recovery.ok) {
-              round_reconstructions = recovery.pair_keys_reconstructed;
-              w = dp::dequantize_sum(recovery.sum,
-                                     dp::kDefaultScale * total_weight);
-            } else {  // |U3| < t: model unchanged
-              degrade_reason = SecaggDegradeReason::kBelowThreshold;
-            }
-          } else if (!views.empty()) {
+          } else if (!updates.empty()) {
             std::vector<StreamTerm> terms;
-            terms.reserve(views.size());
-            for (const comm::MessageView& v : views) {
+            terms.reserve(updates.size());
+            for (const comm::GatherUpdate& u : updates) {
               const float weight =
                   config.weighted_aggregation && total_samples > 0.0
                       ? static_cast<float>(
-                            static_cast<double>(v.sample_count) /
+                            static_cast<double>(u.sample_count) /
                             total_samples)
-                      : 1.0F / static_cast<float>(views.size());
-              terms.push_back({comm::WirePayload::f32_bytes(v.primal.bytes(),
-                                                            v.primal.size()),
-                               weight});
+                      : 1.0F / static_cast<float>(updates.size());
+              terms.push_back({u.primal, weight});
             }
             APPFL_SPAN("fl.aggregate", "fl");
             weighted_sum_stream(terms, std::span<float>(w));
@@ -765,13 +659,9 @@ PopulationRunResult run_population(const RunConfig& configured,
     // Secure mode with every masked upload lost: the root reduce never
     // fired, so the below-threshold outcome is decided here.
     if (secure && !root_reduced &&
-        degrade_reason == SecaggDegradeReason::kNone) {
-      degrade_reason = SecaggDegradeReason::kRootUnreachable;
+        secured.degrade == SecaggDegradeReason::kNone) {
+      secured.degrade = SecaggDegradeReason::kRootUnreachable;
     }
-    if (secure) {
-      obs_session.secagg_round(round, round_reconstructions, degrade_reason);
-    }
-    const bool round_degraded = degrade_reason != SecaggDegradeReason::kNone;
     if (track_health) {
       for (std::size_t slot = 0; slot < k; ++slot) {
         const std::uint32_t id = participants[slot];
@@ -800,15 +690,14 @@ PopulationRunResult run_population(const RunConfig& configured,
     metrics.drops = after.drops - before.drops;
     metrics.crc_failures = after.crc_failures - before.crc_failures;
     metrics.discards = after.discards - before.discards;
-    metrics.secagg_reconstructions = round_reconstructions;
-    metrics.secagg_degraded = round_degraded;
-    metrics.secagg_degrade_reason = degrade_reason;
-    out.run.secagg_reconstructions += round_reconstructions;
-    if (round_degraded) ++out.run.secagg_rounds_degraded;
+    if (secure) {
+      obs_session.secagg_round(secured.reconstructions, secured.degrade,
+                               metrics, out.run);
+    }
     if (config.validate_every_round || round == config.rounds) {
       APPFL_SPAN("fl.validate", "fl");
       metrics.test_accuracy =
-          evaluate(*prototype, w, test_set, config.validate_batch).accuracy;
+          validation_accuracy(*prototype, w, test_set, config.validate_batch);
     } else {
       metrics.test_accuracy = -1.0;
     }
@@ -861,7 +750,7 @@ PopulationRunResult run_population(const RunConfig& configured,
   {
     APPFL_SPAN("fl.validate", "fl");
     out.run.final_accuracy =
-        evaluate(*prototype, w, test_set, config.validate_batch).accuracy;
+        validation_accuracy(*prototype, w, test_set, config.validate_batch);
   }
   out.run.final_parameters = std::move(w);
   std::uint32_t max_count = 0;

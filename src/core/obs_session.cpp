@@ -65,10 +65,15 @@ void ObsSession::write_round(const RoundMetrics& m) {
   }
 }
 
-void ObsSession::secagg_round(std::uint32_t round,
-                              std::uint64_t reconstructions,
-                              SecaggDegradeReason reason) {
+void ObsSession::secagg_round(std::uint64_t reconstructions,
+                              SecaggDegradeReason reason,
+                              RoundMetrics& metrics, RunResult& run) {
   const bool degraded = reason != SecaggDegradeReason::kNone;
+  metrics.secagg_reconstructions = reconstructions;
+  metrics.secagg_degraded = degraded;
+  metrics.secagg_degrade_reason = reason;
+  run.secagg_reconstructions += reconstructions;
+  if (degraded) ++run.secagg_rounds_degraded;
   if (obs::metrics_on()) {
     static obs::Counter& reconstructed =
         obs::MetricsRegistry::global().counter("secure_agg.reconstructions");
@@ -79,7 +84,7 @@ void ObsSession::secagg_round(std::uint32_t round,
   }
   if (!degraded) return;
   obs::flight_record("secagg.degraded",
-                     "{\"round\":" + std::to_string(round) +
+                     "{\"round\":" + std::to_string(metrics.round) +
                          ",\"reason\":\"" + to_string(reason) + "\"}");
   obs::FlightRecorder::global().dump("secagg-degraded-" + to_string(reason));
 }

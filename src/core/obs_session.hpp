@@ -49,12 +49,13 @@ class ObsSession {
   /// test_accuracy's −1 sentinel serializes as null.
   void write_round(const RoundMetrics& metrics);
 
-  /// A secure-aggregation round's outcome: feeds the `secure_agg.*`
+  /// A secure-aggregation round's outcome: records it in `metrics` (whose
+  /// round is set) and in the run totals of `run`, feeds the `secure_agg.*`
   /// counters and, for a degraded round (reason != kNone), records the
   /// `secagg.degraded` flight event and dumps the black box while the
   /// events leading here are still in the ring.
-  void secagg_round(std::uint32_t round, std::uint64_t reconstructions,
-                    SecaggDegradeReason reason);
+  void secagg_round(std::uint64_t reconstructions, SecaggDegradeReason reason,
+                    RoundMetrics& metrics, RunResult& run);
 
   /// Arbitrary pre-rendered JSONL line (the async runner's event stream).
   void write_line(const std::string& json);

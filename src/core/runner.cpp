@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <optional>
 #include <string>
 
 #include "core/checkpoint.hpp"
-#include "dp/secure_agg.hpp"
 #include "obs/flight.hpp"
 #include "core/fedavg.hpp"
 #include "core/sampling.hpp"
@@ -26,16 +24,6 @@
 #include "util/logging.hpp"
 
 namespace appfl::core {
-
-std::string to_string(SecaggDegradeReason r) {
-  switch (r) {
-    case SecaggDegradeReason::kNone: return "none";
-    case SecaggDegradeReason::kBelowThreshold: return "below-threshold";
-    case SecaggDegradeReason::kShareWaveTimeout: return "share-wave-timeout";
-    case SecaggDegradeReason::kRootUnreachable: return "root-unreachable";
-  }
-  return "?";
-}
 
 std::vector<double> RunResult::cumulative_comm_seconds() const {
   std::vector<double> out;
@@ -259,32 +247,21 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
     //
     // Secure-aggregation mode splits the uplink into a share-distribution
     // phase (kSecAggShares → U2) and a masked-upload phase (U2 members
-    // only → U3); see dp/secure_agg.hpp for the protocol.
+    // only → U3); see core/secure_round.hpp.
     std::vector<char> trained(num_clients, 0);
-    std::uint64_t round_reconstructions = 0;
-    SecaggDegradeReason degrade_reason = SecaggDegradeReason::kNone;
-    bool shares_below_threshold = false;
+    SecureRound::Result secured;  // the secure round's outcome
     const bool track_health = obs_session.metrics_enabled();
-    std::size_t secagg_threshold = 0;
-    std::uint64_t round_seed = 0;
-    std::vector<std::optional<comm::Message>> pending_updates;
-    std::vector<std::unique_ptr<dp::SecureAggClient>> sec_clients;
-    if (config.secure_agg) {
-      APPFL_CHECK_MSG(participants.size() >= 2,
-                      "secure aggregation needs a cohort of at least 2, got "
-                          << participants.size());
-      secagg_threshold = config.secure_agg_threshold != 0
-                             ? config.secure_agg_threshold
-                             : participants.size() / 2 + 1;
-      APPFL_CHECK_MSG(secagg_threshold <= participants.size(),
-                      "secure_agg_threshold " << secagg_threshold
-                          << " exceeds the round cohort of "
-                          << participants.size());
-      round_seed =
-          rng::derive_seed(config.seed, {rng::stream::kSecureAgg, round});
-      pending_updates.resize(participants.size());
-      sec_clients.resize(participants.size());
-    }
+    std::optional<SecureRound> secure;
+    if (config.secure_agg) secure.emplace(config, participants, round);
+    // Client `id`'s uplink of its update `m`: a loss counts as a dropped
+    // frame, and the client hears whether the update arrived.
+    const auto uplink = [&](std::uint32_t id, const comm::Message& m) {
+      const bool delivered = comm.send_update(id, m);
+      if (track_health && !delivered) {
+        obs_session.health().add_dropped_frames(id, 1);
+      }
+      clients[id - 1]->on_uplink_result(delivered);
+    };
     const bool validating =
         config.validate_every_round || round == config.rounds;
     std::vector<std::size_t> correct(validating ? server.validation_tasks()
@@ -325,49 +302,29 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
                       std::chrono::steady_clock::now() - train_start)
                       .count());
         }
-        if (!config.secure_agg) {
-          const bool delivered = comm.send_update(id, update);
-          if (track_health && !delivered) {
-            obs_session.health().add_dropped_frames(id, 1);
-          }
-          clients[id - 1]->on_uplink_result(delivered);
+        if (secure) {
+          // Secure mode: hold the update, distribute Shamir shares first.
+          // The share uplink rides the same reliability plane (retransmit,
+          // deadline) as any update; losing it drops this client from U2.
+          comm.send_update(id, secure->share_message(i, std::move(update)));
           return;
         }
-        // Secure mode: hold the update, distribute Shamir shares first.
-        // The share uplink rides the same reliability plane (retransmit,
-        // deadline) as any update; losing it drops this client from U2.
-        sec_clients[i] = std::make_unique<dp::SecureAggClient>(
-            id, participants, round_seed, secagg_threshold);
-        pending_updates[i] = std::move(update);
-        comm::Message shares;
-        shares.kind = comm::MessageKind::kSecAggShares;
-        shares.sender = id;
-        shares.round = round;
-        shares.primal =
-            dp::pack_bytes_as_floats(sec_clients[i]->share_packet());
-        comm.send_update(id, shares);
+        uplink(id, update);
       });
     }
 
-    std::optional<dp::SecureAggServer> sec_server;
-    if (config.secure_agg) {
+    if (secure) {
       // Share gather decides U2 (share-distribution survivors); the server
       // then releases the masked-upload phase for exactly that set. A
       // trained client outside U2 is told its uplink failed — its masks
       // could never be removed, so its update must not enter the sum.
-      sec_server.emplace(participants, round_seed, secagg_threshold);
       for (const comm::Message& m :
            comm.gather_secagg_shares(round, participants.size())) {
-        sec_server->deposit_share_packet(
-            m.sender, dp::unpack_bytes_from_floats(m.primal));
+        secure->deposit_share(m.sender, m.primal);
       }
-      const std::vector<std::uint32_t> u2 = sec_server->share_survivors();
-      std::vector<char> in_u2(num_clients, 0);
-      for (std::uint32_t id : u2) in_u2[id - 1] = 1;
-      const bool recoverable = u2.size() >= secagg_threshold;
-      shares_below_threshold = !recoverable;
+      secure->close_share_wave();
       obs::ScopedSpan phase_span("fl.masked_upload_phase", "fl");
-      phase_span.set_arg("u2", u2.size());
+      phase_span.set_arg("u2", secure->u2().size());
       const std::uint64_t phase_id = phase_span.id();
       pool.parallel_for(participants.size(), [&](std::size_t i) {
         const std::uint32_t id = participants[i];
@@ -375,33 +332,16 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
         obs::ScopedSpan client_span("fl.masked_upload", "fl");
         client_span.set_parent(phase_id);
         client_span.set_arg("client", id);
-        if (!recoverable || !in_u2[id - 1]) {
-          // This client's share packet never reached the server: its masks
-          // could not be removed, so its update is discarded with it.
-          if (track_health && !in_u2[id - 1]) {
+        if (!secure->uploads(i)) {
+          // Its share packet (or too many others) never reached the server:
+          // its masks cannot be removed, so its update is discarded.
+          if (track_health && !secure->in_u2(i)) {
             obs_session.health().add_share_discards(id, 1);
           }
           clients[id - 1]->on_uplink_result(false);
           return;
         }
-        const comm::Message& update = *pending_updates[i];
-        const double weight =
-            config.weighted_aggregation
-                ? static_cast<double>(update.sample_count)
-                : 1.0;
-        comm::Message masked;
-        masked.kind = comm::MessageKind::kLocalUpdate;
-        masked.sender = id;
-        masked.round = round;
-        masked.sample_count = update.sample_count;
-        masked.loss = update.loss;
-        masked.primal = dp::pack_words_as_floats(sec_clients[i]->mask(
-            update.primal, u2, dp::kDefaultScale, weight));
-        const bool delivered = comm.send_update(id, masked);
-        if (track_health && !delivered) {
-          obs_session.health().add_dropped_frames(id, 1);
-        }
-        clients[id - 1]->on_uplink_result(delivered);
+        uplink(id, secure->masked_upload(i));
       });
     }
 
@@ -413,14 +353,21 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
     // U2 members send), and the gather still runs when the round already
     // degraded so the round keeps its comm record and timeline.
     const std::size_t expected_uploads =
-        config.secure_agg
-            ? std::max<std::size_t>(sec_server->share_survivors().size(), 1)
-            : participants.size();
+        secure ? std::max<std::size_t>(secure->u2().size(), 1)
+               : participants.size();
     const comm::GatherBatch batch = [&] {
       APPFL_SPAN("fl.gather_phase", "fl");
       return comm.gather_batch(round, expected_uploads);
     }();
-    if (!config.secure_agg) {
+    double loss_acc = 0.0;
+    std::uint64_t samples = 0;
+    for (const auto& u : batch.updates()) {
+      loss_acc += u.loss * static_cast<double>(u.sample_count);
+      samples += u.sample_count;
+    }
+    const double train_loss =
+        samples > 0 ? loss_acc / static_cast<double>(samples) : 0.0;
+    if (!secure) {
       APPFL_SPAN("fl.aggregate", "fl");
       if (!server.absorb(batch, w, round)) {
         const std::vector<comm::Message> locals = batch.take_messages();
@@ -428,59 +375,25 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
       }
     } else {
       APPFL_SPAN("fl.secagg_unmask", "fl");
-      // U3 = upload survivors. Sum their masked words, reconstruct the
-      // self-masks of U3 and the pairwise keys of U2 \ U3 from the shares,
-      // and recover the exact fixed-point survivor sum.
-      std::vector<std::uint32_t> u3;
-      std::vector<std::vector<std::uint64_t>> uploads;
-      double total_weight = 0.0;
-      std::uint64_t total_samples = 0;
-      double loss_acc = 0.0;
-      for (const auto& u : batch.updates()) {
-        APPFL_CHECK(u.primal.enc == comm::WireEncoding::kF32 &&
-                    u.primal.count % 2 == 0);
-        u3.push_back(u.sender);
-        std::vector<std::uint64_t> words(u.primal.count / 2);
-        std::memcpy(words.data(), u.primal.data, u.primal.count * 4);
-        uploads.push_back(std::move(words));
-        total_weight += config.weighted_aggregation
-                            ? static_cast<double>(u.sample_count)
-                            : 1.0;
-        total_samples += u.sample_count;
-        loss_acc += u.loss * static_cast<double>(u.sample_count);
-      }
-      const dp::SecureAggServer::Recovery recovery =
-          sec_server->unmask(u3, uploads);
-      if (recovery.ok) {
-        round_reconstructions = recovery.pair_keys_reconstructed;
+      // U3 = upload survivors. Below threshold the round skips the model
+      // update, counts itself and keeps running — graceful degradation,
+      // never a partial unmask; the reason names where the cohort thinned.
+      secured = secure->unmask(batch.updates());
+      if (secured.degrade == SecaggDegradeReason::kNone) {
         // One synthesized update carrying the recovered survivor mean:
         // FedAvg/FedProx's weighted mean of a single message is that
         // message, so the server classes need no secure-agg awareness.
-        comm::Message synth;
+        std::vector<comm::Message> locals(1);
+        comm::Message& synth = locals.front();
         synth.kind = comm::MessageKind::kLocalUpdate;
-        synth.sender = u3.front();
+        synth.sender = batch.updates().front().sender;
         synth.round = round;
-        synth.sample_count = total_samples;
-        synth.loss = total_samples > 0
-                         ? loss_acc / static_cast<double>(total_samples)
-                         : 0.0;
-        synth.primal = dp::dequantize_sum(recovery.sum,
-                                          dp::kDefaultScale * total_weight);
-        std::vector<comm::Message> locals;
-        locals.push_back(std::move(synth));
+        synth.sample_count = samples;
+        synth.loss = train_loss;
+        synth.primal = std::move(secured.mean);
         server.update(locals, w, round);
-      } else {
-        // Below threshold: skip the model update, count the round, keep
-        // running — graceful degradation, never a partial unmask. The
-        // reason distinguishes WHERE the cohort thinned: the share wave
-        // (U2 < t, nobody even uploaded) or the masked uploads (U3 < t).
-        degrade_reason = shares_below_threshold
-                             ? SecaggDegradeReason::kShareWaveTimeout
-                             : SecaggDegradeReason::kBelowThreshold;
       }
-      obs_session.secagg_round(round, round_reconstructions, degrade_reason);
     }
-    const bool round_degraded = degrade_reason != SecaggDegradeReason::kNone;
     const comm::TrafficStats after = comm.stats();
     round_span.set_sim(sim_round_start,
                       comm.clock().now() - sim_round_start);
@@ -526,18 +439,11 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
     metrics.crc_failures = after.crc_failures - before.crc_failures;
     metrics.discards = after.discards - before.discards;
     metrics.timeouts = after.gather_timeouts - before.gather_timeouts;
-    metrics.secagg_reconstructions = round_reconstructions;
-    metrics.secagg_degraded = round_degraded;
-    metrics.secagg_degrade_reason = degrade_reason;
-    result.secagg_reconstructions += round_reconstructions;
-    if (round_degraded) ++result.secagg_rounds_degraded;
-    double loss_acc = 0.0;
-    std::uint64_t samples = 0;
-    for (const auto& u : batch.updates()) {
-      loss_acc += u.loss * static_cast<double>(u.sample_count);
-      samples += u.sample_count;
+    if (secure) {
+      obs_session.secagg_round(secured.reconstructions, secured.degrade,
+                               metrics, result);
     }
-    metrics.train_loss = samples > 0 ? loss_acc / static_cast<double>(samples) : 0.0;
+    metrics.train_loss = train_loss;
     const auto& rec = comm.round_log().back();
     metrics.broadcast_s = rec.broadcast_s;
     metrics.gather_s = rec.gather_s;

@@ -18,22 +18,11 @@
 #include "comm/communicator.hpp"
 #include "core/base.hpp"
 #include "core/config.hpp"
+#include "core/secure_round.hpp"
 #include "data/synth.hpp"
 #include "util/thread_pool.hpp"
 
 namespace appfl::core {
-
-/// Why a secure-aggregation round degraded to a counted skip. Attached to
-/// RoundMetrics (and the per-round JSONL line) so a post-mortem names the
-/// failure instead of just counting it.
-enum class SecaggDegradeReason : std::uint8_t {
-  kNone = 0,             // round did not degrade
-  kBelowThreshold,       // |U3| < t: too few survivor uploads to unmask
-  kShareWaveTimeout,     // share packets lost/late: U2 fell below t
-  kRootUnreachable,      // tree root never produced a reduced sum
-};
-
-std::string to_string(SecaggDegradeReason r);
 
 /// One row of the learning curve.
 struct RoundMetrics {

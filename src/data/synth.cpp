@@ -1,7 +1,9 @@
 #include "data/synth.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
 
 #include "rng/distributions.hpp"
 #include "util/check.hpp"
@@ -186,33 +188,42 @@ FederatedSplit iid_image_split(std::string name, const SynthImageSpec& spec) {
   return split;
 }
 
+/// Sets a fixed-shape preset's {channels, height, width, num_classes}. A
+/// field the caller left at SynthImageSpec's default or set to the
+/// preset's own value takes the preset's; any other value throws, naming
+/// the field, instead of being dropped.
+void fix_shape(SynthImageSpec& spec, const char* preset,
+               const std::array<std::size_t, 4>& shape) {
+  using Field = std::size_t SynthImageSpec::*;
+  static constexpr std::pair<Field, const char*> kFields[] = {
+      {&SynthImageSpec::channels, "channels"},
+      {&SynthImageSpec::height, "height"},
+      {&SynthImageSpec::width, "width"},
+      {&SynthImageSpec::num_classes, "num_classes"}};
+  const SynthImageSpec defaults;
+  for (std::size_t i = 0; i < shape.size(); ++i) {
+    const auto [field, name] = kFields[i];
+    APPFL_CHECK_MSG(spec.*field == defaults.*field || spec.*field == shape[i],
+                    preset << " has a fixed " << name << " of " << shape[i]
+                           << ", got " << spec.*field);
+    spec.*field = shape[i];
+  }
+}
+
 }  // namespace
 
-FederatedSplit mnist_like(const SynthImageSpec& overrides) {
-  SynthImageSpec spec = overrides;
-  spec.channels = 1;
-  spec.height = 28;
-  spec.width = 28;
-  spec.num_classes = 10;
+FederatedSplit mnist_like(const SynthImageSpec& spec) {
   return iid_image_split("mnist-like", spec);
 }
 
-FederatedSplit cifar10_like(SynthImageSpec overrides) {
-  SynthImageSpec spec = overrides;
-  spec.channels = 3;
-  spec.height = 32;
-  spec.width = 32;
-  spec.num_classes = 10;
-  if (overrides.noise == SynthImageSpec{}.noise) spec.noise = 1.4;  // harder
+FederatedSplit cifar10_like(SynthImageSpec spec) {
+  fix_shape(spec, "cifar10_like", {3, 32, 32, 10});
+  if (spec.noise == SynthImageSpec{}.noise) spec.noise = 1.4;  // harder
   return iid_image_split("cifar10-like", spec);
 }
 
-FederatedSplit coronahack_like(SynthImageSpec overrides) {
-  SynthImageSpec spec = overrides;
-  spec.channels = 1;
-  spec.height = 64;
-  spec.width = 64;
-  spec.num_classes = 3;
+FederatedSplit coronahack_like(SynthImageSpec spec) {
+  fix_shape(spec, "coronahack_like", {1, 64, 64, 3});
   return iid_image_split("coronahack-like", spec);
 }
 

@@ -42,15 +42,18 @@ struct SynthImageSpec {
   std::uint64_t seed = 1;
 };
 
-/// MNIST-like: 1×28×28, 10 classes, equal IID shards over 4 clients.
-FederatedSplit mnist_like(const SynthImageSpec& overrides = {});
+/// MNIST-like: equal IID shards over 4 clients of the spec's image shape
+/// (by default MNIST's 1×28×28 with 10 classes).
+FederatedSplit mnist_like(const SynthImageSpec& spec = {});
 
 /// CIFAR10-like: 3×32×32, 10 classes, harder (more noise) by default.
-FederatedSplit cifar10_like(SynthImageSpec overrides = {});
+/// The shape is fixed: a shape field left at its default or set to the
+/// preset's value is fine, any other value throws appfl::Error naming it.
+FederatedSplit cifar10_like(SynthImageSpec spec = {});
 
 /// CoronaHack-like: 1×64×64 chest-X-ray stand-in, 3 classes
-/// (normal / bacterial / viral), 4 clients.
-FederatedSplit coronahack_like(SynthImageSpec overrides = {});
+/// (normal / bacterial / viral), 4 clients. Fixed shape, as cifar10_like.
+FederatedSplit coronahack_like(SynthImageSpec spec = {});
 
 /// Smart-grid scenario (the paper's other motivating domain, see abstract):
 /// each client is a utility holding daily load profiles — 1×1×96 signals

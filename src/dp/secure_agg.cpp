@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "rng/rng.hpp"
@@ -132,47 +131,6 @@ std::vector<float> dequantize_sum(std::span<const std::uint64_t> sum,
                                     static_cast<std::int64_t>(sum[i])) /
                                 scale);
   }
-  return out;
-}
-
-std::vector<float> pack_bytes_as_floats(std::span<const std::uint8_t> bytes) {
-  std::vector<std::uint8_t> framed;
-  framed.reserve(4 + bytes.size() + 3);
-  put_u32(framed, static_cast<std::uint32_t>(bytes.size()));
-  framed.insert(framed.end(), bytes.begin(), bytes.end());
-  while (framed.size() % 4 != 0) framed.push_back(0);
-  std::vector<float> out(framed.size() / 4);
-  std::memcpy(out.data(), framed.data(), framed.size());
-  return out;
-}
-
-std::vector<std::uint8_t> unpack_bytes_from_floats(
-    std::span<const float> words) {
-  APPFL_CHECK_MSG(!words.empty(), "empty transport payload");
-  std::vector<std::uint8_t> framed(words.size() * 4);
-  std::memcpy(framed.data(), words.data(), framed.size());
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len |= std::uint32_t{framed[i]} << (8 * i);
-  APPFL_CHECK_MSG(4 + std::size_t{len} <= framed.size(),
-                  "transport payload length prefix " << len
-                      << " exceeds " << framed.size() - 4 << " bytes");
-  return {framed.begin() + 4, framed.begin() + 4 + len};
-}
-
-std::vector<float> pack_words_as_floats(
-    std::span<const std::uint64_t> words) {
-  std::vector<float> out(words.size() * 2);
-  std::memcpy(out.data(), words.data(), words.size() * 8);
-  return out;
-}
-
-std::vector<std::uint64_t> unpack_words_from_floats(
-    std::span<const float> floats) {
-  APPFL_CHECK_MSG(floats.size() % 2 == 0,
-                  "masked payload float count " << floats.size()
-                                                << " is not word-aligned");
-  std::vector<std::uint64_t> out(floats.size() / 2);
-  std::memcpy(out.data(), floats.data(), floats.size() * 4);
   return out;
 }
 

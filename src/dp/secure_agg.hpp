@@ -55,24 +55,6 @@ std::vector<float> dequantize_sum(std::span<const std::uint64_t> sum,
 /// Default quantization scale (2^20).
 inline constexpr double kDefaultScale = 1048576.0;
 
-// --- Transport packing ----------------------------------------------------
-// Secure-agg payloads ride the existing float wire fields (Message.primal):
-// both wire encodings (raw memcpy and protolite fixed32) carry float BIT
-// PATTERNS exactly, so opaque bytes and masked u64 words survive transport
-// bit-identically without a new wire format.
-
-/// Packs opaque bytes into float words: 4-byte length prefix, then the
-/// bytes, zero-padded to a word boundary.
-std::vector<float> pack_bytes_as_floats(std::span<const std::uint8_t> bytes);
-/// Exact inverse of pack_bytes_as_floats. Throws on a malformed prefix.
-std::vector<std::uint8_t> unpack_bytes_from_floats(
-    std::span<const float> words);
-
-/// Bit-casts a masked u64 vector to 2 floats per word (and back).
-std::vector<float> pack_words_as_floats(std::span<const std::uint64_t> words);
-std::vector<std::uint64_t> unpack_words_from_floats(
-    std::span<const float> floats);
-
 /// Client-side state for one secure-aggregation round.
 class SecureAggClient {
  public:

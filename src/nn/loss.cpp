@@ -63,15 +63,4 @@ LossResult MseLoss::compute(const Tensor& predictions,
   return {loss / static_cast<double>(n), std::move(grad)};
 }
 
-double accuracy(const Tensor& logits, std::span<const std::size_t> labels) {
-  const auto preds = tensor::argmax_rows(logits);
-  APPFL_CHECK(preds.size() == labels.size());
-  if (preds.empty()) return 0.0;
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < preds.size(); ++i) {
-    if (preds[i] == labels[i]) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(preds.size());
-}
-
 }  // namespace appfl::nn

@@ -29,7 +29,4 @@ class MseLoss {
   LossResult compute(const Tensor& predictions, const Tensor& targets) const;
 };
 
-/// Fraction of rows whose argmax equals the label — the paper's test metric.
-double accuracy(const Tensor& logits, std::span<const std::size_t> labels);
-
 }  // namespace appfl::nn

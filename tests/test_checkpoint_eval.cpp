@@ -127,6 +127,37 @@ TEST(Evaluation, BalancedAccuracySkipsEmptyClasses) {
   EXPECT_EQ(report.balanced_accuracy(), 0.0);
 }
 
+TEST(Validation, MatchesEvaluateAtEveryBatchSizeWithoutTouchingTheModel) {
+  // The validation loop every FL loop runs counts the same argmax matches
+  // as evaluate's report, batch by batch, but on clones: the model keeps
+  // its own parameters.
+  const auto ds = appfl::data::generate_samples(1, 6, 6, 4, 100, 0.9, 55);
+  appfl::rng::Rng r(4);
+  auto model = appfl::nn::mlp(36, 16, 4, r);
+  const std::vector<float> own = model->flat_parameters();
+  std::vector<float> w = own;
+  for (std::size_t i = 0; i < w.size(); i += 3) w[i] *= -1.5F;
+  for (std::size_t batch : {1, 7, 100, 256}) {
+    const double acc =
+        appfl::core::validation_accuracy(*model, w, ds, batch);
+    EXPECT_EQ(model->flat_parameters(), own) << batch;
+    std::vector<std::size_t> correct(
+        appfl::core::validation_tasks(ds, batch));
+    EXPECT_EQ(correct.size(), (100 + batch - 1) / batch);
+    for (std::size_t t = 0; t < correct.size(); ++t) {
+      correct[t] = appfl::core::count_correct(*model, w, ds, batch, t);
+    }
+    EXPECT_EQ(appfl::core::accuracy(ds, correct), acc) << batch;
+    EXPECT_EQ(model->flat_parameters(), own) << batch;
+    EXPECT_EQ(appfl::core::evaluate(*model->clone(), w, ds, batch).accuracy,
+              acc)
+        << batch;
+  }
+  const appfl::data::TensorDataset empty;
+  EXPECT_EQ(appfl::core::validation_tasks(empty, 7), 0U);
+  EXPECT_EQ(appfl::core::validation_accuracy(*model, w, empty, 7), 0.0);
+}
+
 TEST(Evaluation, EmptyDatasetGivesZeroReport) {
   appfl::data::TensorDataset empty;
   appfl::rng::Rng r(3);

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "data/dataloader.hpp"
 #include "data/dataset.hpp"
@@ -245,6 +247,61 @@ TEST(Synth, CoronahackLikeIsLargeGrayscale3Class) {
   const auto split = appfl::data::coronahack_like(spec);
   EXPECT_EQ(split.clients[0].sample_shape(), (Shape{1, 64, 64}));
   EXPECT_EQ(split.clients[0].num_classes(), 3U);
+}
+
+TEST(Synth, MnistLikeHonoursTheSpecShape) {
+  appfl::data::SynthImageSpec spec;
+  spec.channels = 2;
+  spec.height = 6;
+  spec.width = 5;
+  spec.num_classes = 3;
+  spec.train_per_client = 16;
+  spec.test_size = 24;
+  const auto split = appfl::data::mnist_like(spec);
+  for (const auto* ds : {&split.clients[0], &split.test}) {
+    EXPECT_EQ(ds->sample_shape(), (Shape{2, 6, 5}));
+    EXPECT_EQ(ds->num_classes(), 3U);
+    for (std::size_t y : ds->labels()) EXPECT_LT(y, 3U);
+  }
+}
+
+TEST(Synth, FixedShapePresetsNameAMovedShapeField) {
+  // cifar10_like and coronahack_like keep their shape: a field left at its
+  // default or set to the preset's own value is fine, any other value
+  // throws naming the field instead of being dropped.
+  using Preset = appfl::data::FederatedSplit (*)(appfl::data::SynthImageSpec);
+  const std::pair<Preset, const char*> presets[] = {
+      {appfl::data::cifar10_like, "cifar10_like"},
+      {appfl::data::coronahack_like, "coronahack_like"}};
+  for (const auto& [preset, name] : presets) {
+    for (const char* field : {"channels", "height", "width", "num_classes"}) {
+      appfl::data::SynthImageSpec spec;
+      spec.train_per_client = 4;
+      spec.test_size = 4;
+      const std::string f = field;
+      std::size_t& value = f == "channels"  ? spec.channels
+                           : f == "height"  ? spec.height
+                           : f == "width"   ? spec.width
+                                            : spec.num_classes;
+      value = 5;
+      try {
+        preset(spec);
+        ADD_FAILURE() << name << " accepted " << field << " = 5";
+      } catch (const appfl::Error& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  appfl::data::SynthImageSpec spec;
+  spec.train_per_client = 4;
+  spec.test_size = 4;
+  spec.channels = 3;
+  spec.height = 32;
+  const auto split = appfl::data::cifar10_like(spec);
+  EXPECT_EQ(split.clients[0].sample_shape(), (Shape{3, 32, 32}));
 }
 
 TEST(Synth, FemnistLikeIsNonIidAndUnbalanced) {

@@ -183,12 +183,6 @@ TEST(MseLoss, ValueAndGradient) {
   EXPECT_NEAR(res.grad[1], 2.0F * 2.0F / 2.0F, 1e-6F);
 }
 
-TEST(Accuracy, CountsArgmaxMatches) {
-  const Tensor logits({3, 2}, {0.9F, 0.1F, 0.2F, 0.8F, 0.6F, 0.4F});
-  const std::vector<std::size_t> labels{0, 1, 1};
-  EXPECT_NEAR(appfl::nn::accuracy(logits, labels), 2.0 / 3.0, 1e-9);
-}
-
 TEST(Sgd, PlainStepIsGradientDescent) {
   appfl::rng::Rng r(9);
   Linear lin(1, 1, r);

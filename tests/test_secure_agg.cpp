@@ -6,13 +6,19 @@
 
 #include "util/check.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
+#include <string>
 
 #include "core/event_engine.hpp"
 #include "core/fedavg.hpp"
 #include "core/runner.hpp"
+#include "core/secure_round.hpp"
 #include "data/synth.hpp"
 #include "dp/secure_agg.hpp"
 #include "rng/distributions.hpp"
@@ -93,8 +99,8 @@ TEST(Transport, BytePackingRoundTrips) {
     for (std::size_t i = 0; i < len; ++i) {
       bytes[i] = static_cast<std::uint8_t>(37 * i + 11);
     }
-    const auto words = appfl::dp::pack_bytes_as_floats(bytes);
-    EXPECT_EQ(appfl::dp::unpack_bytes_from_floats(words), bytes) << len;
+    const auto words = appfl::core::pack_bytes_as_floats(bytes);
+    EXPECT_EQ(appfl::core::unpack_bytes_from_floats(words), bytes) << len;
   }
 }
 
@@ -102,20 +108,25 @@ TEST(Transport, MalformedLengthPrefixRejected) {
   std::vector<float> words(2);
   const std::uint32_t huge = 0xFFFFFF;
   std::memcpy(words.data(), &huge, 4);
-  EXPECT_THROW(appfl::dp::unpack_bytes_from_floats(words), appfl::Error);
-  EXPECT_THROW(appfl::dp::unpack_bytes_from_floats(std::vector<float>{}),
+  EXPECT_THROW(appfl::core::unpack_bytes_from_floats(words), appfl::Error);
+  EXPECT_THROW(appfl::core::unpack_bytes_from_floats(std::vector<float>{}),
                appfl::Error);
 }
 
 TEST(Transport, WordPackingRoundTrips) {
   const std::vector<std::uint64_t> words{0ULL, ~0ULL, 0x0123456789ABCDEFULL,
                                          std::uint64_t{1} << 63};
-  const auto floats = appfl::dp::pack_words_as_floats(words);
+  const auto floats = appfl::core::pack_words_as_floats(words);
   EXPECT_EQ(floats.size(), words.size() * 2);
-  EXPECT_EQ(appfl::dp::unpack_words_from_floats(floats), words);
-  EXPECT_THROW(
-      appfl::dp::unpack_words_from_floats(std::vector<float>(3, 0.0F)),
-      appfl::Error);
+  EXPECT_EQ(appfl::core::unpack_words_from_floats(
+                appfl::comm::WirePayload::f32(floats.data(), floats.size())),
+            words);
+  EXPECT_THROW(appfl::core::unpack_words_from_floats(
+                   appfl::comm::WirePayload::f32(floats.data(), 3)),
+               appfl::Error);
+  EXPECT_THROW(appfl::core::unpack_words_from_floats(
+                   appfl::comm::WirePayload::f16_bytes(nullptr, 2)),
+               appfl::Error);
 }
 
 // --- Protocol -------------------------------------------------------------
@@ -402,6 +413,108 @@ TEST(SecureAgg, InvalidConfigurationsRejected) {
                appfl::Error);
 }
 
+// --- Exhaustive sweep through the round module ---------------------------
+
+TEST(SecureRound, EverySurvivorPatternRecoversOrDegrades) {
+  // Every cohort n = 2..6, threshold t = 2..n, share-survivor set U2 ⊆
+  // cohort and upload-survivor set U3 ⊆ U2 (4,923 cells), run through the
+  // round's own messages with unequal sample-count weights. Each cell
+  // either recovers the weighted mean bit-equal to dequantize_sum of the
+  // plain quantized sum, or degrades with the reason the sets imply.
+  using appfl::core::SecaggDegradeReason;
+  constexpr std::size_t kLen = 16;
+  const std::uint64_t samples[] = {3, 7, 11, 19, 29, 41};
+  std::size_t cells = 0;
+  for (std::size_t n = 2; n <= 6; ++n) {
+    std::vector<std::uint32_t> cohort;
+    for (std::size_t s = 0; s < n; ++s) {
+      cohort.push_back(static_cast<std::uint32_t>(3 * s + 2));
+    }
+    for (std::size_t t = 2; t <= n; ++t) {
+      appfl::core::RunConfig cfg;
+      cfg.seed = 100 * n + t;
+      cfg.secure_agg_threshold = t;
+      for (unsigned u2 = 0; u2 < (1U << n); ++u2) {
+        appfl::core::SecureRound round(cfg, cohort, 5);
+        ASSERT_EQ(round.threshold(), t);
+        std::vector<std::vector<float>> values(n);
+        std::vector<appfl::comm::Message> shares(n);
+        for (std::size_t s = 0; s < n; ++s) {
+          appfl::comm::Message update;
+          update.kind = appfl::comm::MessageKind::kLocalUpdate;
+          update.sender = cohort[s];
+          update.sample_count = samples[s];
+          update.primal = random_update(1000 * cfg.seed + u2 * 8 + s, kLen);
+          values[s] = update.primal;
+          shares[s] = round.share_message(s, std::move(update));
+        }
+        for (std::size_t s = 0; s < n; ++s) {
+          if (u2 >> s & 1U) {
+            ASSERT_TRUE(round.deposit_share(shares[s].sender, shares[s].primal));
+          }
+        }
+        const std::size_t u2_size = std::popcount(u2);
+        ASSERT_EQ(round.close_share_wave(), u2_size >= t);
+        std::vector<appfl::comm::Message> masked(n);
+        for (std::size_t s = 0; s < n; ++s) {
+          ASSERT_EQ(round.uploads(s), u2_size >= t && (u2 >> s & 1U));
+          if (round.uploads(s)) masked[s] = round.masked_upload(s);
+        }
+        for (unsigned u3 = u2;; u3 = (u3 - 1) & u2) {
+          ++cells;
+          std::vector<appfl::comm::GatherUpdate> arrived;
+          std::vector<std::uint64_t> sum(kLen, 0);
+          double total_weight = 0.0;
+          for (std::size_t s = 0; s < n; ++s) {
+            if (!(u3 >> s & 1U) || !round.uploads(s)) continue;
+            appfl::comm::GatherUpdate& u = arrived.emplace_back();
+            u.sender = masked[s].sender;
+            u.sample_count = masked[s].sample_count;
+            u.primal = appfl::comm::WirePayload::f32(masked[s].primal.data(),
+                                                     masked[s].primal.size());
+            const double weight = static_cast<double>(samples[s]);
+            const auto q = appfl::dp::quantize(values[s], kScale * weight);
+            for (std::size_t i = 0; i < kLen; ++i) sum[i] += q[i];
+            total_weight += weight;
+          }
+          const appfl::core::SecureRound::Result result = round.unmask(arrived);
+          const std::size_t u3_size = std::popcount(u3);
+          if (u2_size < t) {
+            EXPECT_EQ(result.degrade, SecaggDegradeReason::kShareWaveTimeout);
+          } else if (u3_size < t) {
+            EXPECT_EQ(result.degrade, SecaggDegradeReason::kBelowThreshold);
+          } else {
+            ASSERT_EQ(result.degrade, SecaggDegradeReason::kNone);
+            EXPECT_EQ(result.reconstructions, u2_size - u3_size);
+            const auto expected =
+                appfl::dp::dequantize_sum(sum, kScale * total_weight);
+            ASSERT_EQ(result.mean.size(), kLen);
+            EXPECT_EQ(std::memcmp(result.mean.data(), expected.data(),
+                                  kLen * sizeof(float)),
+                      0)
+                << "n=" << n << " t=" << t << " u2=" << u2 << " u3=" << u3;
+          }
+          if (result.degrade != SecaggDegradeReason::kNone) {
+            EXPECT_TRUE(result.mean.empty());
+          }
+          if (u3 == 0) break;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cells, 4923U);
+}
+
+TEST(SecureRound, CohortAndThresholdChecks) {
+  appfl::core::RunConfig cfg;
+  EXPECT_THROW(appfl::core::SecureRound(cfg, {4}, 1), appfl::Error);
+  cfg.secure_agg_threshold = 4;
+  EXPECT_THROW(appfl::core::SecureRound(cfg, {1, 2, 3}, 1), appfl::Error);
+  cfg.secure_agg_threshold = 0;  // auto: the cohort's majority
+  EXPECT_EQ(appfl::core::SecureRound(cfg, {1, 2, 3, 4}, 1).threshold(), 3U);
+  EXPECT_EQ(appfl::core::SecureRound(cfg, {1, 2, 3, 4, 5}, 1).threshold(), 3U);
+}
+
 // --- Runner integration ---------------------------------------------------
 
 appfl::core::RunConfig small_cfg(std::size_t rounds) {
@@ -670,6 +783,43 @@ TEST(SecureAggPopulation, DropFaultsRecoverOrDegrade) {
     }
   }
   for (float v : result.run.final_parameters) ASSERT_TRUE(std::isfinite(v));
+}
+
+TEST(SecureAggPopulation, CorruptUplinksCountAsDroppedFrames) {
+  // A corrupted uplink — share packet, plain update or masked upload —
+  // reaches its receiver's mailbox and fails the CRC there. So with
+  // corrupt-only faults the health ledger's dropped frames, summed over
+  // clients, equal the run's crc_failures.
+  const appfl::data::SyntheticPopulation pop(pop_spec(60));
+  for (bool secure : {true, false}) {
+    appfl::core::RunConfig cfg = pop_cfg(60, 12);
+    cfg.rounds = 4;
+    cfg.tree_fan_out = 3;
+    cfg.secure_agg = secure;
+    cfg.faults.corrupt = 0.15;
+    cfg.obs_level = "metrics";
+    const std::filesystem::path csv =
+        std::filesystem::temp_directory_path() /
+        (std::string("appfl_pop_health_") + (secure ? "secure" : "plain") +
+         ".csv");
+    cfg.health_out = csv.string();
+    const auto result = appfl::core::run_population(cfg, pop);
+    std::ifstream in(csv);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    ASSERT_EQ(line.rfind("client,updates,", 0), 0U) << line;
+    std::uint64_t dropped = 0;
+    while (std::getline(in, line)) {
+      std::stringstream row(line);
+      std::string cell;
+      for (int col = 0; col <= 8; ++col) std::getline(row, cell, ',');
+      dropped += std::stoull(cell);  // column 8: dropped_frames
+    }
+    in.close();
+    std::filesystem::remove(csv);
+    EXPECT_GT(result.run.traffic.crc_failures, 0U) << secure;
+    EXPECT_EQ(dropped, result.run.traffic.crc_failures) << secure;
+  }
 }
 
 TEST(SecureAggPopulation, DeadSlotBelowFullThresholdDegradesEveryRound) {
