@@ -1,10 +1,13 @@
 // Chaos-restart harness: kill a federated run at every round boundary (and
-// once mid-save, leaving a torn slot), restart it from the round-checkpoint
+// once mid-save, leaving a torn slot), restart it from the checkpoint
 // store, and verify the resumed run reaches the SAME final model — float
 // bytes compared with memcmp, not a tolerance — with a monotone DP ledger.
-// Covers all five algorithms (FedAvg, FedProx, FedOpt, ICEADMM, IIADMM)
-// plus the asynchronous event loop at update granularity under each of its
-// four commit policies (FedAsync, FedBuff, FedCompass, async IIADMM).
+// Covers every writer of the checkpoint record: the sync runner under all
+// five algorithms (FedAvg, FedProx, FedOpt, ICEADMM, IIADMM), the
+// population engine under drop faults with a flat and a fan-out-4
+// aggregation tree, and the asynchronous event loop at update granularity
+// under each of its four commit policies (FedAsync, FedBuff, FedCompass,
+// async IIADMM).
 //
 //   chaos_restart           full sweep: 10 rounds, every kill point,
 //                           writes results/chaos_restart.csv
@@ -24,6 +27,7 @@
 #include "bench_common.hpp"
 #include "core/async_runner.hpp"
 #include "core/checkpoint.hpp"
+#include "core/event_engine.hpp"
 #include "core/runner.hpp"
 #include "core/server_opt.hpp"
 #include "data/synth.hpp"
@@ -42,6 +46,15 @@ struct AlgoCase {
   std::string name;
   Algorithm algorithm;  // ignored when fedopt
   bool fedopt = false;
+  bool population = false;  // the population engine, with drop faults
+  std::size_t fan_out = 0;  // population: aggregation-tree fan-out (0 = flat)
+};
+
+// What the cases train on: the sync runner's split and the population
+// engine's lazy writers.
+struct Inputs {
+  const appfl::data::FederatedSplit& split;
+  const appfl::data::SyntheticPopulation& population;
 };
 
 bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
@@ -53,7 +66,11 @@ bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
 // One run of the case; FedOpt needs the custom-server overload (its resume
 // identity rides on checkpoint_kind(), not the algorithm enum).
 RunResult run_case(const AlgoCase& algo, const RunConfig& cfg,
-                   const appfl::data::FederatedSplit& split) {
+                   const Inputs& in) {
+  if (algo.population) {
+    return appfl::core::run_population(cfg, in.population).run;
+  }
+  const appfl::data::FederatedSplit& split = in.split;
   if (!algo.fedopt) return appfl::core::run_federated(cfg, split);
   auto model = appfl::core::build_model(cfg, split.test);
   std::vector<std::unique_ptr<appfl::core::BaseClient>> clients;
@@ -91,9 +108,8 @@ struct KillOutcome {
 };
 
 KillOutcome kill_restart_verify(const AlgoCase& algo, const RunConfig& cfg,
-                                const appfl::data::FederatedSplit& split,
-                                const RunResult& baseline, std::uint32_t k,
-                                bool tear_mid_save) {
+                                const Inputs& in, const RunResult& baseline,
+                                std::uint32_t k, bool tear_mid_save) {
   const std::string dir =
       (fs::temp_directory_path() /
        ("appfl_chaos_" + algo.name + "_" + std::to_string(k) +
@@ -103,13 +119,13 @@ KillOutcome kill_restart_verify(const AlgoCase& algo, const RunConfig& cfg,
   RunConfig killed = cfg;
   killed.checkpoint_dir = dir;
   killed.halt_after_round = k;
-  const RunResult partial = run_case(algo, killed, split);
+  const RunResult partial = run_case(algo, killed, in);
   if (tear_mid_save) tear_newest_slot(dir);
 
   RunConfig resumed_cfg = cfg;
   resumed_cfg.checkpoint_dir = dir;
   resumed_cfg.resume_from = dir;
-  const RunResult resumed = run_case(algo, resumed_cfg, split);
+  const RunResult resumed = run_case(algo, resumed_cfg, in);
 
   KillOutcome out;
   out.identical = same_bits(baseline.final_parameters,
@@ -208,6 +224,13 @@ int main(int argc, char** argv) {
   spec.test_size = smoke ? 64 : 128;
   spec.seed = 29;
   const auto split = appfl::data::mnist_like(spec);
+  appfl::data::FemnistSpec pop_spec;
+  pop_spec.num_writers = 100;
+  pop_spec.mean_samples_per_writer = 16;
+  pop_spec.test_size = smoke ? 64 : 128;
+  pop_spec.seed = 29;
+  const appfl::data::SyntheticPopulation population(pop_spec);
+  const Inputs inputs{split, population};
 
   const std::vector<AlgoCase> cases = {
       {"FedAvg", Algorithm::kFedAvg, false},
@@ -215,6 +238,8 @@ int main(int argc, char** argv) {
       {"FedOpt", Algorithm::kFedAvg, true},
       {"ICEADMM", Algorithm::kIceAdmm, false},
       {"IIADMM", Algorithm::kIIAdmm, false},
+      {"Population", Algorithm::kFedAvg, false, true, 0},
+      {"Population-tree4", Algorithm::kFedAvg, false, true, 4},
   };
 
   appfl::util::TextTable table(
@@ -236,7 +261,14 @@ int main(int argc, char** argv) {
     cfg.validate_every_round = false;
     // Finite budget so every scenario also audits the DP ledger.
     cfg.epsilon = 0.25;
-    const RunResult baseline = run_case(algo, cfg, split);
+    if (algo.population) {
+      cfg.population = pop_spec.num_writers;
+      cfg.participants_per_round = 8;
+      cfg.tree_fan_out = algo.fan_out;
+      // Drops also move the fault plane's link counters, which must resume.
+      cfg.faults.drop = 0.2;
+    }
+    const RunResult baseline = run_case(algo, cfg, inputs);
 
     // Kill at every round boundary (smoke: a head/middle/tail sample).
     std::vector<std::uint32_t> kills;
@@ -248,7 +280,7 @@ int main(int argc, char** argv) {
     }
     for (const std::uint32_t k : kills) {
       const KillOutcome out =
-          kill_restart_verify(algo, cfg, split, baseline, k, false);
+          kill_restart_verify(algo, cfg, inputs, baseline, k, false);
       failures += !out.identical || !out.dp_monotone ||
                   out.resumed_from != k;
       const std::vector<std::string> row{
@@ -265,7 +297,7 @@ int main(int argc, char** argv) {
     const std::uint32_t k_torn =
         static_cast<std::uint32_t>(rounds / 2);
     const KillOutcome torn =
-        kill_restart_verify(algo, cfg, split, baseline, k_torn, true);
+        kill_restart_verify(algo, cfg, inputs, baseline, k_torn, true);
     failures += !torn.identical || !torn.dp_monotone ||
                 torn.resumed_from != k_torn - 1;
     const std::vector<std::string> row{

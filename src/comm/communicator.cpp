@@ -161,14 +161,6 @@ std::vector<float> Communicator::decode_packed(
   return {};
 }
 
-void Communicator::decompress_update(Message& m) const {
-  if (m.codec == 0) return;
-  APPFL_CHECK_MSG(m.primal.empty(), "packed update also carries raw primal");
-  m.primal = decode_packed(m.codec, m.packed);
-  m.codec = 0;
-  m.packed.clear();
-}
-
 void Communicator::encode_into(const Message& m,
                                std::vector<std::uint8_t>& out) const {
   const bool timed = obs::metrics_on();
@@ -748,43 +740,55 @@ std::vector<Communicator::UplinkHealth> Communicator::uplink_health() const {
   return uplink_health_;
 }
 
-TrafficStats Communicator::stats() const {
-  TrafficStats s;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    s = stats_;
-  }
-  const FaultStats f = network_.fault_stats();
-  s.drops = f.drops;
-  s.duplicates = f.duplicates;
-  s.reorders = f.reorders;
-  s.corruptions = f.corruptions;
-  s.delays = f.delays;
-  // stats_.mailbox_overflows only carries a restored pre-crash base (the
-  // live count lives in the network's mailboxes), so add rather than assign.
-  s.mailbox_overflows += network_.mailbox_overflows();
-  return s;
+TrafficStats Communicator::own_stats() const {
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  return stats_;
 }
 
-Communicator::PersistentState Communicator::persistent_state() const {
-  PersistentState s;
-  s.sim_now = clock_.now();
-  s.stats = stats();
-  const FaultInjector::PersistentState fs = network_.fault_persistent_state();
-  s.link_keys = fs.link_keys;
-  s.link_seqs = fs.link_seqs;
+TrafficStats Communicator::stats() const {
+  return fold_network_stats(own_stats(), network_);
+}
+
+CommState Communicator::persistent_state() const {
+  CommState s = save_comm_state(network_, own_stats(), clock_.now());
   s.ef_residuals = ef_residual_;
   return s;
 }
 
-void Communicator::restore_persistent_state(const PersistentState& s) {
+void Communicator::restore_persistent_state(const CommState& s) {
   clock_.sync_to(s.sim_now);
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    // The injector-owned counters are restored into the injector below;
-    // stats() composes them back on top of this copy either way.
     stats_ = s.stats;
   }
+  restore_network_state(network_, s);
+  ef_residual_ = s.ef_residuals;
+  ef_residual_.resize(num_clients_);  // tolerate snapshots without residuals
+}
+
+TrafficStats fold_network_stats(TrafficStats own, const InProcNetwork& net) {
+  const FaultStats f = net.fault_stats();
+  own.drops = f.drops;
+  own.duplicates = f.duplicates;
+  own.reorders = f.reorders;
+  own.corruptions = f.corruptions;
+  own.delays = f.delays;
+  own.mailbox_overflows += net.mailbox_overflows();
+  return own;
+}
+
+CommState save_comm_state(const InProcNetwork& net, const TrafficStats& own,
+                          double sim_now) {
+  CommState s;
+  s.sim_now = sim_now;
+  s.stats = fold_network_stats(own, net);
+  FaultInjector::PersistentState fs = net.fault_persistent_state();
+  s.link_keys = std::move(fs.link_keys);
+  s.link_seqs = std::move(fs.link_seqs);
+  return s;
+}
+
+void restore_network_state(InProcNetwork& net, const CommState& s) {
   FaultInjector::PersistentState fs;
   fs.stats.drops = s.stats.drops;
   fs.stats.duplicates = s.stats.duplicates;
@@ -793,9 +797,7 @@ void Communicator::restore_persistent_state(const PersistentState& s) {
   fs.stats.delays = s.stats.delays;
   fs.link_keys = s.link_keys;
   fs.link_seqs = s.link_seqs;
-  network_.restore_fault_state(fs);
-  ef_residual_ = s.ef_residuals;
-  ef_residual_.resize(num_clients_);  // tolerate snapshots without residuals
+  net.restore_fault_state(fs);
 }
 
 }  // namespace appfl::comm

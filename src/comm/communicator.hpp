@@ -130,6 +130,46 @@ struct RoundCommRecord {
   double total_s() const { return broadcast_s + gather_s; }
 };
 
+/// Resumable snapshot of a comm plane: the simulated clock, the composed
+/// traffic/fault ledger, and the fault injector's per-link sequence
+/// counters. Restoring it on a fresh plane (same protocol/seed/config)
+/// continues the simulated timeline and fault schedule exactly where the
+/// snapshot left off.
+struct CommState {
+  double sim_now = 0.0;
+  TrafficStats stats;
+  std::vector<std::uint64_t> link_keys;
+  std::vector<std::uint64_t> link_seqs;
+  /// Communicator only: per-client kInt8Ef error-feedback residuals
+  /// (index = client − 1, empty vectors when unused). Losing these across
+  /// a restart would silently drop the quantization error they carry, so
+  /// they ride in every checkpoint.
+  std::vector<std::vector<float>> ef_residuals;
+
+  bool operator==(const CommState&) const = default;
+};
+
+// The network-owned half of a comm plane's ledger and snapshot. The
+// Communicator and the population engine each keep their own counters and
+// clock over an InProcNetwork, and both go through these three functions
+// for the rest.
+
+/// `own` with the network's counters folded in: the injector's drop,
+/// duplicate, reorder, corruption and delay counts replace own's, and the
+/// live mailbox overflows add to own's, which holds only a restored
+/// pre-crash base.
+TrafficStats fold_network_stats(TrafficStats own, const InProcNetwork& net);
+
+/// The snapshot of a plane whose own ledger is `own` and whose clock reads
+/// `sim_now` (no error-feedback residuals).
+CommState save_comm_state(const InProcNetwork& net, const TrafficStats& own,
+                          double sim_now);
+
+/// Restores `net`'s injector (fault counters, link sequences) from `s`. The
+/// plane's owner then takes s.stats as its ledger and s.sim_now as its
+/// clock.
+void restore_network_state(InProcNetwork& net, const CommState& s);
+
 /// One gathered client update whose float payloads are still wire-resident
 /// (or codec-materialized) — the fused decode→aggregate handoff. Header
 /// fields are owned; `primal`/`dual` borrow from buffers the owning
@@ -269,14 +309,6 @@ class Communicator {
   const std::vector<RoundCommRecord>& round_log() const { return round_log_; }
   const SimClock& clock() const { return clock_; }
 
-  /// The uplink codec in force — the negotiation record both endpoints
-  /// honor. On the wire the agreement travels per message as Message.codec
-  /// (inside the CRC frame), so a receiver never guesses the encoding.
-  UplinkCodec negotiated_codec() const { return codec_.codec; }
-
-  /// Encode-buffer recycling counters (see comm/buffer_pool.hpp).
-  BufferPool::Stats pool_stats() const { return pool_.stats(); }
-
   /// Per-client uplink fault attribution (index = client − 1): retransmit
   /// attempts beyond the first send and corrupted deliveries, as observed
   /// by send_update. Feeds the per-client health ledger; all zeros when the
@@ -287,26 +319,10 @@ class Communicator {
   };
   std::vector<UplinkHealth> uplink_health() const;
 
-  /// Resumable snapshot of the comm plane: the simulated clock, the
-  /// composed traffic/fault ledger, and the fault injector's per-link
-  /// sequence counters. Restoring it on a fresh Communicator (same
-  /// protocol/seed/config) continues the simulated timeline and fault
-  /// schedule exactly where the snapshot left off.
-  struct PersistentState {
-    double sim_now = 0.0;
-    TrafficStats stats;
-    std::vector<std::uint64_t> link_keys;
-    std::vector<std::uint64_t> link_seqs;
-    /// Per-client kInt8Ef error-feedback residuals (index = client − 1,
-    /// empty vectors when unused). Losing these across a restart would
-    /// silently drop the quantization error they carry, so they ride in
-    /// every checkpoint.
-    std::vector<std::vector<float>> ef_residuals;
-
-    bool operator==(const PersistentState&) const = default;
-  };
-  PersistentState persistent_state() const;
-  void restore_persistent_state(const PersistentState& s);
+  /// Resumable snapshot of the comm plane, error-feedback residuals
+  /// included (see CommState).
+  CommState persistent_state() const;
+  void restore_persistent_state(const CommState& s);
 
  private:
   /// Appends the encoded (and, fault plane on, CRC-framed) message to `out`
@@ -321,6 +337,10 @@ class Communicator {
   /// nullopt returned. The view borrows from `bytes`.
   std::optional<MessageView> decode_frame_view(
       std::span<const std::uint8_t> bytes);
+
+  /// The communicator's own counters: stats_ without the network's folded
+  /// in (fold_network_stats).
+  TrafficStats own_stats() const;
 
   /// Counts one discarded datagram (stats and the metrics counter).
   void count_discard();
@@ -337,11 +357,8 @@ class Communicator {
   /// Non-const: kInt8Ef updates the sending client's error-feedback
   /// residual (its own slot, so concurrent senders never contend).
   void compress_update(Message& m);
-  /// Restores m.primal from m.packed (gather side).
-  void decompress_update(Message& m) const;
   /// Decodes one codec payload into the primal it represents (delta codecs
-  /// add the broadcast reference back) — shared by decompress_update and
-  /// the batch gather.
+  /// add the broadcast reference back) — the gather side of every codec.
   std::vector<float> decode_packed(std::uint8_t codec,
                                    std::span<const std::uint8_t> packed) const;
 

@@ -106,11 +106,6 @@ float FloatView::operator[](std::size_t i) const {
   return v;
 }
 
-void FloatView::copy_to(std::span<float> out) const {
-  APPFL_CHECK(out.size() == count_);
-  if (count_ > 0) std::memcpy(out.data(), data_, 4 * count_);
-}
-
 void FloatView::copy_into(std::vector<float>& out) const {
   out.resize(count_);
   if (count_ > 0) std::memcpy(out.data(), data_, 4 * count_);

@@ -82,8 +82,6 @@ class FloatView {
 
   float operator[](std::size_t i) const;
 
-  /// Bulk copy into `out` (out.size() must equal size()).
-  void copy_to(std::span<float> out) const;
   /// Resizes `out` (reusing capacity) and copies — the detach primitive.
   void copy_into(std::vector<float>& out) const;
   std::vector<float> to_vector() const;

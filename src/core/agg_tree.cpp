@@ -20,7 +20,6 @@ AggTree::AggTree(std::size_t num_slots, std::size_t fan_out)
   if (fan_out_ == 0) {
     num_leaf_groups_ = 1;
     level_fan_ins_ = {num_slots_};
-    level_widths_ = {1};
     return;
   }
   num_leaf_groups_ = ceil_div(num_slots_, fan_out_);
@@ -32,7 +31,6 @@ AggTree::AggTree(std::size_t num_slots, std::size_t fan_out)
   do {
     level_fan_ins_.push_back(std::min(width, fan_out_));
     width = ceil_div(width, fan_out_);
-    level_widths_.push_back(width);
   } while (width > 1);
 }
 

@@ -53,10 +53,6 @@ class AggTree {
   const std::vector<std::size_t>& level_fan_ins() const {
     return level_fan_ins_;
   }
-  /// Per-level node counts, leaf level first (the root level is 1).
-  const std::vector<std::size_t>& level_widths() const {
-    return level_widths_;
-  }
 
   /// Simulated seconds for the full reduce under `model`: levels run
   /// sequentially, nodes within a level concurrently, so each level costs
@@ -71,7 +67,6 @@ class AggTree {
   std::size_t fan_out_ = 0;
   std::size_t num_leaf_groups_ = 1;
   std::vector<std::size_t> level_fan_ins_;
-  std::vector<std::size_t> level_widths_;
 };
 
 }  // namespace appfl::core

@@ -221,12 +221,13 @@ AsyncRunResult run_async_loop(const AsyncConfig& configured,
   result.strategy = strategy->name();
   double staleness_sum = 0.0;
 
-  RunCheckpoints ckpts(cfg);
-  if (const std::optional<AsyncCheckpoint> ac = ckpts.resume_async()) {
-    APPFL_CHECK_MSG(
-        ac->seed == cfg.seed && ac->num_clients == num_clients &&
-            ac->param_count == w.size() && ac->total_updates == total_updates,
-        "async checkpoint fingerprint mismatch");
+  RunCheckpoints ckpts(
+      cfg, {.flavor = RunFingerprint::Flavor::kAsync,
+            .seed = cfg.seed,
+            .num_clients = static_cast<std::uint32_t>(num_clients),
+            .param_count = w.size(),
+            .total = total_updates});
+  if (const std::optional<RunCheckpoint> ac = ckpts.resume()) {
     // Pre-strategy checkpoints carry no strategy tag; the only scheme that
     // could have written them is FedAsync.
     const std::string written_by =
@@ -236,16 +237,16 @@ AsyncRunResult run_async_loop(const AsyncConfig& configured,
                         << written_by << "' but this run uses '"
                         << result.strategy << "'");
     strategy->import_state(*ac);
-    w = ac->w;
+    w = ac->parameters;
     version = ac->version;
     dispatch_counter = ac->dispatch_counter;
-    result.applied_updates = ac->applied_updates;
-    result.resumed_from_update = ac->applied_updates;
+    result.applied_updates = ac->completed;
+    result.resumed_from_update = ac->completed;
     result.committed_updates = version;
     result.dropped_updates = ac->dropped_updates;
     result.sim_seconds = ac->sim_seconds;
     staleness_sum = ac->staleness_sum;
-    jitter.set_state(ac->jitter_state);
+    jitter.set_state(ac->rng_state);
     bool fault_rng_used = false;
     for (std::uint64_t word : ac->fault_rng) fault_rng_used |= word != 0;
     if (fault_rng_used) drop_rng.set_state(ac->fault_rng);
@@ -255,7 +256,7 @@ AsyncRunResult run_async_loop(const AsyncConfig& configured,
     }
     // The pending dispatches were computed before the crash; their results
     // (in_flight) ride along, so nothing is re-trained or skipped.
-    for (const AsyncCheckpoint::Pending& pend : ac->queue) {
+    for (const RunCheckpoint::Pending& pend : ac->queue) {
       queue.push({pend.finish_time, pend.client,
                   static_cast<std::size_t>(pend.version)});
     }
@@ -326,19 +327,13 @@ AsyncRunResult run_async_loop(const AsyncConfig& configured,
       dispatch(p, next.finish_time);
     }
 
-    ckpts.maybe_save(result.applied_updates, total_updates, [&] {
-      AsyncCheckpoint ac;
-      ac.seed = cfg.seed;
-      ac.num_clients = static_cast<std::uint32_t>(num_clients);
-      ac.param_count = w.size();
-      ac.total_updates = total_updates;
-      ac.applied_updates = result.applied_updates;
+    ckpts.maybe_save(result.applied_updates, [&](RunCheckpoint& ac) {
       ac.version = version;
       ac.dispatch_counter = dispatch_counter;
       ac.staleness_sum = staleness_sum;
       ac.sim_seconds = result.sim_seconds;
-      ac.w = w;
-      ac.jitter_state = jitter.state();
+      ac.parameters = w;
+      ac.rng_state = jitter.state();
       auto pending = queue;  // priority_queue has no iteration; drain a copy
       while (!pending.empty()) {
         const PendingUpdate& top = pending.top();
@@ -353,7 +348,6 @@ AsyncRunResult run_async_loop(const AsyncConfig& configured,
       strategy->export_state(ac);
       ac.dropped_updates = result.dropped_updates;
       if (faults.drop > 0.0) ac.fault_rng = drop_rng.state();
-      return encode_async_checkpoint(ac);
     });
     if (ckpts.halts_at(result.applied_updates)) break;
   }

@@ -80,11 +80,14 @@ struct AsyncRunResult {
 /// Runs the asynchronous scheme on a federated split.
 ///
 /// Crash recovery mirrors the sync runner, at update granularity: with
-/// run.checkpoint_dir set an AsyncCheckpoint is stored every
+/// run.checkpoint_dir set an async-flavor RunCheckpoint is stored every
 /// run.checkpoint_every_n_rounds *applied updates*, run.resume_from restores
 /// the newest valid one (bit-identical continuation — FedBuff's partially
 /// filled buffer and the scheduler's step plan included), and
-/// run.halt_after_round stops after that many applied updates.
+/// run.halt_after_round stops after that many applied updates. A
+/// checkpoint of another run (a sync or population one, or another seed,
+/// fleet size, model or update budget) is refused with an error that names
+/// both fingerprints.
 AsyncRunResult run_async(const AsyncConfig& config,
                          const data::FederatedSplit& split);
 
@@ -117,9 +120,9 @@ SyncBaselineResult run_sync_baseline(const AsyncConfig& config,
 /// dropped arrival rolls the client's dual back to the server replica
 /// before the re-dispatch. Honors the same checkpoint/halt/resume and drop
 /// contract as run_async (the replicas and w_sent snapshots ride in the
-/// AsyncCheckpoint's ADMM fields); ρ must be constant (adaptive_rho throws,
-/// since clients never receive an adapted ρ) and config.strategy is
-/// ignored. duals_consistent is true iff every client's dual matched the
+/// async fields of its RunCheckpoint); ρ must be constant (adaptive_rho
+/// throws, since clients never receive an adapted ρ) and config.strategy
+/// is ignored. duals_consistent is true iff every client's dual matched the
 /// server replica bit-for-bit at the end.
 struct AsyncIIAdmmResult {
   AsyncRunResult base;

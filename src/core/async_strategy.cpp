@@ -122,12 +122,12 @@ class FedBuffStrategy : public AsyncStrategy {
     return {.mixing = mixing, .committed = true};
   }
 
-  void export_state(AsyncCheckpoint& out) const override {
+  void export_state(RunCheckpoint& out) const override {
     out.buffer = buffer_;
     out.buffer_weights = weights_;
   }
 
-  void import_state(const AsyncCheckpoint& in) override {
+  void import_state(const RunCheckpoint& in) override {
     APPFL_CHECK_MSG(in.buffer.size() == in.buffer_weights.size(),
                     "FedBuff checkpoint buffer/weights are unpaired");
     APPFL_CHECK_MSG(in.buffer.size() < k_,
@@ -182,11 +182,11 @@ class FedCompassStrategy : public FedAsyncStrategy {
     return steps_[client];
   }
 
-  void export_state(AsyncCheckpoint& out) const override {
+  void export_state(RunCheckpoint& out) const override {
     out.assigned_steps.assign(steps_.begin(), steps_.end());
   }
 
-  void import_state(const AsyncCheckpoint& in) override {
+  void import_state(const RunCheckpoint& in) override {
     // The plan is a pure function of the fleet + config, so a resumed run
     // re-derives it; the stored copy is a fingerprint that catches resuming
     // against a different fleet.
@@ -244,14 +244,14 @@ class IIAdmmStrategy : public AsyncStrategy {
     c.import_state(s);
   }
 
-  void export_state(AsyncCheckpoint& out) const override {
+  void export_state(RunCheckpoint& out) const override {
     ServerStateCkpt s = server_.export_state();
     out.server_primal = std::move(s.primal);
     out.server_dual = std::move(s.dual);
     out.w_sent = w_sent_;
   }
 
-  void import_state(const AsyncCheckpoint& in) override {
+  void import_state(const RunCheckpoint& in) override {
     APPFL_CHECK_MSG(in.server_primal.size() == w_sent_.size() &&
                         in.server_dual.size() == w_sent_.size() &&
                         in.w_sent.size() == w_sent_.size(),

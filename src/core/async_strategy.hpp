@@ -35,8 +35,8 @@
 //
 // Strategies are deterministic plain state machines: no RNG, no clocks.
 // Their mutable state (FedBuff's partially-filled buffer, the scheduler's
-// step plan, IIADMM's replicas) exports into AsyncCheckpoint so a killed
-// run resumes bit-identically mid-buffer.
+// step plan, IIADMM's replicas) exports into the async fields of the run's
+// RunCheckpoint, so a killed run resumes bit-identically mid-buffer.
 #pragma once
 
 #include <array>
@@ -48,7 +48,7 @@
 
 namespace appfl::core {
 
-struct AsyncCheckpoint;
+struct RunCheckpoint;
 class BaseClient;
 class IIAdmmServer;
 
@@ -128,9 +128,11 @@ class AsyncStrategy {
 
   /// Checkpoint halves: fill / restore the strategy's resumable state
   /// (FedBuff's partial buffer, the scheduler's step plan, IIADMM's
-  /// replicas). Defaults: stateless.
-  virtual void export_state(AsyncCheckpoint& out) const { (void)out; }
-  virtual void import_state(const AsyncCheckpoint& in) { (void)in; }
+  /// replicas) in an async-flavor checkpoint. The run loop checks the
+  /// strategy name and RunCheckpoints the run's fingerprint before
+  /// import_state runs. Defaults: stateless.
+  virtual void export_state(RunCheckpoint& out) const { (void)out; }
+  virtual void import_state(const RunCheckpoint& in) { (void)in; }
 
   /// Builds a strategy. `seconds_per_step[p]` is the simulated compute
   /// seconds one local step costs client p — the FedCompass scheduler

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <sstream>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -81,37 +82,34 @@ std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
 
 namespace {
 
-constexpr std::uint32_t kRoundCkptVersion = 2;
-// Top-level flavor discriminator so a sync round checkpoint is never
-// restored as an async one (or vice versa).
-constexpr std::uint64_t kFlavorSyncRound = 1;
-constexpr std::uint64_t kFlavorAsync = 2;
+constexpr std::uint32_t kCkptVersion = 2;
 
-// Top-level fields (shared by both flavors where it makes sense).
+// Top-level fields, one tag space for both flavors.
 constexpr std::uint32_t kTVersion = 1;
 constexpr std::uint32_t kTFlavor = 2;
 constexpr std::uint32_t kTAlgorithm = 3;
 constexpr std::uint32_t kTSeed = 4;
 constexpr std::uint32_t kTNumClients = 5;
 constexpr std::uint32_t kTParamCount = 6;
-constexpr std::uint32_t kTTotalRounds = 7;
-constexpr std::uint32_t kTRoundsCompleted = 8;
+constexpr std::uint32_t kTTotal = 7;
+constexpr std::uint32_t kTCompleted = 8;
 constexpr std::uint32_t kTParameters = 9;
 constexpr std::uint32_t kTServer = 10;
 constexpr std::uint32_t kTClient = 11;      // repeated
-constexpr std::uint32_t kTSamplerState = 12;  // repeated varint ×4
+constexpr std::uint32_t kTRngState = 12;    // repeated varint ×4
 constexpr std::uint32_t kTComm = 13;
-// Async-only top-level fields.
+// Async files of earlier builds carry the update budget and count here
+// instead of under kTTotal / kTCompleted; the decoder reads both.
 constexpr std::uint32_t kTTotalUpdates = 14;
 constexpr std::uint32_t kTAppliedUpdates = 15;
+// Async loop state.
 constexpr std::uint32_t kTModelVersion = 16;
 constexpr std::uint32_t kTDispatchCounter = 17;
 constexpr std::uint32_t kTStalenessSum = 18;
 constexpr std::uint32_t kTSimSeconds = 19;
 constexpr std::uint32_t kTPending = 20;   // repeated
 constexpr std::uint32_t kTInFlight = 21;  // repeated packed floats
-// Async strategy state (optional: absent on pre-strategy checkpoints, and
-// pre-strategy decoders skip them as unknown fields).
+// Async strategy state (optional: absent on pre-strategy checkpoints).
 constexpr std::uint32_t kTStrategy = 22;       // string
 constexpr std::uint32_t kTBufferVals = 23;     // repeated packed floats
 constexpr std::uint32_t kTBufferWeight = 24;   // packed floats
@@ -121,8 +119,8 @@ constexpr std::uint32_t kTFaultRng = 27;       // repeated varint ×4
 constexpr std::uint32_t kTServerPrimal = 28;   // repeated packed floats
 constexpr std::uint32_t kTServerDual = 29;     // repeated packed floats
 constexpr std::uint32_t kTWSent = 30;          // repeated packed floats
-// Population-engine extension (optional: absent on classic sync-runner
-// checkpoints, and pre-population decoders skip them as unknown fields).
+// Population-engine extension (optional: absent on sync-runner
+// checkpoints).
 constexpr std::uint32_t kTPopulation = 31;            // varint
 constexpr std::uint32_t kTParticipantsPerRound = 32;  // varint
 // Sparse participation ledger: repeated (id, count) pairs, id always first.
@@ -322,6 +320,98 @@ CommStateCkpt decode_comm(std::span<const std::uint8_t> bytes) {
   return c;
 }
 
+/// The async loop's state, after the fields both flavors share.
+void encode_async_state(comm::ProtoWriter& w, const RunCheckpoint& ckpt) {
+  w.add_varint(kTModelVersion, ckpt.version);
+  w.add_varint(kTDispatchCounter, ckpt.dispatch_counter);
+  w.add_double(kTStalenessSum, ckpt.staleness_sum);
+  w.add_double(kTSimSeconds, ckpt.sim_seconds);
+  for (const auto& p : ckpt.queue) {
+    comm::ProtoWriter pw;
+    pw.add_double(kPFinish, p.finish_time);
+    pw.add_varint(kPClient, p.client);
+    pw.add_varint(kPVersion, p.version);
+    w.add_bytes(kTPending, pw.view());
+  }
+  for (const auto& z : ckpt.in_flight) w.add_packed_floats(kTInFlight, z);
+  if (!ckpt.strategy.empty()) w.add_string(kTStrategy, ckpt.strategy);
+  for (const auto& d : ckpt.buffer) w.add_packed_floats(kTBufferVals, d);
+  if (!ckpt.buffer_weights.empty()) {
+    w.add_packed_floats(kTBufferWeight, ckpt.buffer_weights);
+  }
+  for (std::uint64_t s : ckpt.assigned_steps) w.add_varint(kTAssignedSteps, s);
+  if (ckpt.dropped_updates != 0) w.add_varint(kTDropped, ckpt.dropped_updates);
+  bool fault_rng_used = false;
+  for (std::uint64_t word : ckpt.fault_rng) fault_rng_used |= word != 0;
+  if (fault_rng_used) {
+    for (std::uint64_t word : ckpt.fault_rng) w.add_varint(kTFaultRng, word);
+  }
+  for (const auto& v : ckpt.server_primal) w.add_packed_floats(kTServerPrimal, v);
+  for (const auto& v : ckpt.server_dual) w.add_packed_floats(kTServerDual, v);
+  for (const auto& v : ckpt.w_sent) w.add_packed_floats(kTWSent, v);
+}
+
+/// Copies a repeated varint field of exactly four words (an RNG state).
+void take_words(const std::vector<std::uint64_t>& words,
+                std::array<std::uint64_t, 4>& out, const char* what) {
+  APPFL_CHECK_MSG(words.size() == 4, "checkpoint " << what << " has "
+                                         << words.size()
+                                         << " words, expected 4");
+  for (std::size_t i = 0; i < 4; ++i) out[i] = words[i];
+}
+
+/// The flavor-specific invariants of a decoded checkpoint.
+void check_round(const RunCheckpoint& ckpt, bool have_server,
+                 bool have_comm) {
+  const RunFingerprint& fp = ckpt.fingerprint;
+  APPFL_CHECK_MSG(have_server, "round checkpoint carries no server state");
+  APPFL_CHECK_MSG(have_comm, "round checkpoint carries no comm state");
+  if (fp.participants_per_round > 0) {
+    // Population-engine checkpoint: clients are transient (rebuilt per
+    // participation), so no per-client states ride along.
+    APPFL_CHECK_MSG(ckpt.clients.empty(),
+                    "population checkpoint carries per-client states");
+    APPFL_CHECK_MSG(fp.participants_per_round <= fp.num_clients,
+                    "population checkpoint samples "
+                        << fp.participants_per_round << " of "
+                        << fp.num_clients);
+    for (const auto& [id, count] : ckpt.participation) {
+      APPFL_CHECK_MSG(id >= 1 && id <= fp.num_clients,
+                      "participation ledger has out-of-range client " << id);
+      APPFL_CHECK_MSG(count >= 1, "participation ledger has idle client "
+                                      << id);
+    }
+  } else {
+    APPFL_CHECK_MSG(ckpt.clients.size() == fp.num_clients,
+                    "round checkpoint carries " << ckpt.clients.size()
+                        << " client states for " << fp.num_clients
+                        << " clients");
+  }
+}
+
+void check_async(const RunCheckpoint& ckpt) {
+  const std::uint32_t n = ckpt.fingerprint.num_clients;
+  APPFL_CHECK_MSG(ckpt.clients.size() == n,
+                  "async checkpoint carries " << ckpt.clients.size()
+                      << " client states for " << n << " clients");
+  APPFL_CHECK_MSG(ckpt.in_flight.size() == n,
+                  "async checkpoint in-flight table has "
+                      << ckpt.in_flight.size() << " entries for " << n
+                      << " clients");
+  APPFL_CHECK_MSG(ckpt.buffer.size() == ckpt.buffer_weights.size(),
+                  "async checkpoint buffer has " << ckpt.buffer.size()
+                      << " deltas but " << ckpt.buffer_weights.size()
+                      << " weights");
+  APPFL_CHECK_MSG(ckpt.assigned_steps.empty() ||
+                      ckpt.assigned_steps.size() == n,
+                  "async checkpoint step plan has "
+                      << ckpt.assigned_steps.size() << " entries for " << n
+                      << " clients");
+  APPFL_CHECK_MSG(ckpt.server_primal.size() == ckpt.server_dual.size() &&
+                      ckpt.server_primal.size() == ckpt.w_sent.size(),
+                  "async checkpoint ADMM replica tables are unpaired");
+}
+
 /// Seals an encoded body in the comm plane's CRC32 envelope.
 std::vector<std::uint8_t> seal(comm::ProtoWriter&& w) {
   return comm::seal_envelope(w.take());
@@ -339,41 +429,48 @@ std::span<const std::uint8_t> unseal(std::span<const std::uint8_t> bytes) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_round_checkpoint(const RoundCheckpoint& ckpt) {
+std::vector<std::uint8_t> encode_checkpoint(const RunCheckpoint& ckpt) {
+  const RunFingerprint& fp = ckpt.fingerprint;
+  const bool round = fp.flavor == RunFingerprint::Flavor::kRound;
   comm::ProtoWriter w;
   w.add_varint(kTVersion, ckpt.format_version);
-  w.add_varint(kTFlavor, kFlavorSyncRound);
+  w.add_varint(kTFlavor, static_cast<std::uint64_t>(fp.flavor));
   w.add_string(kTAlgorithm, ckpt.algorithm);
-  w.add_varint(kTSeed, ckpt.seed);
-  w.add_varint(kTNumClients, ckpt.num_clients);
-  w.add_varint(kTParamCount, ckpt.param_count);
-  w.add_varint(kTTotalRounds, ckpt.total_rounds);
-  w.add_varint(kTRoundsCompleted, ckpt.rounds_completed);
+  w.add_varint(kTSeed, fp.seed);
+  w.add_varint(kTNumClients, fp.num_clients);
+  w.add_varint(kTParamCount, fp.param_count);
+  w.add_varint(kTTotal, fp.total);
+  w.add_varint(kTCompleted, ckpt.completed);
   w.add_packed_floats(kTParameters, ckpt.parameters);
-  encode_server(w, ckpt.server);
+  if (round) encode_server(w, ckpt.server);
   for (const auto& c : ckpt.clients) encode_client(w, c);
-  for (std::uint64_t s : ckpt.sampler_state) w.add_varint(kTSamplerState, s);
-  encode_comm(w, ckpt.comm);
-  if (ckpt.population > 0) {
-    w.add_varint(kTPopulation, ckpt.population);
-    w.add_varint(kTParticipantsPerRound, ckpt.participants_per_round);
+  for (std::uint64_t s : ckpt.rng_state) w.add_varint(kTRngState, s);
+  if (round) encode_comm(w, ckpt.comm);
+  if (fp.participants_per_round > 0) {
+    w.add_varint(kTPopulation, fp.num_clients);
+    w.add_varint(kTParticipantsPerRound, fp.participants_per_round);
     for (const auto& [id, count] : ckpt.participation) {
       w.add_varint(kTParticipationId, id);
       w.add_varint(kTParticipationCount, count);
     }
   }
+  if (!round) encode_async_state(w, ckpt);
   return seal(std::move(w));
 }
 
-RoundCheckpoint decode_round_checkpoint(std::span<const std::uint8_t> bytes) {
+RunCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
+  using Flavor = RunFingerprint::Flavor;
   const auto body = unseal(bytes);
-  RoundCheckpoint ckpt;
+  RunCheckpoint ckpt;
+  RunFingerprint& fp = ckpt.fingerprint;
   ckpt.format_version = 0;
   std::uint64_t flavor = 0;
-  std::vector<std::uint64_t> sampler;
+  std::vector<std::uint64_t> rng;
+  std::vector<std::uint64_t> fault_rng;
   bool have_server = false;
   bool have_comm = false;
   std::optional<std::uint32_t> pending_participation;
+  std::uint64_t population = 0;  // population checkpoints repeat num_clients
   comm::ProtoReader r(body);
   comm::ProtoField f;
   while (r.next(f)) {
@@ -383,17 +480,15 @@ RoundCheckpoint decode_round_checkpoint(std::span<const std::uint8_t> bytes) {
         break;
       case kTFlavor: flavor = f.varint; break;
       case kTAlgorithm: ckpt.algorithm = comm::ProtoReader::as_string(f); break;
-      case kTSeed: ckpt.seed = f.varint; break;
+      case kTSeed: fp.seed = f.varint; break;
       case kTNumClients:
-        ckpt.num_clients = static_cast<std::uint32_t>(f.varint);
+        fp.num_clients = static_cast<std::uint32_t>(f.varint);
         break;
-      case kTParamCount: ckpt.param_count = f.varint; break;
-      case kTTotalRounds:
-        ckpt.total_rounds = static_cast<std::uint32_t>(f.varint);
-        break;
-      case kTRoundsCompleted:
-        ckpt.rounds_completed = static_cast<std::uint32_t>(f.varint);
-        break;
+      case kTParamCount: fp.param_count = f.varint; break;
+      case kTTotal:
+      case kTTotalUpdates: fp.total = f.varint; break;
+      case kTCompleted:
+      case kTAppliedUpdates: ckpt.completed = f.varint; break;
       case kTParameters:
         ckpt.parameters = comm::ProtoReader::as_packed_floats(f);
         break;
@@ -402,138 +497,11 @@ RoundCheckpoint decode_round_checkpoint(std::span<const std::uint8_t> bytes) {
         have_server = true;
         break;
       case kTClient: ckpt.clients.push_back(decode_client(f.bytes)); break;
-      case kTSamplerState: sampler.push_back(f.varint); break;
+      case kTRngState: rng.push_back(f.varint); break;
       case kTComm:
         ckpt.comm = decode_comm(f.bytes);
         have_comm = true;
         break;
-      case kTPopulation: ckpt.population = f.varint; break;
-      case kTParticipantsPerRound:
-        ckpt.participants_per_round = static_cast<std::uint32_t>(f.varint);
-        break;
-      case kTParticipationId:
-        APPFL_CHECK_MSG(!pending_participation,
-                        "participation id without a following count");
-        pending_participation = static_cast<std::uint32_t>(f.varint);
-        break;
-      case kTParticipationCount:
-        APPFL_CHECK_MSG(pending_participation,
-                        "participation count without a preceding id");
-        ckpt.participation.emplace_back(
-            *pending_participation, static_cast<std::uint32_t>(f.varint));
-        pending_participation.reset();
-        break;
-      default: break;  // forward compatibility
-    }
-  }
-  APPFL_CHECK_MSG(!pending_participation,
-                  "participation id without a following count");
-  APPFL_CHECK_MSG(ckpt.format_version == kRoundCkptVersion,
-                  "unsupported round-checkpoint version "
-                      << ckpt.format_version);
-  APPFL_CHECK_MSG(flavor == kFlavorSyncRound,
-                  "checkpoint flavor " << flavor
-                                       << " is not a sync round checkpoint");
-  APPFL_CHECK_MSG(have_server, "round checkpoint carries no server state");
-  APPFL_CHECK_MSG(have_comm, "round checkpoint carries no comm state");
-  APPFL_CHECK_MSG(sampler.size() == 4, "round checkpoint sampler state has "
-                                           << sampler.size()
-                                           << " words, expected 4");
-  for (std::size_t i = 0; i < 4; ++i) ckpt.sampler_state[i] = sampler[i];
-  APPFL_CHECK_MSG(ckpt.num_clients >= 1, "round checkpoint has no clients");
-  if (ckpt.population > 0) {
-    // Population-engine checkpoint: clients are transient (rebuilt per
-    // participation), so no per-client states ride along.
-    APPFL_CHECK_MSG(ckpt.clients.empty(),
-                    "population checkpoint carries per-client states");
-    APPFL_CHECK_MSG(ckpt.participants_per_round >= 1 &&
-                        ckpt.participants_per_round <= ckpt.population,
-                    "population checkpoint samples "
-                        << ckpt.participants_per_round << " of "
-                        << ckpt.population);
-    for (const auto& [id, count] : ckpt.participation) {
-      APPFL_CHECK_MSG(id >= 1 && id <= ckpt.population,
-                      "participation ledger has out-of-range client " << id);
-      APPFL_CHECK_MSG(count >= 1, "participation ledger has idle client "
-                                      << id);
-    }
-  } else {
-    APPFL_CHECK_MSG(ckpt.clients.size() == ckpt.num_clients,
-                    "round checkpoint carries " << ckpt.clients.size()
-                        << " client states for " << ckpt.num_clients
-                        << " clients");
-  }
-  APPFL_CHECK_MSG(ckpt.rounds_completed >= 1 &&
-                      ckpt.rounds_completed <= ckpt.total_rounds,
-                  "round checkpoint at round " << ckpt.rounds_completed
-                      << " of " << ckpt.total_rounds << " is inconsistent");
-  return ckpt;
-}
-
-std::vector<std::uint8_t> encode_async_checkpoint(const AsyncCheckpoint& ckpt) {
-  comm::ProtoWriter w;
-  w.add_varint(kTVersion, ckpt.format_version);
-  w.add_varint(kTFlavor, kFlavorAsync);
-  w.add_varint(kTSeed, ckpt.seed);
-  w.add_varint(kTNumClients, ckpt.num_clients);
-  w.add_varint(kTParamCount, ckpt.param_count);
-  w.add_varint(kTTotalUpdates, ckpt.total_updates);
-  w.add_varint(kTAppliedUpdates, ckpt.applied_updates);
-  w.add_varint(kTModelVersion, ckpt.version);
-  w.add_varint(kTDispatchCounter, ckpt.dispatch_counter);
-  w.add_double(kTStalenessSum, ckpt.staleness_sum);
-  w.add_double(kTSimSeconds, ckpt.sim_seconds);
-  w.add_packed_floats(kTParameters, ckpt.w);
-  for (std::uint64_t s : ckpt.jitter_state) w.add_varint(kTSamplerState, s);
-  for (const auto& p : ckpt.queue) {
-    comm::ProtoWriter pw;
-    pw.add_double(kPFinish, p.finish_time);
-    pw.add_varint(kPClient, p.client);
-    pw.add_varint(kPVersion, p.version);
-    w.add_bytes(kTPending, pw.view());
-  }
-  for (const auto& z : ckpt.in_flight) w.add_packed_floats(kTInFlight, z);
-  for (const auto& c : ckpt.clients) encode_client(w, c);
-  if (!ckpt.strategy.empty()) w.add_string(kTStrategy, ckpt.strategy);
-  for (const auto& d : ckpt.buffer) w.add_packed_floats(kTBufferVals, d);
-  if (!ckpt.buffer_weights.empty()) {
-    w.add_packed_floats(kTBufferWeight, ckpt.buffer_weights);
-  }
-  for (std::uint64_t s : ckpt.assigned_steps) w.add_varint(kTAssignedSteps, s);
-  if (ckpt.dropped_updates != 0) w.add_varint(kTDropped, ckpt.dropped_updates);
-  bool fault_rng_used = false;
-  for (std::uint64_t word : ckpt.fault_rng) fault_rng_used |= word != 0;
-  if (fault_rng_used) {
-    for (std::uint64_t word : ckpt.fault_rng) w.add_varint(kTFaultRng, word);
-  }
-  for (const auto& v : ckpt.server_primal) w.add_packed_floats(kTServerPrimal, v);
-  for (const auto& v : ckpt.server_dual) w.add_packed_floats(kTServerDual, v);
-  for (const auto& v : ckpt.w_sent) w.add_packed_floats(kTWSent, v);
-  return seal(std::move(w));
-}
-
-AsyncCheckpoint decode_async_checkpoint(std::span<const std::uint8_t> bytes) {
-  const auto body = unseal(bytes);
-  AsyncCheckpoint ckpt;
-  ckpt.format_version = 0;
-  std::uint64_t flavor = 0;
-  std::vector<std::uint64_t> jitter;
-  std::vector<std::uint64_t> fault_rng;
-  comm::ProtoReader r(body);
-  comm::ProtoField f;
-  while (r.next(f)) {
-    switch (f.field) {
-      case kTVersion:
-        ckpt.format_version = static_cast<std::uint32_t>(f.varint);
-        break;
-      case kTFlavor: flavor = f.varint; break;
-      case kTSeed: ckpt.seed = f.varint; break;
-      case kTNumClients:
-        ckpt.num_clients = static_cast<std::uint32_t>(f.varint);
-        break;
-      case kTParamCount: ckpt.param_count = f.varint; break;
-      case kTTotalUpdates: ckpt.total_updates = f.varint; break;
-      case kTAppliedUpdates: ckpt.applied_updates = f.varint; break;
       case kTModelVersion: ckpt.version = f.varint; break;
       case kTDispatchCounter: ckpt.dispatch_counter = f.varint; break;
       case kTStalenessSum:
@@ -542,10 +510,8 @@ AsyncCheckpoint decode_async_checkpoint(std::span<const std::uint8_t> bytes) {
       case kTSimSeconds:
         ckpt.sim_seconds = comm::ProtoReader::as_double(f);
         break;
-      case kTParameters: ckpt.w = comm::ProtoReader::as_packed_floats(f); break;
-      case kTSamplerState: jitter.push_back(f.varint); break;
       case kTPending: {
-        AsyncCheckpoint::Pending p;
+        RunCheckpoint::Pending p;
         comm::ProtoReader pr(f.bytes);
         comm::ProtoField pf;
         while (pr.next(pf)) {
@@ -564,7 +530,6 @@ AsyncCheckpoint decode_async_checkpoint(std::span<const std::uint8_t> bytes) {
       case kTInFlight:
         ckpt.in_flight.push_back(comm::ProtoReader::as_packed_floats(f));
         break;
-      case kTClient: ckpt.clients.push_back(decode_client(f.bytes)); break;
       case kTStrategy: ckpt.strategy = comm::ProtoReader::as_string(f); break;
       case kTBufferVals:
         ckpt.buffer.push_back(comm::ProtoReader::as_packed_floats(f));
@@ -584,46 +549,53 @@ AsyncCheckpoint decode_async_checkpoint(std::span<const std::uint8_t> bytes) {
       case kTWSent:
         ckpt.w_sent.push_back(comm::ProtoReader::as_packed_floats(f));
         break;
-      default: break;
+      case kTPopulation: population = f.varint; break;
+      case kTParticipantsPerRound:
+        fp.participants_per_round = static_cast<std::uint32_t>(f.varint);
+        break;
+      case kTParticipationId:
+        APPFL_CHECK_MSG(!pending_participation,
+                        "participation id without a following count");
+        pending_participation = static_cast<std::uint32_t>(f.varint);
+        break;
+      case kTParticipationCount:
+        APPFL_CHECK_MSG(pending_participation,
+                        "participation count without a preceding id");
+        ckpt.participation.emplace_back(
+            *pending_participation, static_cast<std::uint32_t>(f.varint));
+        pending_participation.reset();
+        break;
+      default: break;  // forward compatibility
     }
   }
-  APPFL_CHECK_MSG(ckpt.format_version == kRoundCkptVersion,
-                  "unsupported async-checkpoint version "
-                      << ckpt.format_version);
-  APPFL_CHECK_MSG(flavor == kFlavorAsync,
-                  "checkpoint flavor " << flavor
-                                       << " is not an async checkpoint");
-  APPFL_CHECK_MSG(jitter.size() == 4, "async checkpoint jitter state has "
-                                          << jitter.size()
-                                          << " words, expected 4");
-  for (std::size_t i = 0; i < 4; ++i) ckpt.jitter_state[i] = jitter[i];
-  APPFL_CHECK_MSG(ckpt.num_clients >= 1, "async checkpoint has no clients");
-  APPFL_CHECK_MSG(ckpt.clients.size() == ckpt.num_clients,
-                  "async checkpoint carries " << ckpt.clients.size()
-                      << " client states for " << ckpt.num_clients
-                      << " clients");
-  APPFL_CHECK_MSG(ckpt.in_flight.size() == ckpt.num_clients,
-                  "async checkpoint in-flight table has "
-                      << ckpt.in_flight.size() << " entries for "
-                      << ckpt.num_clients << " clients");
-  APPFL_CHECK_MSG(fault_rng.empty() || fault_rng.size() == 4,
-                  "async checkpoint fault-rng state has " << fault_rng.size()
-                                                          << " words");
-  for (std::size_t i = 0; i < fault_rng.size(); ++i) {
-    ckpt.fault_rng[i] = fault_rng[i];
+  APPFL_CHECK_MSG(!pending_participation,
+                  "participation id without a following count");
+  APPFL_CHECK_MSG(ckpt.format_version == kCkptVersion,
+                  "unsupported checkpoint version " << ckpt.format_version);
+  APPFL_CHECK_MSG(flavor == static_cast<std::uint64_t>(Flavor::kRound) ||
+                      flavor == static_cast<std::uint64_t>(Flavor::kAsync),
+                  "unknown checkpoint flavor " << flavor);
+  fp.flavor = static_cast<Flavor>(flavor);
+  take_words(rng, ckpt.rng_state, "rng state");
+  if (!fault_rng.empty()) take_words(fault_rng, ckpt.fault_rng, "fault rng");
+  APPFL_CHECK_MSG(fp.num_clients >= 1, "checkpoint has no clients");
+  APPFL_CHECK_MSG(population == (fp.participants_per_round > 0
+                                     ? fp.num_clients
+                                     : 0),
+                  "checkpoint population " << population << " does not fit "
+                      << fp.num_clients << " clients sampled "
+                      << fp.participants_per_round << " per round");
+  APPFL_CHECK_MSG(ckpt.parameters.size() == fp.param_count,
+                  "checkpoint carries " << ckpt.parameters.size()
+                      << " parameters for a model of " << fp.param_count);
+  APPFL_CHECK_MSG(ckpt.completed >= 1 && ckpt.completed <= fp.total,
+                  "checkpoint at step " << ckpt.completed << " of "
+                      << fp.total << " is inconsistent");
+  if (fp.flavor == Flavor::kRound) {
+    check_round(ckpt, have_server, have_comm);
+  } else {
+    check_async(ckpt);
   }
-  APPFL_CHECK_MSG(ckpt.buffer.size() == ckpt.buffer_weights.size(),
-                  "async checkpoint buffer has " << ckpt.buffer.size()
-                      << " deltas but " << ckpt.buffer_weights.size()
-                      << " weights");
-  APPFL_CHECK_MSG(ckpt.assigned_steps.empty() ||
-                      ckpt.assigned_steps.size() == ckpt.num_clients,
-                  "async checkpoint step plan has "
-                      << ckpt.assigned_steps.size() << " entries for "
-                      << ckpt.num_clients << " clients");
-  APPFL_CHECK_MSG(ckpt.server_primal.size() == ckpt.server_dual.size() &&
-                      ckpt.server_primal.size() == ckpt.w_sent.size(),
-                  "async checkpoint ADMM replica tables are unpaired");
   return ckpt;
 }
 
@@ -746,51 +718,51 @@ std::optional<CheckpointStore::Loaded> CheckpointStore::load_latest(
   return out;
 }
 
-std::optional<RoundCheckpoint> load_latest_round_checkpoint(
-    CheckpointStore& store) {
+std::optional<RunCheckpoint> load_latest_checkpoint(CheckpointStore& store) {
   const auto loaded = store.load_latest([](std::span<const std::uint8_t> p) {
     try {
-      (void)decode_round_checkpoint(p);
+      (void)decode_checkpoint(p);
       return true;
     } catch (const appfl::Error&) {
       return false;
     }
   });
   if (!loaded.has_value()) return std::nullopt;
-  return decode_round_checkpoint(loaded->payload);
-}
-
-std::optional<AsyncCheckpoint> load_latest_async_checkpoint(
-    CheckpointStore& store) {
-  const auto loaded = store.load_latest([](std::span<const std::uint8_t> p) {
-    try {
-      (void)decode_async_checkpoint(p);
-      return true;
-    } catch (const appfl::Error&) {
-      return false;
-    }
-  });
-  if (!loaded.has_value()) return std::nullopt;
-  return decode_async_checkpoint(loaded->payload);
+  return decode_checkpoint(loaded->payload);
 }
 
 // ---------------------------------------------------------------------------
 // RunCheckpoints
 // ---------------------------------------------------------------------------
 
-RunCheckpoints::RunCheckpoints(const RunConfig& config)
+namespace {
+
+std::string describe(const RunFingerprint& fp) {
+  std::ostringstream os;
+  os << "(flavor="
+     << (fp.flavor == RunFingerprint::Flavor::kRound ? "round" : "async")
+     << ", seed=" << fp.seed << ", clients=" << fp.num_clients
+     << ", participants=" << fp.participants_per_round
+     << ", params=" << fp.param_count << ", total=" << fp.total << ")";
+  return os.str();
+}
+
+}  // namespace
+
+RunCheckpoints::RunCheckpoints(const RunConfig& config,
+                               const RunFingerprint& fingerprint)
     : dir_(config.checkpoint_dir),
       every_(config.checkpoint_every_n_rounds),
       resume_from_(config.resume_from),
-      halt_after_(config.halt_after_round) {
+      halt_after_(config.halt_after_round),
+      fingerprint_(fingerprint),
+      algorithm_(to_string(config.algorithm)) {
   // An empty dir keeps every save path untouched, so a checkpoint-free run
   // stays bit-identical to a pre-checkpoint build.
   if (!dir_.empty()) store_.emplace(dir_);
 }
 
-template <class Ckpt>
-std::optional<Ckpt> RunCheckpoints::resume(
-    std::optional<Ckpt> (*load)(CheckpointStore&)) {
+std::optional<RunCheckpoint> RunCheckpoints::resume() {
   if (resume_from_.empty()) return std::nullopt;
   APPFL_SPAN("ckpt.restore", "ckpt");
   obs::flight_record("ckpt.restore");
@@ -798,30 +770,33 @@ std::optional<Ckpt> RunCheckpoints::resume(
   CheckpointStore& from = store_ && resume_from_ == dir_
                               ? *store_
                               : separate.emplace(resume_from_);
-  std::optional<Ckpt> ckpt = load(from);
+  std::optional<RunCheckpoint> ckpt = load_latest_checkpoint(from);
   for (const std::string& diag : from.report().diagnostics) {
     std::fprintf(stderr, "warning: checkpoint recovery: %s\n", diag.c_str());
   }
   APPFL_CHECK_MSG(ckpt.has_value(), "resume_from='" << resume_from_
                       << "' holds no loadable checkpoint");
+  APPFL_CHECK_MSG(ckpt->fingerprint == fingerprint_,
+                  "checkpoint fingerprint mismatch: checkpoint is "
+                      << describe(ckpt->fingerprint) << ", this run is "
+                      << describe(fingerprint_));
   return ckpt;
 }
 
-std::optional<RoundCheckpoint> RunCheckpoints::resume_round() {
-  return resume(&load_latest_round_checkpoint);
-}
-
-std::optional<AsyncCheckpoint> RunCheckpoints::resume_async() {
-  return resume(&load_latest_async_checkpoint);
-}
-
 void RunCheckpoints::maybe_save(
-    std::uint64_t seq, std::uint64_t last,
-    const std::function<std::vector<std::uint8_t>()>& encode) {
-  if (!store_ || (seq % every_ != 0 && seq != last && !halts_at(seq))) return;
+    std::uint64_t seq, const std::function<void(RunCheckpoint&)>& fill) {
+  if (!store_ ||
+      (seq % every_ != 0 && seq != fingerprint_.total && !halts_at(seq))) {
+    return;
+  }
   APPFL_SPAN("ckpt.save", "ckpt");
   obs::flight_record("ckpt.save", "{\"round\":" + std::to_string(seq) + "}");
-  store_->save(encode(), seq);
+  RunCheckpoint ckpt;
+  ckpt.fingerprint = fingerprint_;
+  ckpt.algorithm = algorithm_;
+  ckpt.completed = seq;
+  fill(ckpt);
+  store_->save(encode_checkpoint(ckpt), seq);
   ++written_;
 }
 

@@ -1,14 +1,15 @@
 // Checkpointing: resumable training snapshots on disk.
 //
-// A `RoundCheckpoint` (sync runner and population engine) or an
-// `AsyncCheckpoint` (async event loop) is a snapshot taken at a round or
-// update boundary, carrying everything a killed process needs to continue
-// the run to a bit-identical result: global parameters, server-optimizer
-// state (FedOpt moments), per-client ADMM primal/dual replicas, data-loader
-// epoch counters, the client-sampler RNG state, DP budget spent, fault-plane
-// link counters, and the simulated clock. Payloads are sealed in the comm
-// plane's CRC32 envelope (comm/envelope.hpp), so disk corruption is
-// detected exactly like wire corruption.
+// A `RunCheckpoint` is a snapshot taken at a round boundary (sync runner,
+// population engine) or an applied-update boundary (async event loop),
+// carrying everything a killed process needs to continue the run to a
+// bit-identical result: global parameters, server-optimizer state (FedOpt
+// moments), per-client ADMM primal/dual replicas, data-loader epoch
+// counters, the loop's sequential RNG stream, DP budget spent, fault-plane
+// link counters, and the simulated clock. Both flavors share one record and
+// one protolite tag space, so one decoder reads every file. Payloads are
+// sealed in the comm plane's CRC32 envelope (comm/envelope.hpp), so disk
+// corruption is detected exactly like wire corruption.
 //
 // Persistence is crash-consistent via `CheckpointStore`: write-to-temp +
 // flush + fsync + atomic rename into a two-slot A/B layout, so a crash at
@@ -18,8 +19,8 @@
 // counted diagnostic instead of throwing.
 //
 // `RunCheckpoints` is the checkpoint plane every resumable loop shares: it
-// resolves the run's policy, opens the store, resumes, and decides when to
-// save and when to halt.
+// resolves the run's policy, opens the store, stamps and checks the run's
+// fingerprint, resumes, and decides when to save and when to halt.
 #pragma once
 
 #include <array>
@@ -72,50 +73,54 @@ struct ServerStateCkpt {
 /// Communication-plane state that survives a restart: the simulated clock,
 /// the cumulative traffic/fault ledger, the fault injector's per-link
 /// sequence counters and the int8 error-feedback residuals.
-using CommStateCkpt = comm::Communicator::PersistentState;
+using CommStateCkpt = comm::CommState;
 
-/// A full resumable snapshot at a synchronous round boundary.
-struct RoundCheckpoint {
-  std::uint32_t format_version = 2;
-  std::string algorithm;           // to_string(config.algorithm), diagnostic
-  std::uint64_t seed = 0;          // run fingerprint ↓ — checked on resume
-  std::uint32_t num_clients = 0;
-  std::uint64_t param_count = 0;
-  std::uint32_t total_rounds = 0;  // lr schedules depend on T, so T must match
-  std::uint32_t rounds_completed = 0;
-  std::vector<float> parameters;   // the round's broadcast w (inspection)
-  ServerStateCkpt server;
-  std::vector<ClientStateCkpt> clients;
-  std::array<std::uint64_t, 4> sampler_state{};  // client-sampling stream
-  CommStateCkpt comm;
+/// What a checkpoint must share with the run that resumes it. RunCheckpoints
+/// stamps it on every save and resumes only a checkpoint that carries the
+/// same one.
+struct RunFingerprint {
+  /// Which kind of loop wrote it; the values are the wire tag's.
+  enum class Flavor : std::uint8_t { kRound = 1, kAsync = 2 };
 
-  // Population-engine extension (core/event_engine). All encoded as optional
-  // tags that pre-population decoders skip as unknown fields, so
-  // format_version stays 2. `population == 0` means a classic sync-runner
-  // checkpoint. Clients in a population run are transient (rebuilt per
-  // participation), so `clients` stays empty there; per-client DP spend is
-  // carried by `participation` (id → rounds participated) instead.
-  std::uint64_t population = 0;
+  Flavor flavor = Flavor::kRound;
+  std::uint64_t seed = 0;
+  std::uint32_t num_clients = 0;  // clients, or the population size
+  /// The population engine's cohort size; 0 marks the sync runner and the
+  /// async loop.
   std::uint32_t participants_per_round = 0;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> participation;
+  std::uint64_t param_count = 0;
+  std::uint64_t total = 0;  // rounds (lr schedules depend on T), or the
+                            // async update budget
 
-  bool operator==(const RoundCheckpoint&) const = default;
+  bool operator==(const RunFingerprint&) const = default;
 };
 
-/// A resumable snapshot at an asynchronous update boundary (run_async).
-struct AsyncCheckpoint {
+/// A resumable snapshot of one run. The fingerprint, `algorithm` and
+/// `completed` are stamped by RunCheckpoints; the loop fills the rest.
+/// Round-flavor fields stay empty in async snapshots and vice versa.
+struct RunCheckpoint {
   std::uint32_t format_version = 2;
-  std::uint64_t seed = 0;
-  std::uint32_t num_clients = 0;
-  std::uint64_t param_count = 0;
-  std::uint64_t total_updates = 0;
-  std::uint64_t applied_updates = 0;
+  RunFingerprint fingerprint;
+  std::string algorithm;            // to_string(config.algorithm), diagnostic
+  std::uint64_t completed = 0;      // rounds completed, or updates applied
+  std::vector<float> parameters;    // the round's broadcast w, or the async
+                                    // server's w
+  std::vector<ClientStateCkpt> clients;
+  std::array<std::uint64_t, 4> rng_state{};  // client sampler, or async
+                                             // dispatch jitter
+
+  // Round flavor. Clients in a population run are transient (rebuilt per
+  // participation), so `clients` stays empty there; per-client DP spend is
+  // carried by `participation` (id → rounds participated) instead.
+  ServerStateCkpt server;
+  CommStateCkpt comm;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> participation;
+
+  // Async flavor.
   std::uint64_t version = 0;           // server model version
   std::uint64_t dispatch_counter = 0;
   double staleness_sum = 0.0;
   double sim_seconds = 0.0;
-  std::vector<float> w;                // server-held global model
-  std::array<std::uint64_t, 4> jitter_state{};
   struct Pending {
     double finish_time = 0.0;
     std::uint32_t client = 0;          // 1-based
@@ -124,12 +129,8 @@ struct AsyncCheckpoint {
   };
   std::vector<Pending> queue;          // in-flight dispatches
   std::vector<std::vector<float>> in_flight;  // payloads computed at dispatch
-  std::vector<ClientStateCkpt> clients;
-
-  // Strategy-resumable state. All encoded as optional tags that pre-strategy
-  // decoders skip as unknown fields, so format_version stays 2. An empty
-  // `strategy` means a legacy checkpoint: FedAsync with polynomial weighting
-  // (the only scheme that existed when those files were written).
+  // Strategy state. An empty `strategy` means a checkpoint written before
+  // strategies existed: FedAsync with polynomial weighting.
   std::string strategy;                // "fedasync"|"fedbuff"|"fedcompass"|
                                        // "iiadmm"; cross-checked on resume
   std::vector<std::vector<float>> buffer;  // FedBuff: buffered deltas
@@ -141,17 +142,18 @@ struct AsyncCheckpoint {
   std::vector<std::vector<float>> server_dual;    // IIADMM λ_p replicas
   std::vector<std::vector<float>> w_sent;  // IIADMM per-client broadcast w
 
-  bool operator==(const AsyncCheckpoint&) const = default;
+  bool operator==(const RunCheckpoint&) const = default;
 };
 
-/// Serializes to protolite bytes sealed in the CRC32 envelope. decode_*
-/// throws appfl::Error on a bad checksum, malformed body, a flavor
-/// mismatch (sync vs async), or an unsupported format version — never
-/// crashes (fuzzed in tests/test_fuzz.cpp).
-std::vector<std::uint8_t> encode_round_checkpoint(const RoundCheckpoint& ckpt);
-RoundCheckpoint decode_round_checkpoint(std::span<const std::uint8_t> bytes);
-std::vector<std::uint8_t> encode_async_checkpoint(const AsyncCheckpoint& ckpt);
-AsyncCheckpoint decode_async_checkpoint(std::span<const std::uint8_t> bytes);
+/// Serializes to protolite bytes sealed in the CRC32 envelope. Round
+/// checkpoints keep the field order of earlier builds, so their bytes are
+/// unchanged. decode_checkpoint reads both flavors, including async files
+/// that carry the update budget and count under their earlier tags, and
+/// throws appfl::Error on a bad checksum, a malformed body, an unknown
+/// flavor, or an unsupported format version — never crashes (fuzzed in
+/// tests/test_fuzz.cpp).
+std::vector<std::uint8_t> encode_checkpoint(const RunCheckpoint& ckpt);
+RunCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes);
 
 /// Crash-consistent two-slot (A/B) checkpoint directory.
 ///
@@ -163,8 +165,8 @@ AsyncCheckpoint decode_async_checkpoint(std::span<const std::uint8_t> bytes);
 /// are renamed to `<slot>.quarantined` and counted in report(), never fatal.
 class CheckpointStore {
  public:
-  /// Opaque payload validator (e.g. "does this decode as a RoundCheckpoint
-  /// for my run"). Must return false — not throw — to reject.
+  /// Opaque payload validator (e.g. "does this decode as a
+  /// RunCheckpoint"). Must return false — not throw — to reject.
   using Validator = std::function<bool(std::span<const std::uint8_t>)>;
 
   struct Loaded {
@@ -214,34 +216,33 @@ class CheckpointStore {
   int write_slot_ = 0;  // 0 ⇒ kSlotA next, 1 ⇒ kSlotB next
 };
 
-/// Newest slot that decodes as the given flavor, or nullopt.
-std::optional<RoundCheckpoint> load_latest_round_checkpoint(
-    CheckpointStore& store);
-std::optional<AsyncCheckpoint> load_latest_async_checkpoint(
-    CheckpointStore& store);
+/// Newest slot that decodes as a checkpoint, or nullopt.
+std::optional<RunCheckpoint> load_latest_checkpoint(CheckpointStore& store);
 
 /// The checkpoint plane of one run, shared by run_federated, run_population
 /// and the async event loop. It reads the policy from the run's resolved
-/// config and opens the A/B store when a directory is set. A sequence number
-/// is a completed round, or an applied update for async. Fingerprint checks
-/// and state import stay with each loop.
+/// config, opens the A/B store when a directory is set, and owns the run's
+/// fingerprint. A sequence number is a completed round, or an applied
+/// update for async. State import and the snapshot stay with each loop.
 class RunCheckpoints {
  public:
-  explicit RunCheckpoints(const RunConfig& config);
+  RunCheckpoints(const RunConfig& config, const RunFingerprint& fingerprint);
 
   /// The snapshot to resume from: nullopt without resume_from. Resuming
   /// from the save directory goes through the save store, so the next save
   /// overwrites the slot NOT loaded from. Recovery diagnostics go to stderr;
-  /// throws appfl::Error when resume_from holds no loadable checkpoint.
-  std::optional<RoundCheckpoint> resume_round();
-  std::optional<AsyncCheckpoint> resume_async();
+  /// throws appfl::Error when resume_from holds no loadable checkpoint, or
+  /// when the newest one was written by another run (the message names both
+  /// fingerprints, and the slots stay in place).
+  std::optional<RunCheckpoint> resume();
 
-  /// Saves `encode()`'s payload under `seq` when a store is open and `seq`
-  /// is on the cadence, the run's last (`last`), or the halt point. The
-  /// `ckpt.save` span covers `encode`, so state export and encoding count
-  /// as checkpoint time.
-  void maybe_save(std::uint64_t seq, std::uint64_t last,
-                  const std::function<std::vector<std::uint8_t>()>& encode);
+  /// Saves a snapshot under `seq` when a store is open and `seq` is on the
+  /// cadence, the run's last, or the halt point. The plane stamps the
+  /// fingerprint, the algorithm and `seq` as the completed count; `fill`
+  /// adds the loop's state. The `ckpt.save` span covers `fill`, so state
+  /// export and encoding count as checkpoint time.
+  void maybe_save(std::uint64_t seq,
+                  const std::function<void(RunCheckpoint&)>& fill);
 
   /// True when the chaos hook (halt_after_round) stops the run after `seq`.
   bool halts_at(std::uint64_t seq) const {
@@ -251,13 +252,12 @@ class RunCheckpoints {
   std::size_t written() const { return written_; }
 
  private:
-  template <class Ckpt>
-  std::optional<Ckpt> resume(std::optional<Ckpt> (*load)(CheckpointStore&));
-
   std::string dir_;
   std::size_t every_ = 1;
   std::string resume_from_;
   std::uint64_t halt_after_ = 0;
+  RunFingerprint fingerprint_;
+  std::string algorithm_;
   std::optional<CheckpointStore> store_;
   std::size_t written_ = 0;
 };

@@ -147,20 +147,11 @@ PopulationRunResult run_population(const RunConfig& configured,
   out.engine.tree_depth = tree.depth();
   out.engine.tree_leaf_groups = num_groups;
 
-  // Engine-owned ledger. Fault/overflow counters live in the network; this
-  // copy carries everything else plus restored pre-crash bases, and
-  // current_stats() composes them exactly like Communicator::stats().
+  // Engine-owned ledger. The network owns the fault and live overflow
+  // counters; current_stats() folds them in, like Communicator::stats().
   comm::TrafficStats stats;
   const auto current_stats = [&] {
-    comm::TrafficStats s = stats;
-    const comm::FaultStats f = net.fault_stats();
-    s.drops = f.drops;
-    s.duplicates = f.duplicates;
-    s.reorders = f.reorders;
-    s.corruptions = f.corruptions;
-    s.delays = f.delays;
-    s.mailbox_overflows += net.mailbox_overflows();
-    return s;
+    return comm::fold_network_stats(stats, net);
   };
 
   // Sparse DP ledger: id → rounds this client released an update. ε_p =
@@ -170,43 +161,24 @@ PopulationRunResult run_population(const RunConfig& configured,
   const double round_epsilon =
       std::isfinite(config.epsilon) ? config.epsilon : 0.0;
 
-  RunCheckpoints ckpts(config);
+  RunCheckpoints ckpts(
+      config, {.flavor = RunFingerprint::Flavor::kRound,
+               .seed = config.seed,
+               .num_clients = static_cast<std::uint32_t>(n),
+               .participants_per_round = static_cast<std::uint32_t>(k),
+               .param_count = param_count,
+               .total = config.rounds});
   std::uint32_t start_round = 1;
-  if (const std::optional<RoundCheckpoint> rc = ckpts.resume_round()) {
-    APPFL_CHECK_MSG(
-        rc->seed == config.seed && rc->num_clients == n &&
-            rc->param_count == param_count &&
-            rc->total_rounds == config.rounds && rc->population == n &&
-            rc->participants_per_round == k,
-        "checkpoint fingerprint mismatch: checkpoint is (seed="
-            << rc->seed << ", population=" << rc->population
-            << ", participants=" << rc->participants_per_round << ", params="
-            << rc->param_count << ", rounds=" << rc->total_rounds
-            << "), this run is (seed=" << config.seed << ", population=" << n
-            << ", participants=" << k << ", params=" << param_count
-            << ", rounds=" << config.rounds << ")");
-    APPFL_CHECK_MSG(rc->server.kind == "population",
-                    "checkpoint was written by a '" << rc->server.kind
-                        << "' server, not the population engine");
+  if (const std::optional<RunCheckpoint> rc = ckpts.resume()) {
     w = rc->parameters;
-    APPFL_CHECK_MSG(w.size() == param_count, "checkpoint parameter size "
-                        << w.size() << " != model " << param_count);
-    sampler.set_state(rc->sampler_state);
+    sampler.set_state(rc->rng_state);
     participation.clear();
     for (const auto& [id, count] : rc->participation) participation[id] = count;
     clock.sync_to(rc->comm.sim_now);
     stats = rc->comm.stats;
-    comm::FaultInjector::PersistentState fs;
-    fs.stats.drops = stats.drops;
-    fs.stats.duplicates = stats.duplicates;
-    fs.stats.reorders = stats.reorders;
-    fs.stats.corruptions = stats.corruptions;
-    fs.stats.delays = stats.delays;
-    fs.link_keys = rc->comm.link_keys;
-    fs.link_seqs = rc->comm.link_seqs;
-    net.restore_fault_state(fs);
-    start_round = rc->rounds_completed + 1;
-    out.run.resumed_from_round = rc->rounds_completed;
+    comm::restore_network_state(net, rc->comm);
+    start_round = static_cast<std::uint32_t>(rc->completed) + 1;
+    out.run.resumed_from_round = start_round - 1;
   }
 
   // Secure aggregation (core/secure_round.hpp): share packets ride their own
@@ -426,20 +398,20 @@ PopulationRunResult run_population(const RunConfig& configured,
               ? share_latest
               : std::max(share_latest, bcast_done + config.gather_timeout_s);
       round_end = std::max(round_end, u2_time);
-      if (!recoverable) {
-        // Too few share packets survived: nobody uploads this round.
-        secured.degrade = SecaggDegradeReason::kShareWaveTimeout;
-        maybe_schedule_groups();
-        return;
-      }
       if (track_health) {
         // Slots outside U2: their share packet was lost, and their update
-        // is discarded with it.
+        // is discarded with it, whether or not the round recovers.
         for (std::size_t slot = 0; slot < k; ++slot) {
           if (!secure_round->in_u2(slot)) {
             obs_session.health().add_share_discards(participants[slot], 1);
           }
         }
+      }
+      if (!recoverable) {
+        // Too few share packets survived: nobody uploads this round.
+        secured.degrade = SecaggDegradeReason::kShareWaveTimeout;
+        maybe_schedule_groups();
+        return;
       }
       pool.parallel_for(k, [&](std::size_t slot) {
         if (!secure_round->uploads(slot)) return;
@@ -709,28 +681,13 @@ PopulationRunResult run_population(const RunConfig& configured,
     out.run.comm_rounds.push_back(std::move(rec));
     obs_session.write_round(metrics);
 
-    ckpts.maybe_save(round, config.rounds, [&] {
-      RoundCheckpoint rc;
-      rc.algorithm = to_string(config.algorithm);
-      rc.seed = config.seed;
-      rc.num_clients = static_cast<std::uint32_t>(n);
-      rc.param_count = param_count;
-      rc.total_rounds = static_cast<std::uint32_t>(config.rounds);
-      rc.rounds_completed = round;
+    ckpts.maybe_save(round, [&](RunCheckpoint& rc) {
       rc.parameters = w;
       rc.server.kind = "population";
-      rc.sampler_state = sampler.state();
-      rc.population = n;
-      rc.participants_per_round = static_cast<std::uint32_t>(k);
+      rc.rng_state = sampler.state();
       rc.participation.assign(participation.begin(), participation.end());
       std::sort(rc.participation.begin(), rc.participation.end());
-      rc.comm.sim_now = clock.now();
-      rc.comm.stats = current_stats();
-      const comm::FaultInjector::PersistentState fs =
-          net.fault_persistent_state();
-      rc.comm.link_keys = fs.link_keys;
-      rc.comm.link_seqs = fs.link_seqs;
-      return encode_round_checkpoint(rc);
+      rc.comm = comm::save_comm_state(net, stats, clock.now());
     });
     if (ckpts.halts_at(round)) break;
   }
@@ -744,8 +701,7 @@ PopulationRunResult run_population(const RunConfig& configured,
           ? static_cast<double>(events_processed) / out.engine.wall_seconds
           : 0.0;
   out.engine.peak_rss_bytes = peak_rss_bytes();
-  out.engine.mailbox_overflows =
-      stats.mailbox_overflows + net.mailbox_overflows();
+  out.engine.mailbox_overflows = current_stats().mailbox_overflows;
 
   {
     APPFL_SPAN("fl.validate", "fl");

@@ -175,7 +175,12 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
   RunResult result;
   result.model_parameters = server.num_parameters();
 
-  RunCheckpoints ckpts(config);
+  RunCheckpoints ckpts(
+      config, {.flavor = RunFingerprint::Flavor::kRound,
+               .seed = config.seed,
+               .num_clients = static_cast<std::uint32_t>(num_clients),
+               .param_count = server.num_parameters(),
+               .total = config.rounds});
   dp::PrivacyAccountant accountant(num_clients);
   // ε is spent once per round by each client that releases an update
   // (basic composition); ε = ∞ rounds are accounted as zero leakage.
@@ -186,26 +191,16 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
   std::vector<comm::Communicator::UplinkHealth> prev_uplink;
 
   std::uint32_t start_round = 1;
-  if (const std::optional<RoundCheckpoint> rc = ckpts.resume_round()) {
-    APPFL_CHECK_MSG(
-        rc->seed == config.seed && rc->num_clients == num_clients &&
-            rc->param_count == server.num_parameters() &&
-            rc->total_rounds == config.rounds,
-        "checkpoint fingerprint mismatch: checkpoint is (seed="
-            << rc->seed << ", clients=" << rc->num_clients << ", params="
-            << rc->param_count << ", rounds=" << rc->total_rounds
-            << "), this run is (seed=" << config.seed << ", clients="
-            << num_clients << ", params=" << server.num_parameters()
-            << ", rounds=" << config.rounds << ")");
+  if (const std::optional<RunCheckpoint> rc = ckpts.resume()) {
     server.import_state(rc->server);  // also cross-checks the kind tag
     for (std::size_t p = 0; p < num_clients; ++p) {
       clients[p]->import_state(rc->clients[p]);
       accountant.restore_spent(p, rc->clients[p].dp_spent);
     }
-    sampler.set_state(rc->sampler_state);
+    sampler.set_state(rc->rng_state);
     comm.restore_persistent_state(rc->comm);
-    start_round = rc->rounds_completed + 1;
-    result.resumed_from_round = rc->rounds_completed;
+    start_round = static_cast<std::uint32_t>(rc->completed) + 1;
+    result.resumed_from_round = start_round - 1;
   }
 
   for (std::uint32_t round = start_round; round <= config.rounds; ++round) {
@@ -253,14 +248,14 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
     const bool track_health = obs_session.metrics_enabled();
     std::optional<SecureRound> secure;
     if (config.secure_agg) secure.emplace(config, participants, round);
-    // Client `id`'s uplink of its update `m`: a loss counts as a dropped
-    // frame, and the client hears whether the update arrived.
+    // Client `id`'s uplink of `m` (update, share packet or masked upload):
+    // a loss counts as a dropped frame. Returns whether it arrived.
     const auto uplink = [&](std::uint32_t id, const comm::Message& m) {
       const bool delivered = comm.send_update(id, m);
       if (track_health && !delivered) {
         obs_session.health().add_dropped_frames(id, 1);
       }
-      clients[id - 1]->on_uplink_result(delivered);
+      return delivered;
     };
     const bool validating =
         config.validate_every_round || round == config.rounds;
@@ -306,10 +301,10 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
           // Secure mode: hold the update, distribute Shamir shares first.
           // The share uplink rides the same reliability plane (retransmit,
           // deadline) as any update; losing it drops this client from U2.
-          comm.send_update(id, secure->share_message(i, std::move(update)));
+          uplink(id, secure->share_message(i, std::move(update)));
           return;
         }
-        uplink(id, update);
+        clients[id - 1]->on_uplink_result(uplink(id, update));
       });
     }
 
@@ -334,14 +329,16 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
         client_span.set_arg("client", id);
         if (!secure->uploads(i)) {
           // Its share packet (or too many others) never reached the server:
-          // its masks cannot be removed, so its update is discarded.
+          // its masks cannot be removed, so its update is discarded. Outside
+          // U2 that is one share discard, whether or not the round recovers.
           if (track_health && !secure->in_u2(i)) {
             obs_session.health().add_share_discards(id, 1);
           }
           clients[id - 1]->on_uplink_result(false);
           return;
         }
-        uplink(id, secure->masked_upload(i));
+        clients[id - 1]->on_uplink_result(
+            uplink(id, secure->masked_upload(i)));
       });
     }
 
@@ -467,23 +464,15 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
 
     // (5) Round checkpoint: captured after the server absorbed the round,
     // so a restart replays nothing and skips nothing.
-    ckpts.maybe_save(round, config.rounds, [&] {
-      RoundCheckpoint rc;
-      rc.algorithm = to_string(config.algorithm);
-      rc.seed = config.seed;
-      rc.num_clients = static_cast<std::uint32_t>(num_clients);
-      rc.param_count = server.num_parameters();
-      rc.total_rounds = static_cast<std::uint32_t>(config.rounds);
-      rc.rounds_completed = round;
+    ckpts.maybe_save(round, [&](RunCheckpoint& rc) {
       rc.parameters = w;
       rc.server = server.export_state();
       for (std::size_t p = 0; p < num_clients; ++p) {
         rc.clients.push_back(clients[p]->export_state());
         rc.clients.back().dp_spent = accountant.spent(p);
       }
-      rc.sampler_state = sampler.state();
+      rc.rng_state = sampler.state();
       rc.comm = comm.persistent_state();
-      return encode_round_checkpoint(rc);
     });
     if (ckpts.halts_at(round)) break;
   }

@@ -42,8 +42,4 @@ DeviceProfile v100() {
   return {"V100", reference_femnist_local_update_flops() / kV100ReferenceSeconds};
 }
 
-DeviceProfile laptop_cpu() {
-  return {"laptop-cpu", 2.0e9};
-}
-
 }  // namespace appfl::hw

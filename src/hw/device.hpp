@@ -25,7 +25,6 @@ struct DeviceProfile {
 /// Presets calibrated to §IV-E (see device.cpp for the arithmetic).
 DeviceProfile a100();
 DeviceProfile v100();
-DeviceProfile laptop_cpu();
 
 /// Training FLOPs for one local update: forward + backward ≈ 3× forward,
 /// over `samples`·`local_steps` sample passes of `model`.

@@ -15,11 +15,6 @@ Sgd::Sgd(float lr, float momentum, float weight_decay)
   APPFL_CHECK_MSG(weight_decay >= 0.0F, "weight decay must be non-negative");
 }
 
-void Sgd::set_lr(float lr) {
-  APPFL_CHECK(lr > 0.0F);
-  lr_ = lr;
-}
-
 void Sgd::step(Module& model) {
   auto params = model.params();
   if (velocity_.empty()) {

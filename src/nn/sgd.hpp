@@ -26,7 +26,6 @@ class Sgd {
   void reset();
 
   float lr() const { return lr_; }
-  void set_lr(float lr);
   float momentum() const { return momentum_; }
   float weight_decay() const { return weight_decay_; }
 

@@ -390,7 +390,7 @@ TEST(Async, FedBuffPartialBufferSurvivesKillAndResume) {
   EXPECT_GT(killed.checkpoints_written, 0U);
   {
     appfl::core::CheckpointStore store(dir.str());
-    const auto ac = appfl::core::load_latest_async_checkpoint(store);
+    const auto ac = appfl::core::load_latest_checkpoint(store);
     ASSERT_TRUE(ac.has_value());
     EXPECT_EQ(ac->strategy, "fedbuff");
     EXPECT_EQ(ac->buffer.size(), 2U);  // the partial buffer rides along

@@ -249,41 +249,38 @@ TEST(EventEngine, BoundedMailboxesChangeNothingWhenSized) {
 }
 
 TEST(EventEngine, PopulationCheckpointTagsRoundTrip) {
-  appfl::core::RoundCheckpoint ckpt;
+  appfl::core::RunCheckpoint ckpt;
   ckpt.algorithm = "FedAvg";
-  ckpt.seed = 11;
-  ckpt.num_clients = 1000;
-  ckpt.param_count = 3;
-  ckpt.total_rounds = 5;
-  ckpt.rounds_completed = 2;
+  ckpt.fingerprint = {.seed = 11,
+                      .num_clients = 1000,
+                      .participants_per_round = 40,
+                      .param_count = 3,
+                      .total = 5};
+  ckpt.completed = 2;
   ckpt.parameters = {1.0F, 2.0F, 3.0F};
   ckpt.server.kind = "population";
-  ckpt.population = 1000;
-  ckpt.participants_per_round = 40;
   ckpt.participation = {{3, 1}, {17, 2}, {999, 1}};
-  ckpt.sampler_state = {1, 2, 3, 4};
+  ckpt.rng_state = {1, 2, 3, 4};
   ckpt.comm.stats.mailbox_overflows = 7;
-  const auto bytes = appfl::core::encode_round_checkpoint(ckpt);
-  const auto back = appfl::core::decode_round_checkpoint(bytes);
+  const auto bytes = appfl::core::encode_checkpoint(ckpt);
+  const auto back = appfl::core::decode_checkpoint(bytes);
   EXPECT_EQ(back, ckpt);
-  EXPECT_EQ(back.population, 1000U);
-  EXPECT_EQ(back.participants_per_round, 40U);
+  EXPECT_EQ(back.fingerprint.num_clients, 1000U);
+  EXPECT_EQ(back.fingerprint.participants_per_round, 40U);
   EXPECT_EQ(back.participation, ckpt.participation);
   EXPECT_EQ(back.comm.stats.mailbox_overflows, 7U);
   // Classic checkpoints (population == 0) keep decoding unchanged.
-  appfl::core::RoundCheckpoint classic;
+  appfl::core::RunCheckpoint classic;
   classic.algorithm = "FedAvg";
-  classic.seed = 1;
-  classic.num_clients = 1;
-  classic.param_count = 1;
-  classic.total_rounds = 2;
-  classic.rounds_completed = 1;
+  classic.fingerprint = {
+      .seed = 1, .num_clients = 1, .param_count = 1, .total = 2};
+  classic.completed = 1;
   classic.parameters = {5.0F};
   classic.server.kind = "fedavg";
   classic.clients.push_back({.id = 1});
-  const auto classic_back = appfl::core::decode_round_checkpoint(
-      appfl::core::encode_round_checkpoint(classic));
-  EXPECT_EQ(classic_back.population, 0U);
+  const auto classic_back = appfl::core::decode_checkpoint(
+      appfl::core::encode_checkpoint(classic));
+  EXPECT_EQ(classic_back.fingerprint.participants_per_round, 0U);
   EXPECT_TRUE(classic_back.participation.empty());
 }
 

@@ -110,14 +110,14 @@ TEST(Fuzz, TensorFromBytesNeverCrashes) {
       decode, 3000, 8);
 }
 
-appfl::core::RoundCheckpoint sample_round_ckpt() {
-  appfl::core::RoundCheckpoint rc;
+using appfl::core::RunCheckpoint;
+using appfl::core::RunFingerprint;
+
+RunCheckpoint sample_sync_ckpt() {
+  RunCheckpoint rc;
   rc.algorithm = "IIADMM";
-  rc.seed = 9;
-  rc.num_clients = 2;
-  rc.param_count = 4;
-  rc.total_rounds = 5;
-  rc.rounds_completed = 2;
+  rc.fingerprint = {.seed = 9, .num_clients = 2, .param_count = 4, .total = 5};
+  rc.completed = 2;
   rc.parameters = {1.0F, -2.0F, 3.0F, 0.5F};
   rc.server.kind = "iiadmm";
   rc.server.rho = 2.5;
@@ -131,7 +131,7 @@ appfl::core::RoundCheckpoint sample_round_ckpt() {
     c.dp_spent = 1.5;
     rc.clients.push_back(c);
   }
-  rc.sampler_state = {1, 2, 3, 4};
+  rc.rng_state = {1, 2, 3, 4};
   rc.comm.sim_now = 1.25;
   rc.comm.stats.messages_up = 10;
   rc.comm.link_keys = {(std::uint64_t{1} << 32) | 0};
@@ -139,21 +139,43 @@ appfl::core::RoundCheckpoint sample_round_ckpt() {
   return rc;
 }
 
-appfl::core::AsyncCheckpoint sample_async_ckpt() {
-  appfl::core::AsyncCheckpoint ac;
-  ac.seed = 9;
-  ac.num_clients = 2;
-  ac.param_count = 3;
-  ac.total_updates = 12;
-  ac.applied_updates = 5;
-  ac.version = 5;
+RunCheckpoint sample_population_ckpt() {
+  RunCheckpoint rc;
+  rc.algorithm = "FedAvg";
+  rc.fingerprint = {.seed = 9,
+                    .num_clients = 100,
+                    .participants_per_round = 10,
+                    .param_count = 3,
+                    .total = 4};
+  rc.completed = 3;
+  rc.parameters = {0.5F, 0.25F, -1.0F};
+  rc.server.kind = "population";
+  rc.participation = {{3, 1}, {40, 2}, {100, 3}};
+  rc.rng_state = {11, 12, 13, 14};
+  rc.comm.sim_now = 9.5;
+  rc.comm.stats.drops = 3;
+  rc.comm.link_keys = {(std::uint64_t{2} << 32) | 11, (std::uint64_t{3} << 32)};
+  rc.comm.link_seqs = {4, 2};
+  return rc;
+}
+
+RunCheckpoint sample_async_ckpt() {
+  RunCheckpoint ac;
+  ac.algorithm = "FedAvg";
+  ac.fingerprint = {.flavor = RunFingerprint::Flavor::kAsync,
+                    .seed = 9,
+                    .num_clients = 2,
+                    .param_count = 3,
+                    .total = 12};
+  ac.completed = 5;
+  ac.version = 1;
   ac.dispatch_counter = 7;
   ac.staleness_sum = 2.0;
   ac.sim_seconds = 14.5;
-  ac.w = {1.0F, 2.0F, 3.0F};
-  ac.jitter_state = {5, 6, 7, 8};
-  ac.queue.push_back({15.0, 1, 4});
-  ac.queue.push_back({15.5, 2, 5});
+  ac.parameters = {1.0F, 2.0F, 3.0F};
+  ac.rng_state = {5, 6, 7, 8};
+  ac.queue.push_back({15.0, 1, 0});
+  ac.queue.push_back({15.5, 2, 1});
   ac.in_flight = {{1.0F, 1.0F, 1.0F}, {2.0F, 2.0F, 2.0F}};
   for (std::uint32_t id = 1; id <= 2; ++id) {
     appfl::core::ClientStateCkpt c;
@@ -161,25 +183,43 @@ appfl::core::AsyncCheckpoint sample_async_ckpt() {
     c.loader_epochs = 6;
     ac.clients.push_back(c);
   }
+  ac.strategy = "fedbuff";
+  ac.buffer = {{0.5F, -0.5F, 0.25F}};
+  ac.buffer_weights = {0.3F};
+  ac.dropped_updates = 2;
+  ac.fault_rng = {21, 22, 23, 24};
   return ac;
 }
 
-TEST(Fuzz, RoundCheckpointDecodeNeverCrashes) {
-  auto decode = [](std::span<const std::uint8_t> b) {
-    (void)appfl::core::decode_round_checkpoint(b);
-  };
-  fuzz_random(decode, 3000, 12);
-  fuzz_mutations(appfl::core::encode_round_checkpoint(sample_round_ckpt()),
-                 decode, 3000, 13);
+/// One sample per flavor and writer: the sync runner, the population
+/// engine and the async event loop.
+std::vector<std::pair<std::string, RunCheckpoint>> samples() {
+  return {{"sync", sample_sync_ckpt()},
+          {"population", sample_population_ckpt()},
+          {"async", sample_async_ckpt()}};
 }
 
-TEST(Fuzz, AsyncCheckpointDecodeNeverCrashes) {
-  auto decode = [](std::span<const std::uint8_t> b) {
-    (void)appfl::core::decode_async_checkpoint(b);
-  };
-  fuzz_random(decode, 3000, 14);
-  fuzz_mutations(appfl::core::encode_async_checkpoint(sample_async_ckpt()),
-                 decode, 3000, 15);
+/// Decodes and drops the record: the Decoder the fuzz helpers take.
+void try_decode(std::span<const std::uint8_t> b) {
+  (void)appfl::core::decode_checkpoint(b);
+}
+
+TEST(Fuzz, CheckpointSamplesRoundTrip) {
+  for (const auto& [name, ckpt] : samples()) {
+    EXPECT_EQ(appfl::core::decode_checkpoint(
+                  appfl::core::encode_checkpoint(ckpt)),
+              ckpt)
+        << name;
+  }
+}
+
+TEST(Fuzz, CheckpointDecodeNeverCrashes) {
+  fuzz_random(try_decode, 3000, 12);
+  std::uint64_t seed = 13;
+  for (const auto& [name, ckpt] : samples()) {
+    fuzz_mutations(appfl::core::encode_checkpoint(ckpt), try_decode,
+                   3000, seed++);
+  }
 }
 
 TEST(Fuzz, ResealedCheckpointMutationsExerciseInnerParser) {
@@ -187,80 +227,129 @@ TEST(Fuzz, ResealedCheckpointMutationsExerciseInnerParser) {
   // envelope before the parser runs. Re-sealing a MUTATED inner payload
   // with a fresh valid checksum drives the mutations into the protolite
   // parser and the semantic validators themselves.
-  const auto sealed =
-      appfl::core::encode_round_checkpoint(sample_round_ckpt());
-  const auto inner = appfl::comm::open_envelope(sealed);
-  ASSERT_TRUE(inner.has_value());
-  appfl::rng::Rng r(16);
-  int accepted = 0;
-  for (int i = 0; i < 3000; ++i) {
-    std::vector<std::uint8_t> payload(inner->begin(), inner->end());
-    const std::size_t flips = 1 + r.uniform_below(4);
-    for (std::size_t f = 0; f < flips; ++f) {
-      payload[r.uniform_below(payload.size())] ^=
-          static_cast<std::uint8_t>(1U << r.uniform_below(8));
-    }
-    if (r.uniform_below(3) == 0) {
-      payload.resize(r.uniform_below(payload.size()) + 1);
-    }
-    try {
-      (void)appfl::core::decode_round_checkpoint(
-          appfl::comm::seal_envelope(std::move(payload)));
-      ++accepted;
-    } catch (const appfl::Error&) {
+  std::uint64_t seed = 16;
+  for (const auto& [name, ckpt] : samples()) {
+    const auto sealed = appfl::core::encode_checkpoint(ckpt);
+    const auto inner = appfl::comm::open_envelope(sealed);
+    ASSERT_TRUE(inner.has_value()) << name;
+    appfl::rng::Rng r(seed++);
+    for (int i = 0; i < 3000; ++i) {
+      std::vector<std::uint8_t> payload(inner->begin(), inner->end());
+      const std::size_t flips = 1 + r.uniform_below(4);
+      for (std::size_t f = 0; f < flips; ++f) {
+        payload[r.uniform_below(payload.size())] ^=
+            static_cast<std::uint8_t>(1U << r.uniform_below(8));
+      }
+      if (r.uniform_below(3) == 0) {
+        payload.resize(r.uniform_below(payload.size()) + 1);
+      }
+      // Some float-payload flips survive (data changed, structure intact)
+      // — that is fine; the point is zero crashes either way.
+      try {
+        try_decode(appfl::comm::seal_envelope(std::move(payload)));
+      } catch (const appfl::Error&) {
+      }
     }
   }
-  // Some float-payload flips survive (data changed, structure intact) —
-  // that is fine; the point is zero crashes either way.
-  (void)accepted;
 }
 
 TEST(Fuzz, CheckpointTruncationAtEveryLengthRejects) {
-  const auto sealed =
-      appfl::core::encode_round_checkpoint(sample_round_ckpt());
-  for (std::size_t n = 0; n < sealed.size(); ++n) {
-    std::vector<std::uint8_t> cut(sealed.begin(), sealed.begin() + n);
-    EXPECT_THROW((void)appfl::core::decode_round_checkpoint(cut),
-                 appfl::Error)
-        << "truncation to " << n << " bytes was accepted";
+  for (const auto& [name, ckpt] : samples()) {
+    const auto sealed = appfl::core::encode_checkpoint(ckpt);
+    for (std::size_t n = 0; n < sealed.size(); ++n) {
+      std::vector<std::uint8_t> cut(sealed.begin(), sealed.begin() + n);
+      EXPECT_THROW(try_decode(cut), appfl::Error)
+          << name << ": truncation to " << n << " bytes was accepted";
+    }
   }
 }
 
 TEST(Fuzz, CheckpointOversizedLengthFieldRejects) {
   // A length-delimited field claiming more bytes than the buffer holds
   // must be rejected by the bounds-checked reader, not over-read.
-  const auto sealed =
-      appfl::core::encode_round_checkpoint(sample_round_ckpt());
-  const auto inner = appfl::comm::open_envelope(sealed);
-  ASSERT_TRUE(inner.has_value());
-  std::vector<std::uint8_t> payload(inner->begin(), inner->end());
-  // Field 9 (parameters), wire type 2, length 0xFFFFFFFF (5-byte varint).
-  payload.push_back(static_cast<std::uint8_t>((9U << 3) | 2U));
-  for (int i = 0; i < 4; ++i) payload.push_back(0xFF);
-  payload.push_back(0x0F);
-  EXPECT_THROW((void)appfl::core::decode_round_checkpoint(
-                   appfl::comm::seal_envelope(std::move(payload))),
-               appfl::Error);
+  for (const auto& [name, ckpt] : samples()) {
+    const auto sealed = appfl::core::encode_checkpoint(ckpt);
+    const auto inner = appfl::comm::open_envelope(sealed);
+    ASSERT_TRUE(inner.has_value()) << name;
+    std::vector<std::uint8_t> payload(inner->begin(), inner->end());
+    // Field 9 (parameters), wire type 2, length 0xFFFFFFFF (5-byte varint).
+    payload.push_back(static_cast<std::uint8_t>((9U << 3) | 2U));
+    for (int i = 0; i < 4; ++i) payload.push_back(0xFF);
+    payload.push_back(0x0F);
+    EXPECT_THROW(try_decode(appfl::comm::seal_envelope(std::move(payload))),
+                 appfl::Error)
+        << name;
+  }
 }
 
 TEST(Fuzz, CheckpointWrongVersionAndFlavorReject) {
-  auto bad_version = sample_round_ckpt();
-  bad_version.format_version = 99;
-  EXPECT_THROW((void)appfl::core::decode_round_checkpoint(
-                   appfl::core::encode_round_checkpoint(bad_version)),
-               appfl::Error);
-  auto bad_async = sample_async_ckpt();
-  bad_async.format_version = 99;
-  EXPECT_THROW((void)appfl::core::decode_async_checkpoint(
-                   appfl::core::encode_async_checkpoint(bad_async)),
-               appfl::Error);
-  // Flavor cross-feed: a sync snapshot is not an async one and vice versa.
-  EXPECT_THROW((void)appfl::core::decode_async_checkpoint(
-                   appfl::core::encode_round_checkpoint(sample_round_ckpt())),
-               appfl::Error);
-  EXPECT_THROW((void)appfl::core::decode_round_checkpoint(
-                   appfl::core::encode_async_checkpoint(sample_async_ckpt())),
-               appfl::Error);
+  // Both flavors decode through one decoder; which loop may resume a
+  // checkpoint is the checkpoint plane's fingerprint check, not the
+  // decoder's. The decoder rejects only versions and flavors it does not
+  // know.
+  for (const auto& [name, ckpt] : samples()) {
+    auto bad_version = ckpt;
+    bad_version.format_version = 99;
+    EXPECT_THROW(try_decode(appfl::core::encode_checkpoint(bad_version)),
+                 appfl::Error)
+        << name;
+    for (const std::uint8_t flavor : {0, 3}) {
+      auto bad_flavor = ckpt;
+      bad_flavor.fingerprint.flavor =
+          static_cast<RunFingerprint::Flavor>(flavor);
+      EXPECT_THROW(try_decode(appfl::core::encode_checkpoint(bad_flavor)),
+                   appfl::Error)
+          << name << " flavor " << int{flavor};
+    }
+  }
+}
+
+TEST(Fuzz, EarlierAsyncLayoutDecodesToTheSameRecord) {
+  // Async checkpoints of earlier builds carry the update budget and count
+  // under tags 14/15, no algorithm tag, and their own field order. The one
+  // decoder reads them into the record the current encoder round-trips.
+  RunCheckpoint expected = sample_async_ckpt();
+  expected.algorithm.clear();
+  appfl::comm::ProtoWriter w;
+  w.add_varint(1, 2);  // format version
+  w.add_varint(2, 2);  // async flavor
+  w.add_varint(4, expected.fingerprint.seed);
+  w.add_varint(5, expected.fingerprint.num_clients);
+  w.add_varint(6, expected.fingerprint.param_count);
+  w.add_varint(14, expected.fingerprint.total);
+  w.add_varint(15, expected.completed);
+  w.add_varint(16, expected.version);
+  w.add_varint(17, expected.dispatch_counter);
+  w.add_double(18, expected.staleness_sum);
+  w.add_double(19, expected.sim_seconds);
+  w.add_packed_floats(9, expected.parameters);
+  for (std::uint64_t word : expected.rng_state) w.add_varint(12, word);
+  for (const auto& p : expected.queue) {
+    appfl::comm::ProtoWriter pw;
+    pw.add_double(1, p.finish_time);
+    pw.add_varint(2, p.client);
+    pw.add_varint(3, p.version);
+    w.add_bytes(20, pw.view());
+  }
+  for (const auto& z : expected.in_flight) w.add_packed_floats(21, z);
+  for (const auto& c : expected.clients) {
+    appfl::comm::ProtoWriter cw;
+    cw.add_varint(1, c.id);
+    cw.add_varint(2, c.loader_epochs);
+    cw.add_double(5, c.dp_spent);
+    w.add_bytes(11, cw.view());
+  }
+  w.add_string(22, expected.strategy);
+  for (const auto& d : expected.buffer) w.add_packed_floats(23, d);
+  w.add_packed_floats(24, expected.buffer_weights);
+  w.add_varint(26, expected.dropped_updates);
+  for (std::uint64_t word : expected.fault_rng) w.add_varint(27, word);
+  const RunCheckpoint decoded =
+      appfl::core::decode_checkpoint(appfl::comm::seal_envelope(w.take()));
+  EXPECT_EQ(decoded, expected);
+  EXPECT_EQ(appfl::core::decode_checkpoint(
+                appfl::core::encode_checkpoint(decoded)),
+            expected);
 }
 
 std::vector<float> sample_floats(std::size_t n, std::uint64_t seed) {

@@ -224,7 +224,7 @@ TEST(Int8Ef, ResidualCarriesAcrossSnapshotRestore) {
 
   // Simulated restart between rounds: a fresh communicator restored from
   // the snapshot must continue bit-identically...
-  const Communicator::PersistentState snap = before_restart.persistent_state();
+  const appfl::comm::CommState snap = before_restart.persistent_state();
   ASSERT_EQ(snap.ef_residuals.size(), 2U);
   EXPECT_FALSE(snap.ef_residuals[0].empty());  // round 1 left a residual
   Communicator resumed(Protocol::kMpi, 2, 9, {UplinkCodec::kInt8Ef, 0.1});
@@ -236,7 +236,7 @@ TEST(Int8Ef, ResidualCarriesAcrossSnapshotRestore) {
   // ...while a fresh communicator WITHOUT the residual diverges — the
   // carry is observable, so the test above has teeth.
   Communicator amnesiac(Protocol::kMpi, 2, 9, {UplinkCodec::kInt8Ef, 0.1});
-  Communicator::PersistentState wiped = snap;
+  appfl::comm::CommState wiped = snap;
   for (auto& r : wiped.ef_residuals) r.clear();
   amnesiac.restore_persistent_state(wiped);
   const auto r2c = run_round(amnesiac, 2, m);

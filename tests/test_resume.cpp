@@ -260,7 +260,7 @@ TEST(Resume, DpBudgetMonotoneAndRestartInvariant) {
 
   // The on-disk accountant state never decreases across the kill.
   CheckpointStore store(dir.str());
-  const auto rc = appfl::core::load_latest_round_checkpoint(store);
+  const auto rc = appfl::core::load_latest_checkpoint(store);
   ASSERT_TRUE(rc.has_value());
   for (const auto& c : rc->clients) {
     EXPECT_NEAR(c.dp_spent, 0.5 * 4, 1e-12);
@@ -444,6 +444,122 @@ TEST(Resume, PopulationEngineRejectsMismatchedFingerprints) {
                appfl::Error);
 }
 
+// One small save per writer of the record, each leaving two slots (steps
+// 1 and 2) in `dir`: the sync runner, the population engine and the async
+// event loop.
+appfl::data::FederatedSplit tiny_split() {
+  appfl::data::SynthImageSpec spec;
+  spec.height = 4;
+  spec.width = 4;
+  spec.num_classes = 3;
+  spec.num_clients = 2;
+  spec.train_per_client = 16;
+  spec.test_size = 16;
+  spec.seed = 5;
+  return appfl::data::mnist_like(spec);
+}
+
+const appfl::data::SyntheticPopulation& tiny_population() {
+  static const appfl::data::SyntheticPopulation pop([] {
+    appfl::data::FemnistSpec spec;
+    spec.num_classes = 2;
+    spec.min_classes_per_writer = 1;
+    spec.max_classes_per_writer = 2;
+    spec.num_writers = 20;
+    spec.mean_samples_per_writer = 8;
+    spec.test_size = 16;
+    spec.seed = 5;
+    return spec;
+  }());
+  return pop;
+}
+
+RunConfig tiny_config() {
+  RunConfig cfg = base_config(Algorithm::kFedAvg);
+  cfg.rounds = 3;
+  cfg.local_steps = 1;
+  cfg.batch_size = 8;
+  return cfg;
+}
+
+RunConfig tiny_population_config() {
+  RunConfig cfg = tiny_config();
+  cfg.population = 20;
+  cfg.participants_per_round = 4;
+  return cfg;
+}
+
+appfl::core::AsyncConfig tiny_async_config() {
+  appfl::core::AsyncConfig acfg;
+  acfg.run = tiny_config();
+  acfg.total_updates = 4;
+  return acfg;
+}
+
+void save_two_slots(const std::string& flavor, const std::string& dir) {
+  if (flavor == "sync") {
+    RunConfig cfg = tiny_config();
+    cfg.checkpoint_dir = dir;
+    cfg.halt_after_round = 2;
+    (void)appfl::core::run_federated(cfg, tiny_split());
+  } else if (flavor == "population") {
+    RunConfig cfg = tiny_population_config();
+    cfg.checkpoint_dir = dir;
+    cfg.halt_after_round = 2;
+    (void)appfl::core::run_population(cfg, tiny_population());
+  } else {
+    appfl::core::AsyncConfig acfg = tiny_async_config();
+    acfg.run.checkpoint_dir = dir;
+    acfg.run.halt_after_round = 2;
+    (void)appfl::core::run_async(acfg, tiny_split());
+  }
+}
+
+void resume_run(const std::string& flavor, const std::string& dir) {
+  if (flavor == "sync") {
+    RunConfig cfg = tiny_config();
+    cfg.resume_from = dir;
+    (void)appfl::core::run_federated(cfg, tiny_split());
+  } else if (flavor == "population") {
+    RunConfig cfg = tiny_population_config();
+    cfg.resume_from = dir;
+    (void)appfl::core::run_population(cfg, tiny_population());
+  } else {
+    appfl::core::AsyncConfig acfg = tiny_async_config();
+    acfg.run.resume_from = dir;
+    (void)appfl::core::run_async(acfg, tiny_split());
+  }
+}
+
+TEST(Resume, OtherLoopsCheckpointIsRefusedAndKept) {
+  // Every flavor decodes through one decoder, so a slot written by another
+  // loop is not quarantined as undecodable: the checkpoint plane refuses
+  // it with one message naming both fingerprints, and both slots stay.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"async", "sync"}, {"sync", "async"}, {"population", "sync"}};
+  for (const auto& [writer, reader] : cases) {
+    TempDir dir("appfl_resume_refuse_" + writer + "_" + reader);
+    save_two_slots(writer, dir.str());
+    try {
+      resume_run(reader, dir.str());
+      ADD_FAILURE() << reader << " resumed from a " << writer << " store";
+    } catch (const appfl::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("checkpoint fingerprint mismatch: checkpoint is "
+                          "(flavor="),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("this run is (flavor="), std::string::npos) << what;
+    }
+    for (const char* slot :
+         {CheckpointStore::kSlotA, CheckpointStore::kSlotB}) {
+      EXPECT_TRUE(fs::exists(dir.path / slot)) << writer << " " << slot;
+      EXPECT_FALSE(fs::exists(dir.path / (std::string(slot) + ".quarantined")))
+          << writer << " " << slot;
+    }
+  }
+}
+
 TEST(Resume, AsyncRunSurvivesKillAndRestartBitIdentical) {
   const auto split = make_split();
   appfl::core::AsyncConfig acfg;
@@ -525,7 +641,7 @@ void expect_reproducible_slots(
   run(first.str());
   run(second.str());
   CheckpointStore store(first.str());
-  const auto rc = appfl::core::load_latest_round_checkpoint(store);
+  const auto rc = appfl::core::load_latest_checkpoint(store);
   ASSERT_TRUE(rc.has_value());
   ASSERT_GE(rc->comm.link_keys.size(), 2U);
   for (std::size_t i = 1; i < rc->comm.link_keys.size(); ++i) {
@@ -683,6 +799,40 @@ TEST(CheckpointStore, ValidatorRejectionQuarantines) {
       [](std::span<const std::uint8_t>) { return false; });
   EXPECT_FALSE(loaded.has_value());
   EXPECT_EQ(picky.report().corrupt_quarantined, 1U);
+}
+
+TEST(CheckpointStore, TornNewestSlotAtEveryLengthFallsBackPerFlavor) {
+  // A crash mid-save can leave the newest slot cut at any byte. For one
+  // real save per flavor, every cut is quarantined and the store loads the
+  // older slot.
+  for (const std::string flavor : {"sync", "population", "async"}) {
+    TempDir dir("appfl_store_torn_every_" + flavor);
+    save_two_slots(flavor, dir.str());
+    std::string newest;
+    {
+      CheckpointStore probe(dir.str());
+      const auto loaded = probe.load_latest();
+      ASSERT_TRUE(loaded.has_value()) << flavor;
+      ASSERT_EQ(loaded->sequence, 2U) << flavor;
+      newest = loaded->slot;
+    }
+    const fs::path torn = dir.path / newest;
+    const fs::path quarantined = dir.path / (newest + ".quarantined");
+    const std::vector<std::uint8_t> full = slurp(torn);
+    ASSERT_FALSE(full.empty()) << flavor;
+    for (std::size_t n = 0; n < full.size(); ++n) {
+      write_raw(torn, std::vector<std::uint8_t>(full.begin(),
+                                                full.begin() + n));
+      CheckpointStore store(dir.str());
+      const auto ckpt = appfl::core::load_latest_checkpoint(store);
+      ASSERT_TRUE(ckpt.has_value()) << flavor << " cut at " << n;
+      ASSERT_EQ(ckpt->completed, 1U) << flavor << " cut at " << n;
+      ASSERT_EQ(store.report().corrupt_quarantined, 1U)
+          << flavor << " cut at " << n;
+      ASSERT_TRUE(fs::exists(quarantined)) << flavor << " cut at " << n;
+      fs::remove(quarantined);
+    }
+  }
 }
 
 TEST(Resume, CrashDuringSaveAlwaysLeavesLoadableCheckpoint) {

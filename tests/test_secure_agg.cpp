@@ -517,6 +517,52 @@ TEST(SecureRound, CohortAndThresholdChecks) {
 
 // --- Runner integration ---------------------------------------------------
 
+/// Per-client health-ledger columns summed over clients, read from the
+/// ledger CSV a run with obs metrics writes (and then deleted).
+struct LedgerSums {
+  std::uint64_t dropped_frames = 0;
+  std::uint64_t share_discards = 0;
+  std::uint64_t dropouts = 0;
+};
+
+LedgerSums read_ledger(const std::filesystem::path& csv) {
+  std::ifstream in(csv);
+  std::string line;
+  EXPECT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line.rfind("client,updates,", 0), 0U) << line;
+  LedgerSums sums;
+  while (std::getline(in, line)) {
+    std::stringstream row(line);
+    std::vector<std::string> cells;
+    for (std::string cell; std::getline(row, cell, ',');) {
+      cells.push_back(cell);
+    }
+    EXPECT_GE(cells.size(), 11U) << line;
+    if (cells.size() < 11) break;
+    sums.dropped_frames += std::stoull(cells[8]);
+    sums.share_discards += std::stoull(cells[9]);
+    sums.dropouts += std::stoull(cells[10]);
+  }
+  in.close();
+  std::filesystem::remove(csv);
+  return sums;
+}
+
+/// Drops counted in the rounds whose share wave fell below the threshold.
+/// No masked upload is sent in such a round, so its drops are broadcasts
+/// and share packets.
+std::uint64_t share_wave_timeout_drops(
+    const std::vector<appfl::core::RoundMetrics>& rounds) {
+  std::uint64_t drops = 0;
+  for (const auto& r : rounds) {
+    if (r.secagg_degrade_reason ==
+        appfl::core::SecaggDegradeReason::kShareWaveTimeout) {
+      drops += r.drops;
+    }
+  }
+  return drops;
+}
+
 appfl::core::RunConfig small_cfg(std::size_t rounds) {
   appfl::core::RunConfig cfg;
   cfg.algorithm = appfl::core::Algorithm::kFedAvg;
@@ -670,6 +716,33 @@ TEST(SecureAggRunner, DropFaultsExerciseMaskRecovery) {
   }
 }
 
+TEST(SecureAggRunner, LostSharePacketsCountInTheHealthLedger) {
+  // One rule in both loops: a lost share packet is one dropped frame, and
+  // a trained participant outside U2 is one share discard, whether or not
+  // the round recovers. Drop-only faults without retransmits make every
+  // loss one drop: a lost broadcast is a dropout, a lost uplink (share
+  // packet or masked upload) a dropped frame. With the threshold at the
+  // full cohort, share packets are lost only in rounds that time out on
+  // the share wave, where nothing else is sent after the broadcast.
+  const auto split = small_split(6);
+  appfl::core::RunConfig cfg = small_cfg(6);
+  cfg.secure_agg = true;
+  cfg.secure_agg_threshold = 6;
+  cfg.faults.drop = 0.15;
+  cfg.max_uplink_retries = 0;
+  cfg.gather_timeout_s = 5.0;
+  cfg.obs_level = "metrics";
+  const std::filesystem::path csv =
+      std::filesystem::temp_directory_path() / "appfl_sync_share_health.csv";
+  cfg.health_out = csv.string();
+  const auto result = appfl::core::run_federated(cfg, split);
+  const LedgerSums ledger = read_ledger(csv);
+  const std::uint64_t timeout_drops = share_wave_timeout_drops(result.rounds);
+  ASSERT_GT(timeout_drops, ledger.dropouts) << "no share packet was lost";
+  EXPECT_EQ(ledger.dropped_frames + ledger.dropouts, result.traffic.drops);
+  EXPECT_EQ(ledger.share_discards, timeout_drops - ledger.dropouts);
+}
+
 TEST(SecureAggRunner, BelowThresholdRoundsDegradeGracefully) {
   // Threshold = full cohort with two dead clients: no round can ever
   // recover. Every round is counted degraded, the model never moves, and
@@ -820,6 +893,30 @@ TEST(SecureAggPopulation, CorruptUplinksCountAsDroppedFrames) {
     EXPECT_GT(result.run.traffic.crc_failures, 0U) << secure;
     EXPECT_EQ(dropped, result.run.traffic.crc_failures) << secure;
   }
+}
+
+TEST(SecureAggPopulation, LostSharePacketsCountInTheHealthLedger) {
+  // The sync runner's rule (see SecureAggRunner's test of the same name):
+  // every lost uplink is a dropped frame, and every slot outside U2 a share
+  // discard, in rounds that time out on the share wave too. Every slot
+  // trains and the broadcast is not faulted, so all drops are uplinks.
+  const appfl::data::SyntheticPopulation pop(pop_spec(60));
+  appfl::core::RunConfig cfg = pop_cfg(60, 6);
+  cfg.rounds = 4;
+  cfg.secure_agg_threshold = 6;
+  cfg.faults.drop = 0.15;
+  cfg.gather_timeout_s = 5.0;
+  cfg.obs_level = "metrics";
+  const std::filesystem::path csv =
+      std::filesystem::temp_directory_path() / "appfl_pop_share_health.csv";
+  cfg.health_out = csv.string();
+  const auto result = appfl::core::run_population(cfg, pop);
+  const LedgerSums ledger = read_ledger(csv);
+  const std::uint64_t timeout_drops =
+      share_wave_timeout_drops(result.run.rounds);
+  ASSERT_GT(timeout_drops, 0U) << "no share packet was lost";
+  EXPECT_EQ(ledger.dropped_frames, result.run.traffic.drops);
+  EXPECT_EQ(ledger.share_discards, timeout_drops);
 }
 
 TEST(SecureAggPopulation, DeadSlotBelowFullThresholdDegradesEveryRound) {
