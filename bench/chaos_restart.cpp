@@ -48,6 +48,7 @@ struct AlgoCase {
   bool fedopt = false;
   bool population = false;  // the population engine, with drop faults
   std::size_t fan_out = 0;  // population: aggregation-tree fan-out (0 = flat)
+  bool adaptive_rho = false;  // residual-balancing ρ, at ε = ∞
 };
 
 // What the cases train on: the sync runner's split and the population
@@ -61,6 +62,17 @@ bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// Whether every round a run resumed after `from` broadcast the ρ the
+// uninterrupted run did (an adaptive ρ is server state the restore rebuilds).
+bool same_rho(const RunResult& baseline, const RunResult& resumed,
+              std::uint32_t from) {
+  if (from + resumed.rounds.size() != baseline.rounds.size()) return false;
+  for (std::size_t r = 0; r < resumed.rounds.size(); ++r) {
+    if (resumed.rounds[r].rho != baseline.rounds[from + r].rho) return false;
+  }
+  return true;
 }
 
 // One run of the case; FedOpt needs the custom-server overload (its resume
@@ -128,8 +140,9 @@ KillOutcome kill_restart_verify(const AlgoCase& algo, const RunConfig& cfg,
   const RunResult resumed = run_case(algo, resumed_cfg, in);
 
   KillOutcome out;
-  out.identical = same_bits(baseline.final_parameters,
-                            resumed.final_parameters);
+  out.identical =
+      same_bits(baseline.final_parameters, resumed.final_parameters) &&
+      same_rho(baseline, resumed, resumed.resumed_from_round);
   // DP ledger can only grow across the kill, and the completed resumed run
   // must land exactly on the uninterrupted run's total.
   out.dp_monotone = resumed.dp_epsilon_spent >= partial.dp_epsilon_spent &&
@@ -240,6 +253,8 @@ int main(int argc, char** argv) {
       {"IIADMM", Algorithm::kIIAdmm, false},
       {"Population", Algorithm::kFedAvg, false, true, 0},
       {"Population-tree4", Algorithm::kFedAvg, false, true, 4},
+      {"ICEADMM-adaptive", Algorithm::kIceAdmm, false, false, 0, true},
+      {"IIADMM-adaptive", Algorithm::kIIAdmm, false, false, 0, true},
   };
 
   appfl::util::TextTable table(
@@ -268,11 +283,26 @@ int main(int argc, char** argv) {
       // Drops also move the fault plane's link counters, which must resume.
       cfg.faults.drop = 0.2;
     }
+    if (algo.adaptive_rho) {
+      // validate() rejects adaptive ρ with a finite ε. An over-damped start
+      // makes ρ move in the first rounds, so every kill restores an adapted
+      // ρ along with the replicas.
+      cfg.adaptive_rho = true;
+      cfg.epsilon = std::numeric_limits<double>::infinity();
+      cfg.rho = 30.0F;
+    }
     const RunResult baseline = run_case(algo, cfg, inputs);
+    APPFL_CHECK_MSG(!algo.adaptive_rho || baseline.rounds.front().rho !=
+                                              baseline.rounds.back().rho,
+                    algo.name << ": rho never adapted, so no kill restores "
+                                 "an adapted one");
 
-    // Kill at every round boundary (smoke: a head/middle/tail sample).
+    // Kill at every round boundary (smoke: a head/middle/tail sample, two
+    // rounds for the adaptive-ρ cases).
     std::vector<std::uint32_t> kills;
-    if (smoke) {
+    if (smoke && algo.adaptive_rho) {
+      kills = {2, static_cast<std::uint32_t>(rounds - 2)};
+    } else if (smoke) {
       kills = {1, static_cast<std::uint32_t>(rounds / 2),
                static_cast<std::uint32_t>(rounds - 1)};
     } else {

@@ -735,6 +735,23 @@ std::vector<Message> GatherBatch::take_messages() const {
   return out;
 }
 
+std::vector<GatherUpdate> gather_views(std::span<const Message> locals) {
+  std::vector<GatherUpdate> out;
+  out.reserve(locals.size());
+  for (const Message& m : locals) {
+    out.push_back({.sender = m.sender,
+                   .receiver = m.receiver,
+                   .round = m.round,
+                   .sample_count = m.sample_count,
+                   .loss = m.loss,
+                   .rho = m.rho,
+                   .trace_span = m.trace_span,
+                   .primal = WirePayload::f32(m.primal.data(), m.primal.size()),
+                   .dual = WirePayload::f32(m.dual.data(), m.dual.size())});
+  }
+  return out;
+}
+
 std::vector<Communicator::UplinkHealth> Communicator::uplink_health() const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   return uplink_health_;

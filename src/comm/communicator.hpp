@@ -209,8 +209,8 @@ class GatherBatch {
   bool empty() const { return updates_.empty(); }
 
   /// Materializes owning Messages, bit-identical to what gather_locals
-  /// returns for the same traffic — the unfused fallback and the reference
-  /// the fused path is tested against.
+  /// returns for the same traffic — for servers that aggregate only
+  /// through BaseServer::update.
   std::vector<Message> take_messages() const;
 
  private:
@@ -226,6 +226,11 @@ class GatherBatch {
   std::vector<std::unique_ptr<std::vector<float>>> decoded_;
   BufferPool* pool_ = nullptr;
 };
+
+/// GatherUpdates whose float32 payloads borrow from owning Messages, which
+/// must outlive them: take_messages() read backwards, so a server absorbs
+/// Messages through the same body as a gathered batch.
+std::vector<GatherUpdate> gather_views(std::span<const Message> locals);
 
 class Communicator {
  public:

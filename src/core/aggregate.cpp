@@ -171,22 +171,27 @@ void consensus_sum_stream(std::span<const ConsensusStreamTerm> terms,
   }
   std::fill(out.begin(), out.end(), 0.0F);
   for_each_chunk(out.size(), terms.size(), [&](std::size_t lo, std::size_t hi) {
-    // Participants go through the paired kernel two at a time (bit-identical
-    // to two single sweeps in the same order) so the output block is loaded
-    // and stored half as often while 2P payload streams pass through once.
-    std::size_t t = 0;
-    for (; t + 2 <= terms.size(); t += 2) {
-      tensor::consensus2_f32_bytes(
-          inv_p, inv_rho, terms[t].primal.data + 4 * lo,
-          terms[t].dual.data + 4 * lo, terms[t + 1].primal.data + 4 * lo,
-          terms[t + 1].dual.data + 4 * lo, out.data() + lo, hi - lo);
-    }
-    for (; t < terms.size(); ++t) {
-      tensor::consensus_f32_bytes(inv_p, inv_rho, terms[t].primal.data + 4 * lo,
-                                  terms[t].dual.data + 4 * lo, out.data() + lo,
-                                  hi - lo);
-    }
+    consensus_chunk(terms, inv_p, inv_rho, lo, hi, out.data() + lo);
   });
+}
+
+void consensus_chunk(std::span<const ConsensusStreamTerm> terms, float inv_p,
+                     float inv_rho, std::size_t lo, std::size_t hi,
+                     float* out) {
+  // Participants go through the paired kernel two at a time (bit-identical
+  // to two single sweeps in the same order) so the output block is loaded
+  // and stored half as often while 2P payload streams pass through once.
+  std::size_t t = 0;
+  for (; t + 2 <= terms.size(); t += 2) {
+    tensor::consensus2_f32_bytes(
+        inv_p, inv_rho, terms[t].primal.data + 4 * lo,
+        terms[t].dual.data + 4 * lo, terms[t + 1].primal.data + 4 * lo,
+        terms[t + 1].dual.data + 4 * lo, out, hi - lo);
+  }
+  for (; t < terms.size(); ++t) {
+    tensor::consensus_f32_bytes(inv_p, inv_rho, terms[t].primal.data + 4 * lo,
+                                terms[t].dual.data + 4 * lo, out, hi - lo);
+  }
 }
 
 void weighted_delta_stream(std::span<const DeltaStreamTerm> terms,
@@ -225,6 +230,13 @@ void materialize_chunk(const comm::WirePayload& payload, std::size_t lo,
   } else {
     tensor::widen_f16(payload.data + 2 * lo, dst, hi - lo);
   }
+}
+
+void check_update_size(const comm::GatherUpdate& u, std::size_t n) {
+  APPFL_CHECK_MSG(u.primal.count == n, "update from client "
+                                           << u.sender << " carries "
+                                           << u.primal.count
+                                           << " values, the model has " << n);
 }
 
 }  // namespace appfl::core

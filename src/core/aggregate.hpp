@@ -18,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "comm/communicator.hpp"
 #include "comm/message.hpp"
 
 namespace appfl::core {
@@ -90,6 +91,14 @@ struct ConsensusStreamTerm {
 void consensus_sum_stream(std::span<const ConsensusStreamTerm> terms,
                           float inv_p, float inv_rho, std::span<float> out);
 
+/// consensus_sum_stream's step over [lo, hi): adds every term into
+/// out[0 .. hi-lo) in order, two terms per sweep of the output block. The
+/// payloads must be float32. For server sweeps that refresh replica chunks
+/// before they reduce them.
+void consensus_chunk(std::span<const ConsensusStreamTerm> terms, float inv_p,
+                     float inv_rho, std::size_t lo, std::size_t hi,
+                     float* out);
+
 /// One streamed participant of a pseudo-gradient average.
 struct DeltaStreamTerm {
   comm::WirePayload values;
@@ -111,6 +120,10 @@ void materialize(const comm::WirePayload& payload, std::span<float> out);
 /// refresh a replica chunk and immediately accumulate from it.
 void materialize_chunk(const comm::WirePayload& payload, std::size_t lo,
                        std::size_t hi, float* dst);
+
+/// Throws unless update `u` carries `n` primal values, naming its sender —
+/// the payload check every built-in server's aggregation body runs.
+void check_update_size(const comm::GatherUpdate& u, std::size_t n);
 
 /// Runs fn over disjoint index ranges covering [0, n) with the exact
 /// fan-out policy (and therefore the exact bit-identity guarantee) the

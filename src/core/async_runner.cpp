@@ -115,7 +115,7 @@ AsyncRunResult run_async_loop(const AsyncConfig& configured,
                   "population sampling is a run_population feature; the "
                   "async runner drives the split's clients directly");
   // Async IIADMM clients never receive an adapted ρ, so adapting it in the
-  // server's update() would break the replicas. (FedAvg's validate()
+  // server's aggregation would break the replicas. (FedAvg's validate()
   // already rejects adaptive ρ.)
   APPFL_CHECK_MSG(!cfg.adaptive_rho,
                   "async IIADMM needs a constant rho: its clients never "

@@ -200,11 +200,12 @@ class FedCompassStrategy : public FedAsyncStrategy {
   std::vector<std::size_t> steps_;
 };
 
-/// Async IIADMM: the server's update() replays the arriving client's dual
-/// step against the w that client trained on, and the next model is line
-/// 3's consensus over all P replicas, stale ones included. Absorption is
-/// exact, so it reports mixing 1 and commits every arrival. The constant
-/// weight passed to the base is never read.
+/// Async IIADMM: the server's aggregation body replays the arriving
+/// client's dual step against the w that client trained on, and the next
+/// model is line 3's consensus over all P replicas, stale ones included,
+/// built in the same pass. Absorption is exact, so it reports mixing 1 and
+/// commits every arrival. The constant weight passed to the base is never
+/// read.
 class IIAdmmStrategy : public AsyncStrategy {
  public:
   IIAdmmStrategy(IIAdmmServer& server, std::size_t base_steps)
@@ -222,10 +223,10 @@ class IIAdmmStrategy : public AsyncStrategy {
 
   Absorbed absorb(std::size_t client, std::span<const float> payload,
                   std::size_t, std::span<float> w) override {
-    std::vector<comm::Message> locals(1);
-    locals[0].sender = static_cast<std::uint32_t>(client + 1);
-    locals[0].primal.assign(payload.begin(), payload.end());
-    server_.update(locals, w_sent_.at(client), 0);
+    comm::GatherUpdate arrival;
+    arrival.sender = static_cast<std::uint32_t>(client + 1);
+    arrival.primal = comm::WirePayload::f32(payload.data(), payload.size());
+    server_.aggregate({&arrival, 1}, w_sent_.at(client), 0);
     const std::vector<float> next = server_.compute_global(0);
     APPFL_CHECK_MSG(next.size() == w.size(),
                     "IIADMM consensus size " << next.size()

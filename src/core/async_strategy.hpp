@@ -27,10 +27,11 @@
 //
 //   * **Async IIADMM** (the paper's Algorithm 1 under future work 1): the
 //     run's IIAdmmServer holds the per-client (z_p, λ_p) replicas. An
-//     arrival is absorbed by the server's update() against the exact w that
-//     client trained on — so the replicated dual step stays bit-identical
-//     to the client's and duals never cross the wire — and the next model
-//     is line 3's consensus, compute_global(). Only run_async_iiadmm builds
+//     arrival is absorbed by the server's aggregation body against the
+//     exact w that client trained on — so the replicated dual step stays
+//     bit-identical to the client's and duals never cross the wire — and
+//     the next model is line 3's consensus, compute_global(), built in the
+//     same pass. Only run_async_iiadmm builds
 //     this policy; the AsyncStrategyOptions knob never selects it.
 //
 // Strategies are deterministic plain state machines: no RNG, no clocks.

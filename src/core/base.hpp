@@ -144,17 +144,19 @@ class BaseServer {
   virtual std::vector<float> compute_global(std::uint32_t round) = 0;
 
   /// Absorbs the gathered local updates into server state (z_p, λ_p, ...).
-  /// `global` is the w^{t+1} that was broadcast this round.
+  /// `global` is the w^{t+1} that was broadcast this round. The plug-in
+  /// point of the paper's API: a server that implements only this still
+  /// runs in every sync loop.
   virtual void update(const std::vector<comm::Message>& locals,
                       std::span<const float> global, std::uint32_t round) = 0;
 
-  /// Fused decode→aggregate entry point: consume a GatherBatch whose float
-  /// payloads are still wire-resident, updating server state AND the next
-  /// aggregate in one pass over the bytes. Returns true when the batch was
-  /// absorbed (the runner then skips update()); false means this server (or
-  /// this configuration — e.g. adaptive ρ needs the residual norms) has no
-  /// fused path, and the runner falls back to take_messages() + update(),
-  /// which is always bit-identical. The built-in servers override this.
+  /// Absorbs a GatherBatch whose float payloads are still wire-resident,
+  /// updating server state and the next aggregate in one pass over the
+  /// bytes. Returns false when this server has no such entry; the runner
+  /// then materializes the batch with take_messages() and calls update().
+  /// The built-in servers run one aggregation body behind both entries, so
+  /// they always absorb, and a malformed update throws whichever entry it
+  /// came in by.
   virtual bool absorb(const comm::GatherBatch& /*batch*/,
                       std::span<const float> /*global*/,
                       std::uint32_t /*round*/) {

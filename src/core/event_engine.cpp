@@ -636,10 +636,10 @@ PopulationRunResult run_population(const RunConfig& configured,
     }
     if (track_health) {
       for (std::size_t slot = 0; slot < k; ++slot) {
+        // No slot is a dropout: the broadcast is never faulted, so every
+        // slot receives the round's model, and an update lost on the way
+        // to the root is a dropped frame.
         const std::uint32_t id = participants[slot];
-        // A slot whose update never reached the root went missing this
-        // round, whatever the hop that lost it.
-        if (update_frames[slot].empty()) obs_session.health().note_dropout(id);
         const auto it = participation.find(id);
         if (it != participation.end()) {
           obs_session.health().set_dp_epsilon(

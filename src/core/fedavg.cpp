@@ -1,7 +1,8 @@
 #include "core/fedavg.hpp"
 
+#include <algorithm>
+
 #include "core/aggregate.hpp"
-#include "obs/trace.hpp"
 #include "tensor/accumulate.hpp"
 #include "util/check.hpp"
 
@@ -57,105 +58,73 @@ FedAvgServer::FedAvgServer(const RunConfig& config,
 }
 
 std::vector<float> FedAvgServer::compute_global(std::uint32_t) {
-  if (fused_valid_) return fused_global_;
-  const std::size_t m = primal_.front().size();
-  APPFL_CHECK(!last_participants_.empty());
-  std::vector<float> w(m, 0.0F);
-  std::vector<WeightedVec> terms;
-  terms.reserve(last_participants_.size());
-  if (config().weighted_aggregation) {
-    std::uint64_t total = 0;
-    for (std::size_t p : last_participants_) total += sample_counts_[p];
-    APPFL_CHECK(total > 0);
-    for (std::size_t p : last_participants_) {
-      const float weight = static_cast<float>(
-          static_cast<double>(sample_counts_[p]) / static_cast<double>(total));
-      terms.push_back({primal_[p], weight});
-    }
-  } else {
-    const float inv = 1.0F / static_cast<float>(last_participants_.size());
-    for (std::size_t p : last_participants_) terms.push_back({primal_[p], inv});
-  }
-  weighted_sum(terms, w);
-  return w;
+  if (global_.empty()) sweep({});
+  return global_;
+}
+
+void FedAvgServer::update(const std::vector<comm::Message>& locals,
+                          std::span<const float>, std::uint32_t round) {
+  aggregate(comm::gather_views(locals), round);
 }
 
 bool FedAvgServer::absorb(const comm::GatherBatch& batch,
                           std::span<const float>, std::uint32_t round) {
-  const std::span<const comm::GatherUpdate> updates = batch.updates();
-  // Straggler policy (same as update()): an empty round leaves all state
-  // untouched, so a previously cached aggregate stays exactly right.
-  if (updates.empty()) return true;
-  if (updates.size() > num_clients()) return false;
+  aggregate(batch.updates(), round);
+  return true;
+}
+
+void FedAvgServer::aggregate(std::span<const comm::GatherUpdate> updates,
+                             std::uint32_t round) {
+  // Straggler policy: a round where no update survived the network keeps
+  // the previous aggregate untouched; otherwise the mean reweights by the
+  // sample counts of the clients that actually responded.
+  if (updates.empty()) return;
+  APPFL_CHECK(updates.size() <= num_clients());
   const std::size_t n = primal_.front().size();
   for (const auto& u : updates) {
-    // Anything the fused loop cannot represent falls back to the unfused
-    // path, which reproduces the historical behavior (including its error
-    // diagnostics) bit for bit.
-    if (u.round != round || u.sender < 1 || u.sender > num_clients() ||
-        !u.dual.empty() || u.primal.count != n ||
-        primal_[u.sender - 1].size() != n) {
-      return false;
-    }
+    APPFL_CHECK_MSG(u.round == round, "stale update from client " << u.sender);
+    APPFL_CHECK(u.sender >= 1 && u.sender <= num_clients());
+    APPFL_CHECK_MSG(u.dual.empty(),
+                    "FedAvg updates must not carry dual variables");
+    check_update_size(u, n);
   }
-  obs::ScopedSpan span("fl.fused_absorb", "fl");
-  span.set_arg("round", round);
   last_participants_.clear();
   for (const auto& u : updates) {
     sample_counts_[u.sender - 1] = u.sample_count;
     last_participants_.push_back(u.sender - 1);
   }
-  // Weights exactly as compute_global derives them; batch order is sorted
-  // sender order, which is last_participants_ order.
-  std::vector<float> weights(updates.size());
+  sweep(updates);
+}
+
+void FedAvgServer::sweep(std::span<const comm::GatherUpdate> fresh) {
+  APPFL_CHECK(!last_participants_.empty());
+  std::vector<float> weights(last_participants_.size());
   if (config().weighted_aggregation) {
     std::uint64_t total = 0;
-    for (const auto& u : updates) total += u.sample_count;
+    for (std::size_t p : last_participants_) total += sample_counts_[p];
     APPFL_CHECK(total > 0);
-    for (std::size_t i = 0; i < updates.size(); ++i) {
+    for (std::size_t i = 0; i < weights.size(); ++i) {
       weights[i] = static_cast<float>(
-          static_cast<double>(updates[i].sample_count) /
+          static_cast<double>(sample_counts_[last_participants_[i]]) /
           static_cast<double>(total));
     }
   } else {
-    const float inv = 1.0F / static_cast<float>(updates.size());
-    for (auto& w : weights) w = inv;
+    std::fill(weights.begin(), weights.end(),
+              1.0F / static_cast<float>(weights.size()));
   }
-  fused_global_.assign(n, 0.0F);
-  // The single pass: each chunk of each client's payload is decoded into
-  // its replica slot and immediately accumulated into the next aggregate —
-  // the wire bytes are touched exactly once.
-  for_each_chunk(n, updates.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = 0; i < updates.size(); ++i) {
-      float* replica = primal_[updates[i].sender - 1].data() + lo;
-      materialize_chunk(updates[i].primal, lo, hi, replica);
+  const std::size_t n = primal_.front().size();
+  global_.assign(n, 0.0F);
+  // Each chunk of a fresh payload is decoded into its replica slot and
+  // added into the mean at once, so the wire bytes are read exactly once.
+  for_each_chunk(n, weights.size(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      float* replica = primal_[last_participants_[i]].data() + lo;
+      if (!fresh.empty()) materialize_chunk(fresh[i].primal, lo, hi, replica);
       tensor::axpy_f32_bytes(weights[i],
                              reinterpret_cast<const std::uint8_t*>(replica),
-                             fused_global_.data() + lo, hi - lo);
+                             global_.data() + lo, hi - lo);
     }
   });
-  fused_valid_ = true;
-  return true;
-}
-
-void FedAvgServer::update(const std::vector<comm::Message>& locals,
-                          std::span<const float>, std::uint32_t round) {
-  fused_valid_ = false;
-  // Straggler policy: a round where no update survived the network keeps
-  // the previous aggregate untouched; otherwise the next compute_global
-  // reweights by the sample counts of the clients that actually responded.
-  if (locals.empty()) return;
-  APPFL_CHECK(locals.size() <= num_clients());
-  last_participants_.clear();
-  for (const auto& m : locals) {
-    APPFL_CHECK_MSG(m.round == round, "stale update from client " << m.sender);
-    APPFL_CHECK(m.sender >= 1 && m.sender <= num_clients());
-    APPFL_CHECK_MSG(m.dual.empty(),
-                    "FedAvg updates must not carry dual variables");
-    primal_[m.sender - 1] = m.primal;
-    sample_counts_[m.sender - 1] = m.sample_count;
-    last_participants_.push_back(m.sender - 1);
-  }
 }
 
 ServerStateCkpt FedAvgServer::export_state() const {
@@ -167,12 +136,13 @@ ServerStateCkpt FedAvgServer::export_state() const {
 }
 
 void FedAvgServer::import_state(const ServerStateCkpt& s) {
-  fused_valid_ = false;
   BaseServer::import_state(s);
   APPFL_CHECK_MSG(s.primal.size() == num_clients() &&
                       s.sample_counts.size() == num_clients(),
                   "FedAvg checkpoint sized for " << s.primal.size()
                       << " clients, server has " << num_clients());
+  const std::size_t n = primal_.front().size();
+  for (const auto& z : s.primal) APPFL_CHECK(z.size() == n);
   primal_ = s.primal;
   sample_counts_ = s.sample_counts;
   last_participants_.clear();
@@ -181,6 +151,7 @@ void FedAvgServer::import_state(const ServerStateCkpt& s) {
     last_participants_.push_back(static_cast<std::size_t>(p));
   }
   APPFL_CHECK(!last_participants_.empty());
+  global_.clear();
 }
 
 }  // namespace appfl::core

@@ -28,11 +28,6 @@ class FedAvgServer : public BaseServer {
   std::vector<float> compute_global(std::uint32_t round) override;
   void update(const std::vector<comm::Message>& locals,
               std::span<const float> global, std::uint32_t round) override;
-  /// Fused path: one pass over the wire-resident payloads refreshes each
-  /// z_p replica AND accumulates next round's weighted average, which
-  /// compute_global then serves from cache — 425 MB touched once instead
-  /// of decode-then-store-then-reduce. Bit-identical to update() +
-  /// compute_global() at any thread count.
   bool absorb(const comm::GatherBatch& batch, std::span<const float> global,
               std::uint32_t round) override;
 
@@ -41,15 +36,25 @@ class FedAvgServer : public BaseServer {
   void import_state(const ServerStateCkpt& s) override;
 
  private:
+  /// The aggregation body update() and absorb() enter: checks the round's
+  /// updates, then one pass over the payload bytes refreshes each sender's
+  /// z_p replica and adds it into the weighted mean compute_global
+  /// returns. No updates leaves every state as it was (straggler policy).
+  void aggregate(std::span<const comm::GatherUpdate> updates,
+                 std::uint32_t round);
+  /// One for_each_chunk pass over the last participants: refreshes each
+  /// fresh replica (fresh[i] is participant i), then adds it into global_.
+  /// No fresh updates only rebuilds global_.
+  void sweep(std::span<const comm::GatherUpdate> fresh);
+
   std::vector<std::vector<float>> primal_;     // z_p^t per client
   std::vector<std::uint64_t> sample_counts_;   // I_p per client
   // Clients that reported in the most recent round; under partial
   // participation FedAvg averages exactly these (McMahan et al.).
   std::vector<std::size_t> last_participants_;
-  // Aggregate produced by the last absorb(); valid until the replica state
-  // changes behind it (update() or import_state()).
-  std::vector<float> fused_global_;
-  bool fused_valid_ = false;
+  // Weighted mean for the next broadcast. Empty until the first
+  // compute_global after construction or import_state builds it.
+  std::vector<float> global_;
 };
 
 }  // namespace appfl::core

@@ -1,12 +1,5 @@
 #include "core/iceadmm.hpp"
 
-#include <cmath>
-
-#include "core/adaptive.hpp"
-#include "core/aggregate.hpp"
-#include "obs/trace.hpp"
-#include "tensor/accumulate.hpp"
-#include "tensor/ops.hpp"
 #include "util/check.hpp"
 
 namespace appfl::core {
@@ -57,120 +50,6 @@ comm::Message IceAdmmClient::update(std::span<const float> global,
   return msg;
 }
 
-IceAdmmServer::IceAdmmServer(const RunConfig& config,
-                             std::unique_ptr<nn::Module> model,
-                             data::TensorDataset test_set,
-                             std::size_t num_clients)
-    : BaseServer(config, std::move(model), std::move(test_set), num_clients),
-      rho_(config.rho) {
-  primal_.assign(num_clients, BaseServer::initial_parameters());
-  dual_.assign(num_clients,
-               std::vector<float>(primal_.front().size(), 0.0F));
-}
-
-std::vector<float> IceAdmmServer::compute_global(std::uint32_t) {
-  if (fused_valid_) return fused_w_;
-  const std::size_t m = primal_.front().size();
-  const float inv_p = 1.0F / static_cast<float>(primal_.size());
-  const float inv_rho = 1.0F / rho_;
-  std::vector<float> w(m, 0.0F);
-  std::vector<ConsensusTerm> terms(primal_.size());
-  for (std::size_t p = 0; p < primal_.size(); ++p) {
-    terms[p] = {primal_[p], dual_[p]};
-  }
-  consensus_sum(terms, inv_p, inv_rho, w);
-  return w;
-}
-
-bool IceAdmmServer::absorb(const comm::GatherBatch& batch,
-                           std::span<const float>, std::uint32_t round) {
-  // Adaptive ρ consumes the residual norms update() computes on the side;
-  // the fused loop skips them, so it only runs with a constant ρ (where
-  // skipping is observably identical).
-  if (config().adaptive_rho) return false;
-  const std::span<const comm::GatherUpdate> updates = batch.updates();
-  if (updates.empty()) return true;  // straggler policy: state untouched
-  if (updates.size() > num_clients()) return false;
-  const std::size_t n = primal_.front().size();
-  for (const auto& u : updates) {
-    if (u.round != round || u.sender < 1 || u.sender > num_clients() ||
-        u.dual.empty() || u.dual.count != u.primal.count ||
-        u.primal.count != n) {
-      return false;  // unfused path reproduces the historical diagnostics
-    }
-  }
-  for (std::size_t p = 0; p < primal_.size(); ++p) {
-    if (primal_[p].size() != n || dual_[p].size() != n) return false;
-  }
-  obs::ScopedSpan span("fl.fused_absorb", "fl");
-  span.set_arg("round", round);
-  fused_w_.assign(n, 0.0F);
-  const float inv_p = 1.0F / static_cast<float>(primal_.size());
-  const float inv_rho = 1.0F / rho_;
-  for_each_chunk(n, primal_.size(), [&](std::size_t lo, std::size_t hi) {
-    // Refresh the fresh clients' replica chunks from the wire bytes...
-    for (const auto& u : updates) {
-      const std::size_t p = u.sender - 1;
-      materialize_chunk(u.primal, lo, hi, primal_[p].data() + lo);
-      materialize_chunk(u.dual, lo, hi, dual_[p].data() + lo);
-    }
-    // ...then accumulate next round's consensus over ALL P replicas (stale
-    // pairs included), in the exact term order compute_global uses.
-    std::size_t p = 0;
-    for (; p + 2 <= primal_.size(); p += 2) {
-      tensor::consensus2_f32_bytes(
-          inv_p, inv_rho,
-          reinterpret_cast<const std::uint8_t*>(primal_[p].data() + lo),
-          reinterpret_cast<const std::uint8_t*>(dual_[p].data() + lo),
-          reinterpret_cast<const std::uint8_t*>(primal_[p + 1].data() + lo),
-          reinterpret_cast<const std::uint8_t*>(dual_[p + 1].data() + lo),
-          fused_w_.data() + lo, hi - lo);
-    }
-    for (; p < primal_.size(); ++p) {
-      tensor::consensus_f32_bytes(
-          inv_p, inv_rho,
-          reinterpret_cast<const std::uint8_t*>(primal_[p].data() + lo),
-          reinterpret_cast<const std::uint8_t*>(dual_[p].data() + lo),
-          fused_w_.data() + lo, hi - lo);
-    }
-  });
-  fused_valid_ = true;  // ρ is constant here, so the cache cannot go stale
-  return true;
-}
-
-void IceAdmmServer::update(const std::vector<comm::Message>& locals,
-                           std::span<const float> global, std::uint32_t round) {
-  fused_valid_ = false;
-  // Straggler policy: absent clients keep their previous (z_p, λ_p) pair —
-  // ICEADMM ships both on the wire, so a stale pair stays self-consistent.
-  if (locals.empty()) return;
-  APPFL_CHECK(locals.size() <= num_clients());
-  double primal_residual = 0.0;
-  double dual_residual = 0.0;
-  for (const auto& m : locals) {
-    APPFL_CHECK_MSG(m.round == round, "stale update from client " << m.sender);
-    APPFL_CHECK(m.sender >= 1 && m.sender <= num_clients());
-    APPFL_CHECK_MSG(!m.dual.empty(),
-                    "ICEADMM requires clients to ship dual variables");
-    APPFL_CHECK(m.dual.size() == m.primal.size());
-    const std::size_t p = m.sender - 1;
-    double r2 = 0.0, s2 = 0.0;
-    for (std::size_t i = 0; i < m.primal.size(); ++i) {
-      const double r = static_cast<double>(global[i]) - m.primal[i];
-      const double s = static_cast<double>(m.primal[i]) - primal_[p][i];
-      r2 += r * r;
-      s2 += s * s;
-    }
-    primal_residual += std::sqrt(r2);
-    dual_residual += static_cast<double>(rho_) * std::sqrt(s2);
-    primal_[p] = m.primal;
-    dual_[p] = m.dual;
-  }
-  if (config().adaptive_rho) {
-    rho_ = adapt_rho(rho_, primal_residual, dual_residual, config());
-  }
-}
-
 void IceAdmmClient::export_algo_state(ClientStateCkpt& out) const {
   out.primal = z_;
   out.dual = lambda_;
@@ -180,26 +59,6 @@ void IceAdmmClient::import_algo_state(const ClientStateCkpt& s) {
   APPFL_CHECK(s.primal.size() == z_.size() && s.dual.size() == lambda_.size());
   z_ = s.primal;
   lambda_ = s.dual;
-}
-
-ServerStateCkpt IceAdmmServer::export_state() const {
-  ServerStateCkpt s = BaseServer::export_state();
-  s.rho = rho_;
-  s.primal = primal_;
-  s.dual = dual_;
-  return s;
-}
-
-void IceAdmmServer::import_state(const ServerStateCkpt& s) {
-  fused_valid_ = false;
-  BaseServer::import_state(s);
-  APPFL_CHECK_MSG(s.primal.size() == num_clients() &&
-                      s.dual.size() == num_clients(),
-                  "ICEADMM checkpoint sized for " << s.primal.size()
-                      << " clients, server has " << num_clients());
-  rho_ = static_cast<float>(s.rho);
-  primal_ = s.primal;
-  dual_ = s.dual;
 }
 
 }  // namespace appfl::core

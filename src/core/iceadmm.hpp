@@ -13,6 +13,7 @@
 #pragma once
 
 #include "core/base.hpp"
+#include "core/consensus_admm.hpp"
 
 namespace appfl::core {
 
@@ -41,34 +42,13 @@ class IceAdmmClient : public BaseClient {
   std::vector<float> lambda_;  // persistent local dual
 };
 
-class IceAdmmServer : public BaseServer {
+/// The consensus-ADMM server with λ_p taken from the wire.
+class IceAdmmServer : public ConsensusAdmmServer {
  public:
   IceAdmmServer(const RunConfig& config, std::unique_ptr<nn::Module> model,
-                data::TensorDataset test_set, std::size_t num_clients);
-
-  std::vector<float> compute_global(std::uint32_t round) override;
-  void update(const std::vector<comm::Message>& locals,
-              std::span<const float> global, std::uint32_t round) override;
-  /// Fused path (constant ρ only): refreshes each fresh (z_p, λ_p) pair
-  /// from the wire bytes and accumulates next round's consensus in the same
-  /// pass. Adaptive ρ needs the residual norms the fused loop does not
-  /// compute, so it falls back — observably identical either way.
-  bool absorb(const comm::GatherBatch& batch, std::span<const float> global,
-              std::uint32_t round) override;
-  float current_rho() const override { return rho_; }
-
-  std::string checkpoint_kind() const override { return "iceadmm"; }
-  ServerStateCkpt export_state() const override;
-  void import_state(const ServerStateCkpt& s) override;
-
- private:
-  std::vector<std::vector<float>> primal_;  // z_p received
-  std::vector<std::vector<float>> dual_;    // λ_p received
-  float rho_;                               // ρ^t (adapts when enabled)
-  // Consensus produced by the last absorb(); valid while ρ and the replica
-  // state are untouched behind it.
-  std::vector<float> fused_w_;
-  bool fused_valid_ = false;
+                data::TensorDataset test_set, std::size_t num_clients)
+      : ConsensusAdmmServer(config, std::move(model), std::move(test_set),
+                            num_clients, DualSource::kWire) {}
 };
 
 }  // namespace appfl::core

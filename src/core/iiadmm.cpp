@@ -1,11 +1,5 @@
 #include "core/iiadmm.hpp"
 
-#include <cmath>
-
-#include "core/adaptive.hpp"
-#include "core/aggregate.hpp"
-#include "obs/trace.hpp"
-#include "tensor/accumulate.hpp"
 #include "util/check.hpp"
 
 namespace appfl::core {
@@ -69,135 +63,6 @@ void IIAdmmClient::on_uplink_result(bool delivered) {
   if (!delivered && !lambda_prev_.empty()) lambda_ = lambda_prev_;
 }
 
-IIAdmmServer::IIAdmmServer(const RunConfig& config,
-                           std::unique_ptr<nn::Module> model,
-                           data::TensorDataset test_set,
-                           std::size_t num_clients)
-    : BaseServer(config, std::move(model), std::move(test_set), num_clients),
-      rho_(config.rho) {
-  primal_.assign(num_clients, BaseServer::initial_parameters());
-  dual_.assign(num_clients, std::vector<float>(primal_.front().size(), 0.0F));
-}
-
-std::vector<float> IIAdmmServer::compute_global(std::uint32_t) {
-  if (fused_valid_) return fused_w_;
-  // Line 3: w^{t+1} = (1/P) Σ (z_p^t − λ_p^t / ρ).
-  const std::size_t m = primal_.front().size();
-  const float inv_p = 1.0F / static_cast<float>(primal_.size());
-  const float inv_rho = 1.0F / rho_;
-  std::vector<float> w(m, 0.0F);
-  std::vector<ConsensusTerm> terms(primal_.size());
-  for (std::size_t p = 0; p < primal_.size(); ++p) {
-    terms[p] = {primal_[p], dual_[p]};
-  }
-  consensus_sum(terms, inv_p, inv_rho, w);
-  return w;
-}
-
-bool IIAdmmServer::absorb(const comm::GatherBatch& batch,
-                          std::span<const float> global, std::uint32_t round) {
-  // Adaptive ρ consumes the residual norms update() computes on the side;
-  // the fused loop skips them, so it only runs with a constant ρ.
-  if (config().adaptive_rho) return false;
-  const std::span<const comm::GatherUpdate> updates = batch.updates();
-  if (updates.empty()) return true;  // straggler policy: state untouched
-  if (updates.size() > num_clients()) return false;
-  const std::size_t n = primal_.front().size();
-  if (global.size() != n) return false;
-  for (const auto& u : updates) {
-    if (u.round != round || u.sender < 1 || u.sender > num_clients() ||
-        !u.dual.empty() || u.primal.count != n) {
-      return false;  // unfused path reproduces the historical diagnostics
-    }
-  }
-  for (std::size_t p = 0; p < primal_.size(); ++p) {
-    if (primal_[p].size() != n || dual_[p].size() != n) return false;
-  }
-  obs::ScopedSpan span("fl.fused_absorb", "fl");
-  span.set_arg("round", round);
-  const float rho = rho_;
-  fused_w_.assign(n, 0.0F);
-  const float inv_p = 1.0F / static_cast<float>(primal_.size());
-  const float inv_rho = 1.0F / rho_;
-  for_each_chunk(n, primal_.size(), [&](std::size_t lo, std::size_t hi) {
-    for (const auto& u : updates) {
-      const std::size_t p = u.sender - 1;
-      // Store the fresh z_p chunk, then replay line 6's dual update from it
-      // — identical arithmetic, same float inputs as the unfused loop.
-      float* z = primal_[p].data() + lo;
-      materialize_chunk(u.primal, lo, hi, z);
-      tensor::dual_step(rho, global.data() + lo, z, dual_[p].data() + lo,
-                        hi - lo);
-    }
-    // Next round's consensus over ALL P replicas, in compute_global's
-    // term order.
-    std::size_t p = 0;
-    for (; p + 2 <= primal_.size(); p += 2) {
-      tensor::consensus2_f32_bytes(
-          inv_p, inv_rho,
-          reinterpret_cast<const std::uint8_t*>(primal_[p].data() + lo),
-          reinterpret_cast<const std::uint8_t*>(dual_[p].data() + lo),
-          reinterpret_cast<const std::uint8_t*>(primal_[p + 1].data() + lo),
-          reinterpret_cast<const std::uint8_t*>(dual_[p + 1].data() + lo),
-          fused_w_.data() + lo, hi - lo);
-    }
-    for (; p < primal_.size(); ++p) {
-      tensor::consensus_f32_bytes(
-          inv_p, inv_rho,
-          reinterpret_cast<const std::uint8_t*>(primal_[p].data() + lo),
-          reinterpret_cast<const std::uint8_t*>(dual_[p].data() + lo),
-          fused_w_.data() + lo, hi - lo);
-    }
-  });
-  fused_valid_ = true;  // ρ is constant here, so the cache cannot go stale
-  return true;
-}
-
-void IIAdmmServer::update(const std::vector<comm::Message>& locals,
-                          std::span<const float> global, std::uint32_t round) {
-  fused_valid_ = false;
-  // Straggler policy: an absent client's (z_p, λ_p) stay at their previous
-  // values — sound because the dual update is duplicated on both sides, and
-  // a client whose uplink was lost rolls its own dual back to match
-  // (IIAdmmClient::on_uplink_result). compute_global then reuses the stale
-  // primal exactly as under partial participation.
-  if (locals.empty()) return;
-  APPFL_CHECK(locals.size() <= num_clients());
-  const float rho = rho_;  // the ρ^t the clients just used
-  double primal_residual = 0.0;
-  double dual_residual = 0.0;
-  for (const auto& m : locals) {
-    APPFL_CHECK_MSG(m.round == round, "stale update from client " << m.sender);
-    APPFL_CHECK(m.sender >= 1 && m.sender <= num_clients());
-    APPFL_CHECK_MSG(m.dual.empty(),
-                    "IIADMM clients must not ship duals — that is the point");
-    const std::size_t p = m.sender - 1;
-    auto& l = dual_[p];
-    APPFL_CHECK(m.primal.size() == l.size());
-    // Line 6: the server's replica of the dual update, computed from the
-    // same (w^{t+1}, z_p^{t+1}) the client used — bit-identical by design.
-    double r2 = 0.0, s2 = 0.0;
-    for (std::size_t i = 0; i < l.size(); ++i) {
-      const double r = static_cast<double>(global[i]) - m.primal[i];
-      const double s = static_cast<double>(m.primal[i]) - primal_[p][i];
-      r2 += r * r;
-      s2 += s * s;
-      l[i] += rho * (global[i] - m.primal[i]);
-    }
-    primal_residual += std::sqrt(r2);
-    dual_residual += static_cast<double>(rho) * std::sqrt(s2);
-    primal_[p] = m.primal;
-  }
-  if (config().adaptive_rho) {
-    rho_ = adapt_rho(rho_, primal_residual, dual_residual, config());
-  }
-}
-
-const std::vector<float>& IIAdmmServer::dual(std::uint32_t client) const {
-  APPFL_CHECK(client >= 1 && client <= dual_.size());
-  return dual_[client - 1];
-}
-
 void IIAdmmClient::export_algo_state(ClientStateCkpt& out) const {
   out.dual = lambda_;
 }
@@ -208,26 +73,6 @@ void IIAdmmClient::import_algo_state(const ClientStateCkpt& s) {
   // lambda_prev_ only matters between update() and on_uplink_result()
   // within one round; a round-boundary snapshot never carries it.
   lambda_prev_.clear();
-}
-
-ServerStateCkpt IIAdmmServer::export_state() const {
-  ServerStateCkpt s = BaseServer::export_state();
-  s.rho = rho_;
-  s.primal = primal_;
-  s.dual = dual_;
-  return s;
-}
-
-void IIAdmmServer::import_state(const ServerStateCkpt& s) {
-  fused_valid_ = false;
-  BaseServer::import_state(s);
-  APPFL_CHECK_MSG(s.primal.size() == num_clients() &&
-                      s.dual.size() == num_clients(),
-                  "IIADMM checkpoint sized for " << s.primal.size()
-                      << " clients, server has " << num_clients());
-  rho_ = static_cast<float>(s.rho);
-  primal_ = s.primal;
-  dual_ = s.dual;
 }
 
 }  // namespace appfl::core

@@ -18,6 +18,7 @@
 #pragma once
 
 #include "core/base.hpp"
+#include "core/consensus_admm.hpp"
 
 namespace appfl::core {
 
@@ -48,37 +49,13 @@ class IIAdmmClient : public BaseClient {
   std::vector<float> lambda_prev_;  // pre-round λ_p, for uplink-loss rollback
 };
 
-class IIAdmmServer : public BaseServer {
+/// The consensus-ADMM server with line 6 replayed for λ_p.
+class IIAdmmServer : public ConsensusAdmmServer {
  public:
   IIAdmmServer(const RunConfig& config, std::unique_ptr<nn::Module> model,
-               data::TensorDataset test_set, std::size_t num_clients);
-
-  std::vector<float> compute_global(std::uint32_t round) override;
-  void update(const std::vector<comm::Message>& locals,
-              std::span<const float> global, std::uint32_t round) override;
-  /// Fused path (constant ρ only): per chunk, replays the server-side dual
-  /// update from the wire-resident z_p, stores the fresh z_p, and
-  /// accumulates next round's consensus — one pass over the bytes.
-  /// Adaptive ρ falls back (needs the residual norms).
-  bool absorb(const comm::GatherBatch& batch, std::span<const float> global,
-              std::uint32_t round) override;
-  float current_rho() const override { return rho_; }
-
-  /// Server-side replica of client p's dual (1-based id; tests inspect it).
-  const std::vector<float>& dual(std::uint32_t client) const;
-
-  std::string checkpoint_kind() const override { return "iiadmm"; }
-  ServerStateCkpt export_state() const override;
-  void import_state(const ServerStateCkpt& s) override;
-
- private:
-  std::vector<std::vector<float>> primal_;  // z_p^t
-  std::vector<std::vector<float>> dual_;    // λ_p^t (server replica)
-  float rho_;                               // ρ^t (adapts when enabled)
-  // Consensus produced by the last absorb(); valid while ρ and the replica
-  // state are untouched behind it.
-  std::vector<float> fused_w_;
-  bool fused_valid_ = false;
+               data::TensorDataset test_set, std::size_t num_clients)
+      : ConsensusAdmmServer(config, std::move(model), std::move(test_set),
+                            num_clients, DualSource::kReplay) {}
 };
 
 }  // namespace appfl::core

@@ -344,8 +344,8 @@ RunResult run_rounds(const RunConfig& config, BaseServer& server,
 
     // (3) Gather + server-side absorption (tolerates partial rounds). The
     // batch keeps the decoded wire payloads alive so the server can absorb
-    // them in place; only when a server declines (adaptive ρ, malformed
-    // round) are owning Messages materialized for the classic update().
+    // them in place; owning Messages are materialized only for a server
+    // without absorb(), which aggregates through update().
     // Secure mode gathers MASKED uploads: the expected count is |U2| (only
     // U2 members send), and the gather still runs when the round already
     // degraded so the round keeps its comm record and timeline.

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/aggregate.hpp"
-#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace appfl::core {
@@ -40,51 +39,32 @@ std::vector<float> FedOptServer::compute_global(std::uint32_t) { return w_; }
 
 void FedOptServer::update(const std::vector<comm::Message>& locals,
                           std::span<const float> global, std::uint32_t round) {
-  // Straggler policy: no surviving updates ⇒ no pseudo-gradient step.
-  if (locals.empty()) return;
-  APPFL_CHECK(locals.size() <= num_clients());
-  const std::size_t n = w_.size();
-
-  // Pseudo-gradient: sample-weighted mean of (z_p − w) over this round's
-  // participants (global == w_ at broadcast time).
-  std::vector<double> delta(n, 0.0);
-  std::uint64_t total_samples = 0;
-  for (const auto& msg : locals) {
-    APPFL_CHECK_MSG(msg.round == round, "stale update from " << msg.sender);
-    APPFL_CHECK_MSG(msg.dual.empty(), "FedOpt expects primal-only updates");
-    APPFL_CHECK(msg.primal.size() == n);
-    total_samples += msg.sample_count;
-  }
-  APPFL_CHECK(total_samples > 0);
-  std::vector<DeltaTerm> terms;
-  terms.reserve(locals.size());
-  for (const auto& msg : locals) {
-    const double weight = config().weighted_aggregation
-                              ? static_cast<double>(msg.sample_count) /
-                                    static_cast<double>(total_samples)
-                              : 1.0 / static_cast<double>(locals.size());
-    terms.push_back({msg.primal, weight});
-  }
-  weighted_delta(terms, global, delta);
-  apply_pseudo_gradient(delta);
+  aggregate(comm::gather_views(locals), global, round);
 }
 
 bool FedOptServer::absorb(const comm::GatherBatch& batch,
                           std::span<const float> global, std::uint32_t round) {
-  const std::span<const comm::GatherUpdate> updates = batch.updates();
-  if (updates.empty()) return true;  // no pseudo-gradient step
-  if (updates.size() > num_clients()) return false;
+  aggregate(batch.updates(), global, round);
+  return true;
+}
+
+void FedOptServer::aggregate(std::span<const comm::GatherUpdate> updates,
+                             std::span<const float> global,
+                             std::uint32_t round) {
+  // Straggler policy: no surviving updates ⇒ no pseudo-gradient step.
+  if (updates.empty()) return;
+  APPFL_CHECK(updates.size() <= num_clients());
   const std::size_t n = w_.size();
   std::uint64_t total_samples = 0;
   for (const auto& u : updates) {
-    if (u.round != round || !u.dual.empty() || u.primal.count != n) {
-      return false;  // unfused path reproduces the historical diagnostics
-    }
+    APPFL_CHECK_MSG(u.round == round, "stale update from " << u.sender);
+    APPFL_CHECK_MSG(u.dual.empty(), "FedOpt expects primal-only updates");
+    check_update_size(u, n);
     total_samples += u.sample_count;
   }
-  if (total_samples == 0) return false;
-  obs::ScopedSpan span("fl.fused_absorb", "fl");
-  span.set_arg("round", round);
+  APPFL_CHECK(total_samples > 0);
+  // Pseudo-gradient: sample-weighted mean of (z_p − w) over this round's
+  // participants (global == w_ at broadcast time).
   std::vector<DeltaStreamTerm> terms;
   terms.reserve(updates.size());
   for (const auto& u : updates) {
@@ -97,7 +77,6 @@ bool FedOptServer::absorb(const comm::GatherBatch& batch,
   std::vector<double> delta(n, 0.0);
   weighted_delta_stream(terms, global, delta);
   apply_pseudo_gradient(delta);
-  return true;
 }
 
 void FedOptServer::apply_pseudo_gradient(std::span<const double> delta) {

@@ -40,9 +40,6 @@ class FedOptServer : public BaseServer {
   std::vector<float> compute_global(std::uint32_t round) override;
   void update(const std::vector<comm::Message>& locals,
               std::span<const float> global, std::uint32_t round) override;
-  /// Fused path: the pseudo-gradient Δ streams straight out of the
-  /// wire-resident payloads (one pass), then the identical optimizer step
-  /// runs. Bit-identical to update() on the same traffic.
   bool absorb(const comm::GatherBatch& batch, std::span<const float> global,
               std::uint32_t round) override;
 
@@ -53,7 +50,12 @@ class FedOptServer : public BaseServer {
   void import_state(const ServerStateCkpt& s) override;
 
  private:
-  /// The shared server-optimizer step on an already-reduced Δ.
+  /// The aggregation body update() and absorb() enter: checks the round's
+  /// updates, streams the pseudo-gradient Δ out of their payload bytes in
+  /// one pass, then takes the optimizer step. No updates, no step.
+  void aggregate(std::span<const comm::GatherUpdate> updates,
+                 std::span<const float> global, std::uint32_t round);
+  /// The server-optimizer step on the reduced Δ.
   void apply_pseudo_gradient(std::span<const double> delta);
 
   ServerOptConfig opt_;

@@ -29,7 +29,8 @@ struct ClientHealth {
   std::uint64_t corrupt_frames = 0; // CRC-damaged frames attributed to client
   std::uint64_t dropped_frames = 0; // uplinks lost after all retries
   std::uint64_t share_discards = 0; // secure-agg share packets discarded
-  std::uint64_t dropouts = 0;       // rounds the client went missing
+  std::uint64_t dropouts = 0;       // rounds sampled but never sent the
+                                    // round's model (lost broadcast)
   double dp_epsilon = 0.0;          // cumulative privacy spend (0 = no DP)
 };
 

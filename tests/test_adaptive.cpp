@@ -5,6 +5,8 @@
 #include "util/check.hpp"
 
 #include <bit>
+#include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "core/adaptive.hpp"
@@ -131,6 +133,120 @@ TEST(AdaptiveRun, DualReplicasStayBitIdenticalAcrossRhoChanges) {
       ASSERT_EQ(std::bit_cast<std::uint32_t>(cd[i]),
                 std::bit_cast<std::uint32_t>(sd[i]))
           << "client " << p + 1 << " coord " << i;
+    }
+  }
+}
+
+/// Forwards every call to the algorithm's own server. Before forwarding a
+/// round's absorb() it predicts the next ρ from the round's messages and
+/// the broadcast w: for each sender in sender order, ‖w − z_p‖ and
+/// ρ‖z_p − z_p^prev‖ recomputed serially in double (z_p^prev is the
+/// sender's previous message, or z¹ before it has one), then adapt_rho.
+/// After forwarding it checks the server's current_rho() bit for bit.
+class ResidualOracleServer : public appfl::core::BaseServer {
+ public:
+  ResidualOracleServer(const RunConfig& config,
+                       std::unique_ptr<appfl::nn::Module> model,
+                       appfl::data::TensorDataset test,
+                       std::size_t num_clients,
+                       std::unique_ptr<appfl::core::BaseServer> inner)
+      : BaseServer(config, std::move(model), std::move(test), num_clients),
+        inner_(std::move(inner)),
+        previous_(num_clients, inner_->initial_parameters()) {}
+
+  std::vector<float> compute_global(std::uint32_t round) override {
+    return inner_->compute_global(round);
+  }
+  void update(const std::vector<appfl::comm::Message>& locals,
+              std::span<const float> global, std::uint32_t round) override {
+    inner_->update(locals, global, round);
+  }
+  bool absorb(const appfl::comm::GatherBatch& batch,
+              std::span<const float> global, std::uint32_t round) override {
+    const float rho = inner_->current_rho();
+    double primal_residual = 0.0;
+    double dual_residual = 0.0;
+    for (const appfl::comm::Message& m : batch.take_messages()) {
+      std::vector<float>& prev = previous_.at(m.sender - 1);
+      EXPECT_EQ(m.primal.size(), global.size());
+      double r2 = 0.0, s2 = 0.0;
+      for (std::size_t i = 0; i < m.primal.size(); ++i) {
+        const double r = static_cast<double>(global[i]) - m.primal[i];
+        const double s = static_cast<double>(m.primal[i]) - prev[i];
+        r2 += r * r;
+        s2 += s * s;
+      }
+      primal_residual += std::sqrt(r2);
+      dual_residual += static_cast<double>(rho) * std::sqrt(s2);
+      prev = m.primal;
+    }
+    const float expected =
+        batch.empty() ? rho
+                      : appfl::core::adapt_rho(rho, primal_residual,
+                                               dual_residual, config());
+    const bool absorbed = inner_->absorb(batch, global, round);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(inner_->current_rho()),
+              std::bit_cast<std::uint32_t>(expected))
+        << "round " << round << ": server " << inner_->current_rho()
+        << ", oracle " << expected;
+    rhos.push_back(inner_->current_rho());
+    return absorbed;
+  }
+  float current_rho() const override { return inner_->current_rho(); }
+  const appfl::core::BaseServer& inner() const { return *inner_; }
+
+  std::vector<float> rhos;  // ρ after each round's absorption
+
+ private:
+  std::unique_ptr<appfl::core::BaseServer> inner_;
+  std::vector<std::vector<float>> previous_;  // z_p^prev per client
+};
+
+TEST(AdaptiveRun, ResidualPrePassMatchesASerialDoubleOracle) {
+  const auto split = small_split();
+  for (const Algorithm alg : {Algorithm::kIceAdmm, Algorithm::kIIAdmm}) {
+    for (const double fraction : {1.0, 0.5}) {
+      SCOPED_TRACE(appfl::core::to_string(alg) + " fraction " +
+                   std::to_string(fraction));
+      RunConfig cfg = adaptive_config();
+      cfg.algorithm = alg;
+      cfg.client_fraction = fraction;
+      cfg.rho = 30.0F;
+      cfg.rounds = 8;
+      auto model = appfl::core::build_model(cfg, split.test);
+      std::vector<std::unique_ptr<appfl::core::BaseClient>> clients;
+      for (std::size_t p = 0; p < split.clients.size(); ++p) {
+        clients.push_back(appfl::core::build_client(
+            static_cast<std::uint32_t>(p + 1), cfg, *model, split.clients[p]));
+      }
+      const std::size_t n = clients.size();
+      auto validation_model = model->clone();
+      ResidualOracleServer server(
+          cfg, std::move(validation_model), split.test, n,
+          appfl::core::build_server(cfg, std::move(model), split.test, n));
+      const auto result = appfl::core::run_federated(cfg, server, clients);
+      ASSERT_EQ(server.rhos.size(), cfg.rounds);
+      std::size_t changes = 0;
+      float before = cfg.rho;
+      for (std::size_t r = 0; r < server.rhos.size(); ++r) {
+        // The ρ each round broadcast is the one the previous round left.
+        EXPECT_EQ(result.rounds[r].rho, static_cast<double>(before));
+        if (server.rhos[r] != before) ++changes;
+        before = server.rhos[r];
+      }
+      EXPECT_GE(changes, 2U) << "rho changed too rarely to test adaptation";
+      // The server's dual step ran at the ρ each client trained with, so
+      // the dual replicas still agree bit for bit.
+      const auto server_duals = server.inner().export_state().dual;
+      ASSERT_EQ(server_duals.size(), n);
+      for (std::size_t p = 0; p < n; ++p) {
+        const auto client_dual = clients[p]->export_state().dual;
+        ASSERT_EQ(client_dual.size(), server_duals[p].size());
+        EXPECT_EQ(std::memcmp(client_dual.data(), server_duals[p].data(),
+                              client_dual.size() * sizeof(float)),
+                  0)
+            << "client " << p + 1;
+      }
     }
   }
 }

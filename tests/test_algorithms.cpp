@@ -6,12 +6,16 @@
 #include "util/check.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 
+#include "comm/communicator.hpp"
 #include "core/fedavg.hpp"
 #include "core/iceadmm.hpp"
 #include "core/iiadmm.hpp"
 #include "core/runner.hpp"
+#include "core/server_opt.hpp"
 #include "data/synth.hpp"
 #include "tensor/ops.hpp"
 
@@ -299,6 +303,60 @@ TEST(FedAvg, RejectsUpdatesCarryingDuals) {
   bad.dual.assign(server.num_parameters(), 0.0F);
   std::vector<float> w(server.num_parameters(), 0.0F);
   EXPECT_THROW(server.update({bad}, w, 1), appfl::Error);
+}
+
+/// Expects `call` to throw an appfl::Error whose message contains `needle`.
+template <typename Call>
+void expect_error_naming(const Call& call, const std::string& needle) {
+  try {
+    call();
+    ADD_FAILURE() << "no error thrown";
+  } catch (const appfl::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Servers, WrongSizePayloadThrowsThroughEitherEntryNamingTheSender) {
+  // Every built-in server runs one aggregation body behind update() and
+  // absorb(), so a payload of the wrong size throws at absorption whichever
+  // entry it came in by, names its sender, and leaves the aggregate as it
+  // was.
+  const FederatedSplit split = easy_split(5, 16);
+  for (const bool fedopt : {false, true}) {
+    for (const Algorithm alg : {Algorithm::kFedAvg, Algorithm::kIceAdmm,
+                                Algorithm::kIIAdmm}) {
+      if (fedopt && alg != Algorithm::kFedAvg) continue;
+      SCOPED_TRACE(fedopt ? "fedopt" : appfl::core::to_string(alg));
+      const RunConfig cfg = base_config(alg);
+      auto model = appfl::core::build_model(cfg, split.test);
+      std::unique_ptr<appfl::core::BaseServer> server =
+          fedopt ? std::make_unique<appfl::core::FedOptServer>(
+                       cfg, appfl::core::ServerOptConfig{}, std::move(model),
+                       split.test, 2)
+                 : appfl::core::build_server(cfg, std::move(model),
+                                             split.test, 2);
+      const std::vector<float> w = server->compute_global(1);
+      appfl::comm::Message bad;
+      bad.kind = appfl::comm::MessageKind::kLocalUpdate;
+      bad.sender = 2;
+      bad.round = 1;
+      bad.sample_count = 16;
+      bad.primal.assign(w.size() + 1, 0.5F);
+      if (alg == Algorithm::kIceAdmm) bad.dual.assign(w.size() + 1, 0.0F);
+      expect_error_naming([&] { server->update({bad}, w, 1); }, "client 2");
+
+      appfl::comm::Communicator comm(appfl::comm::Protocol::kMpi, 2, 1);
+      ASSERT_TRUE(comm.send_update(2, bad));
+      const appfl::comm::GatherBatch batch = comm.gather_batch(1, 1);
+      ASSERT_EQ(batch.size(), 1U);
+      expect_error_naming([&] { server->absorb(batch, w, 1); }, "client 2");
+      const std::vector<float> after = server->compute_global(2);
+      ASSERT_EQ(after.size(), w.size());
+      EXPECT_EQ(std::memcmp(after.data(), w.data(), w.size() * sizeof(float)),
+                0);
+    }
+  }
 }
 
 }  // namespace

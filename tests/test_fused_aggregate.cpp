@@ -1,8 +1,8 @@
 // Fused decode→aggregate data path: the streaming aggregation entry points
-// and the servers' absorb() overrides must be bit-identical to the classic
-// decode-then-reduce path — per kernel (f32 and f16 payloads, every thread
-// count), and end to end through the runner (every algorithm × codec,
-// fused vs a server that declines absorb()).
+// must be bit-identical to decode-then-reduce per kernel (f32 and f16
+// payloads, every thread count), and a server's absorb() and update()
+// entries, which run one aggregation body, must be bit-identical end to end
+// through the runner (every algorithm × codec, adaptive ρ, partial rounds).
 #include <gtest/gtest.h>
 
 #include "util/check.hpp"
@@ -202,7 +202,7 @@ TEST(FusedStream, MaterializeChunkMatchesFullDecode) {
   EXPECT_TRUE(same_bits(half.decoded, out));
 }
 
-// -- End to end: fused servers vs the classic update() path ------------------
+// -- End to end: the absorb() entry vs the update() entry ---------------------
 
 appfl::data::FederatedSplit make_split() {
   appfl::data::SynthImageSpec spec;
@@ -226,11 +226,12 @@ RunConfig fused_cfg(Algorithm alg) {
 }
 
 /// Forwards every call to the algorithm's own server except absorb(), so
-/// the runner takes the classic take_messages() + update() path each round.
-/// Validation runs on this object's copy of the model and test set.
-class ClassicPathServer : public appfl::core::BaseServer {
+/// the runner materializes each batch with take_messages() and enters the
+/// server's aggregation body through update() every round. Validation runs
+/// on this object's copy of the model and test set.
+class UpdateEntryServer : public appfl::core::BaseServer {
  public:
-  ClassicPathServer(const RunConfig& config,
+  UpdateEntryServer(const RunConfig& config,
                     std::unique_ptr<appfl::nn::Module> model,
                     appfl::data::TensorDataset test, std::size_t num_clients,
                     std::unique_ptr<appfl::core::BaseServer> inner)
@@ -250,7 +251,7 @@ class ClassicPathServer : public appfl::core::BaseServer {
   std::unique_ptr<appfl::core::BaseServer> inner_;
 };
 
-appfl::core::RunResult run_classic_path(
+appfl::core::RunResult run_through_update(
     const RunConfig& cfg, const appfl::data::FederatedSplit& split) {
   auto model = appfl::core::build_model(cfg, split.test);
   std::vector<std::unique_ptr<appfl::core::BaseClient>> clients;
@@ -260,36 +261,38 @@ appfl::core::RunResult run_classic_path(
   }
   const std::size_t n = clients.size();
   auto validation_model = model->clone();
-  ClassicPathServer server(
+  UpdateEntryServer server(
       cfg, std::move(validation_model), split.test, n,
       appfl::core::build_server(cfg, std::move(model), split.test, n));
   return appfl::core::run_federated(cfg, server, clients);
 }
 
-void expect_fused_matches_unfused(const RunConfig& cfg,
-                                  const appfl::data::FederatedSplit& split) {
-  const auto fused = appfl::core::run_federated(cfg, split);
-  const auto classic = run_classic_path(cfg, split);
-  ASSERT_EQ(fused.final_parameters.size(), classic.final_parameters.size());
-  EXPECT_TRUE(same_bits(fused.final_parameters, classic.final_parameters));
-  EXPECT_EQ(fused.traffic.bytes_up, classic.traffic.bytes_up);
-  ASSERT_EQ(fused.rounds.size(), classic.rounds.size());
-  for (std::size_t r = 0; r < fused.rounds.size(); ++r) {
-    EXPECT_EQ(fused.rounds[r].responders, classic.rounds[r].responders);
-    EXPECT_EQ(fused.rounds[r].train_loss, classic.rounds[r].train_loss);
+void expect_entries_match(const RunConfig& cfg,
+                          const appfl::data::FederatedSplit& split) {
+  const auto absorbed = appfl::core::run_federated(cfg, split);
+  const auto updated = run_through_update(cfg, split);
+  ASSERT_EQ(absorbed.final_parameters.size(),
+            updated.final_parameters.size());
+  EXPECT_TRUE(same_bits(absorbed.final_parameters, updated.final_parameters));
+  EXPECT_EQ(absorbed.traffic.bytes_up, updated.traffic.bytes_up);
+  ASSERT_EQ(absorbed.rounds.size(), updated.rounds.size());
+  for (std::size_t r = 0; r < absorbed.rounds.size(); ++r) {
+    EXPECT_EQ(absorbed.rounds[r].responders, updated.rounds[r].responders);
+    EXPECT_EQ(absorbed.rounds[r].train_loss, updated.rounds[r].train_loss);
+    EXPECT_EQ(absorbed.rounds[r].rho, updated.rounds[r].rho);
   }
 }
 
-TEST(FusedEndToEnd, EveryAlgorithmBitIdenticalToClassicPath) {
+TEST(FusedEndToEnd, EveryAlgorithmBitIdenticalThroughUpdate) {
   const auto split = make_split();
   for (const Algorithm alg : {Algorithm::kFedAvg, Algorithm::kFedProx,
                               Algorithm::kIceAdmm, Algorithm::kIIAdmm}) {
     SCOPED_TRACE(appfl::core::to_string(alg));
-    expect_fused_matches_unfused(fused_cfg(alg), split);
+    expect_entries_match(fused_cfg(alg), split);
   }
 }
 
-TEST(FusedEndToEnd, EveryCodecBitIdenticalToClassicPath) {
+TEST(FusedEndToEnd, EveryCodecBitIdenticalThroughUpdate) {
   const auto split = make_split();
   for (const UplinkCodec codec :
        {UplinkCodec::kNone, UplinkCodec::kFp16, UplinkCodec::kQuant8,
@@ -297,19 +300,19 @@ TEST(FusedEndToEnd, EveryCodecBitIdenticalToClassicPath) {
     SCOPED_TRACE(appfl::comm::to_string(codec));
     RunConfig cfg = fused_cfg(Algorithm::kFedAvg);
     cfg.uplink_codec = codec;
-    expect_fused_matches_unfused(cfg, split);
+    expect_entries_match(cfg, split);
   }
 }
 
-TEST(FusedEndToEnd, AdaptiveRhoFallsBackAndStaysCorrect) {
-  // Adaptive-ρ ADMM declines the fused path (absorb returns false); the
-  // run must still complete identically to the classic path.
+TEST(FusedEndToEnd, AdaptiveRhoBitIdenticalThroughUpdate) {
+  // Adaptive ρ runs the residual pre-pass inside the one aggregation body,
+  // so both entries adapt ρ, and so aggregate, identically.
   const auto split = make_split();
   for (const Algorithm alg : {Algorithm::kIceAdmm, Algorithm::kIIAdmm}) {
     SCOPED_TRACE(appfl::core::to_string(alg));
     RunConfig cfg = fused_cfg(alg);
     cfg.adaptive_rho = true;
-    expect_fused_matches_unfused(cfg, split);
+    expect_entries_match(cfg, split);
   }
 }
 
@@ -319,7 +322,7 @@ TEST(FusedEndToEnd, PartialParticipationBitIdentical) {
     SCOPED_TRACE(appfl::core::to_string(alg));
     RunConfig cfg = fused_cfg(alg);
     cfg.client_fraction = 0.67;  // 2 of 3 clients per round
-    expect_fused_matches_unfused(cfg, split);
+    expect_entries_match(cfg, split);
   }
 }
 

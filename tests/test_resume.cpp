@@ -489,46 +489,52 @@ RunConfig tiny_population_config() {
   return cfg;
 }
 
-appfl::core::AsyncConfig tiny_async_config() {
+/// One run of a writer of the record, to completion or to `halt_after`
+/// steps, checkpointing into `checkpoint_dir` and resuming from
+/// `resume_from` when they are set; returns the final model. The flavors:
+/// the sync runner, the population engine, and the async loop under each
+/// commit policy — "async" (FedAsync), "fedbuff" (K = 3, so step 2 is saved
+/// mid-buffer), "fedcompass" (a mixed fleet, so the saved step plan is not
+/// uniform) and "async-iiadmm" (the replica and w_sent tables).
+std::vector<float> run_flavor(const std::string& flavor,
+                              const std::string& checkpoint_dir,
+                              const std::string& resume_from,
+                              std::size_t halt_after = 0) {
+  RunConfig cfg =
+      flavor == "population" ? tiny_population_config() : tiny_config();
+  cfg.checkpoint_dir = checkpoint_dir;
+  cfg.resume_from = resume_from;
+  cfg.halt_after_round = halt_after;
+  if (flavor == "sync") {
+    return appfl::core::run_federated(cfg, tiny_split()).final_parameters;
+  }
+  if (flavor == "population") {
+    return appfl::core::run_population(cfg, tiny_population())
+        .run.final_parameters;
+  }
   appfl::core::AsyncConfig acfg;
-  acfg.run = tiny_config();
+  acfg.run = cfg;
   acfg.total_updates = 4;
-  return acfg;
+  if (flavor == "async-iiadmm") {
+    acfg.run.algorithm = Algorithm::kIIAdmm;
+    return appfl::core::run_async_iiadmm(acfg, tiny_split()).base.final_w;
+  }
+  if (flavor == "fedbuff") {
+    acfg.strategy.kind = appfl::core::AsyncStrategyKind::kFedBuff;
+    acfg.strategy.buffer_k = 3;
+  } else if (flavor == "fedcompass") {
+    acfg.strategy.kind = appfl::core::AsyncStrategyKind::kFedCompass;
+    acfg.devices = {appfl::hw::a100(), appfl::hw::v100()};
+  }
+  return appfl::core::run_async(acfg, tiny_split()).final_w;
 }
 
 void save_two_slots(const std::string& flavor, const std::string& dir) {
-  if (flavor == "sync") {
-    RunConfig cfg = tiny_config();
-    cfg.checkpoint_dir = dir;
-    cfg.halt_after_round = 2;
-    (void)appfl::core::run_federated(cfg, tiny_split());
-  } else if (flavor == "population") {
-    RunConfig cfg = tiny_population_config();
-    cfg.checkpoint_dir = dir;
-    cfg.halt_after_round = 2;
-    (void)appfl::core::run_population(cfg, tiny_population());
-  } else {
-    appfl::core::AsyncConfig acfg = tiny_async_config();
-    acfg.run.checkpoint_dir = dir;
-    acfg.run.halt_after_round = 2;
-    (void)appfl::core::run_async(acfg, tiny_split());
-  }
+  (void)run_flavor(flavor, dir, "", 2);
 }
 
 void resume_run(const std::string& flavor, const std::string& dir) {
-  if (flavor == "sync") {
-    RunConfig cfg = tiny_config();
-    cfg.resume_from = dir;
-    (void)appfl::core::run_federated(cfg, tiny_split());
-  } else if (flavor == "population") {
-    RunConfig cfg = tiny_population_config();
-    cfg.resume_from = dir;
-    (void)appfl::core::run_population(cfg, tiny_population());
-  } else {
-    appfl::core::AsyncConfig acfg = tiny_async_config();
-    acfg.run.resume_from = dir;
-    (void)appfl::core::run_async(acfg, tiny_split());
-  }
+  (void)run_flavor(flavor, "", dir);
 }
 
 TEST(Resume, OtherLoopsCheckpointIsRefusedAndKept) {
@@ -803,9 +809,11 @@ TEST(CheckpointStore, ValidatorRejectionQuarantines) {
 
 TEST(CheckpointStore, TornNewestSlotAtEveryLengthFallsBackPerFlavor) {
   // A crash mid-save can leave the newest slot cut at any byte. For one
-  // real save per flavor, every cut is quarantined and the store loads the
-  // older slot.
-  for (const std::string flavor : {"sync", "population", "async"}) {
+  // real save per flavor (each async commit policy among them), every cut
+  // is quarantined and the store loads the older slot, and a resume from
+  // that slot reaches the uninterrupted run's final model.
+  for (const std::string flavor : {"sync", "population", "async", "fedbuff",
+                                   "fedcompass", "async-iiadmm"}) {
     TempDir dir("appfl_store_torn_every_" + flavor);
     save_two_slots(flavor, dir.str());
     std::string newest;
@@ -815,6 +823,22 @@ TEST(CheckpointStore, TornNewestSlotAtEveryLengthFallsBackPerFlavor) {
       ASSERT_TRUE(loaded.has_value()) << flavor;
       ASSERT_EQ(loaded->sequence, 2U) << flavor;
       newest = loaded->slot;
+    }
+    {
+      // The cut slot carries its policy's state.
+      CheckpointStore probe(dir.str());
+      const auto ckpt = appfl::core::load_latest_checkpoint(probe);
+      ASSERT_TRUE(ckpt.has_value()) << flavor;
+      if (flavor == "fedbuff") EXPECT_EQ(ckpt->buffer.size(), 2U);
+      if (flavor == "fedcompass") {
+        ASSERT_EQ(ckpt->assigned_steps.size(), 2U);
+        EXPECT_NE(ckpt->assigned_steps[0], ckpt->assigned_steps[1]);
+      }
+      if (flavor == "async-iiadmm") {
+        EXPECT_EQ(ckpt->server_primal.size(), 2U);
+        EXPECT_EQ(ckpt->server_dual.size(), 2U);
+        EXPECT_EQ(ckpt->w_sent.size(), 2U);
+      }
     }
     const fs::path torn = dir.path / newest;
     const fs::path quarantined = dir.path / (newest + ".quarantined");
@@ -832,6 +856,9 @@ TEST(CheckpointStore, TornNewestSlotAtEveryLengthFallsBackPerFlavor) {
       ASSERT_TRUE(fs::exists(quarantined)) << flavor << " cut at " << n;
       fs::remove(quarantined);
     }
+    EXPECT_TRUE(same_bits(run_flavor(flavor, dir.str(), dir.str()),
+                          run_flavor(flavor, "", "")))
+        << flavor << " resumed from the fallback slot diverged";
   }
 }
 

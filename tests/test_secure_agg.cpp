@@ -916,7 +916,30 @@ TEST(SecureAggPopulation, LostSharePacketsCountInTheHealthLedger) {
       share_wave_timeout_drops(result.run.rounds);
   ASSERT_GT(timeout_drops, 0U) << "no share packet was lost";
   EXPECT_EQ(ledger.dropped_frames, result.run.traffic.drops);
+  EXPECT_EQ(ledger.dropped_frames + ledger.dropouts, result.run.traffic.drops);
   EXPECT_EQ(ledger.share_discards, timeout_drops);
+}
+
+TEST(PopulationLedger, DropOnlyRunCountsEachLostUplinkOnce) {
+  // A dropout is a sampled participant that never received the round's
+  // model, as in the sync runner. The engine never faults its broadcast, so
+  // with drop-only faults every drop is a lost uplink: one dropped frame
+  // and no dropout.
+  const appfl::data::SyntheticPopulation pop(pop_spec(60));
+  appfl::core::RunConfig cfg = pop_cfg(60, 6);
+  cfg.secure_agg = false;
+  cfg.rounds = 4;
+  cfg.faults.drop = 0.3;
+  cfg.gather_timeout_s = 5.0;
+  cfg.obs_level = "metrics";
+  const std::filesystem::path csv =
+      std::filesystem::temp_directory_path() / "appfl_pop_drop_health.csv";
+  cfg.health_out = csv.string();
+  const auto result = appfl::core::run_population(cfg, pop);
+  const LedgerSums ledger = read_ledger(csv);
+  ASSERT_GT(result.run.traffic.drops, 0U) << "no uplink was lost";
+  EXPECT_EQ(ledger.dropped_frames + ledger.dropouts, result.run.traffic.drops);
+  EXPECT_EQ(ledger.dropouts, 0U);
 }
 
 TEST(SecureAggPopulation, DeadSlotBelowFullThresholdDegradesEveryRound) {
