@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <ctime>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -28,6 +29,7 @@
 #include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -180,13 +182,12 @@ void BM_ConvLayerFwdBwd(benchmark::State& state) {
       const auto out =
           appfl::tensor::conv2d_forward_gemm(input, weight, bias, spec);
       benchmark::DoNotOptimize(
-          appfl::tensor::conv2d_backward_weight_gemm(out, input, spec));
-      benchmark::DoNotOptimize(appfl::tensor::conv2d_backward_input_gemm(
-          out, weight, input.shape(), spec));
+          appfl::tensor::conv2d_backward_gemm(out, input, weight, spec));
     } else {
       const auto out = appfl::tensor::conv2d_forward(input, weight, bias, spec);
       benchmark::DoNotOptimize(
           appfl::tensor::conv2d_backward_weight(out, input, spec));
+      benchmark::DoNotOptimize(appfl::tensor::conv2d_backward_bias(out));
       benchmark::DoNotOptimize(appfl::tensor::conv2d_backward_input(
           out, weight, input.shape(), spec));
     }
@@ -197,6 +198,60 @@ BENCHMARK(BM_ConvLayerFwdBwd)
     ->Args({28, 1})
     ->Args({32, 0})
     ->Args({32, 1});
+
+/// CPU seconds the calling thread has run.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+void BM_PaperCnnLayers(benchmark::State& state) {
+  // One layer of the paper CNN on FEMNIST-like inputs (1×28×28, 62 classes)
+  // at batch 16, forward (Arg(1) = 0) or backward (1), run on a client-pool
+  // worker as a local update runs it: the conv forward groups its images
+  // there and every GEMM stays serial. Arg(0) is the layer index. Each
+  // iteration reports the worker's thread CPU time, so neither the hand-off
+  // to the pool nor host steal counts.
+  const auto index = static_cast<std::size_t>(state.range(0));
+  const bool backward = state.range(1) != 0;
+  appfl::rng::Rng r(9);
+  const auto model = appfl::nn::paper_cnn(1, 28, 28, 62, r);
+  appfl::util::ThreadPool pool(1);
+  // Every layer's input from one forward pass on the worker; the timed
+  // layer's backward gets a random gradient of its output's shape.
+  std::vector<appfl::tensor::Tensor> acts{
+      appfl::tensor::Tensor::randn({16, 1, 28, 28}, r)};
+  pool.submit([&] {
+        for (std::size_t i = 0; i < model->num_layers(); ++i) {
+          acts.push_back(model->layer(i).forward(acts.back()));
+        }
+      })
+      .get();
+  appfl::nn::Module& layer = model->layer(index);
+  const auto grad = appfl::tensor::Tensor::randn(acts[index + 1].shape(), r);
+  for (auto _ : state) {
+    double seconds = 0.0;
+    pool.submit([&] {
+          const double t0 = thread_cpu_seconds();
+          benchmark::DoNotOptimize(backward ? layer.backward(grad)
+                                            : layer.forward(acts[index]));
+          seconds = thread_cpu_seconds() - t0;
+        })
+        .get();
+    state.SetIterationTime(seconds);
+  }
+  state.SetLabel(layer.name());
+}
+// A fixed iteration count: every iteration also pays a hand-off to the pool
+// that its manual time leaves out, so a time-based count would run the
+// microsecond layers for minutes.
+BENCHMARK(BM_PaperCnnLayers)
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5, 6, 7, 8}, {0, 1}})
+    ->UseManualTime()
+    ->Iterations(200)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_LaplaceNoise(benchmark::State& state) {
   appfl::dp::LaplaceMechanism mech(0.1);
@@ -277,8 +332,8 @@ KernelCase gemm_case(std::size_t n, int reps) {
 }
 
 KernelCase conv_case(const std::string& dataset, std::size_t hw, int reps) {
-  // Paper CNN conv2 (8→16 ch, 3×3, pad 1), forward + both heavy backward
-  // passes, batch 16 — the per-step hot path of a local update.
+  // Paper CNN conv2 (8→16 ch, 3×3, pad 1), forward + the weight, bias and
+  // input gradients, batch 16 — the per-step hot path of a local update.
   const appfl::tensor::Conv2dSpec spec{8, 16, 3, 1, 1};
   appfl::rng::Rng r(8);
   const auto input = appfl::tensor::Tensor::randn({16, 8, hw, hw}, r);
@@ -292,6 +347,7 @@ KernelCase conv_case(const std::string& dataset, std::size_t hw, int reps) {
     const auto out = appfl::tensor::conv2d_forward(input, weight, bias, spec);
     benchmark::DoNotOptimize(
         appfl::tensor::conv2d_backward_weight(out, input, spec));
+    benchmark::DoNotOptimize(appfl::tensor::conv2d_backward_bias(out));
     benchmark::DoNotOptimize(appfl::tensor::conv2d_backward_input(
         out, weight, input.shape(), spec));
   });
@@ -300,9 +356,7 @@ KernelCase conv_case(const std::string& dataset, std::size_t hw, int reps) {
     const auto out =
         appfl::tensor::conv2d_forward_gemm(input, weight, bias, spec);
     benchmark::DoNotOptimize(
-        appfl::tensor::conv2d_backward_weight_gemm(out, input, spec));
-    benchmark::DoNotOptimize(appfl::tensor::conv2d_backward_input_gemm(
-        out, weight, input.shape(), spec));
+        appfl::tensor::conv2d_backward_gemm(out, input, weight, spec));
   });
   return c;
 }

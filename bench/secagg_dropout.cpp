@@ -15,7 +15,8 @@
 //      reported as median and min-max range.
 //
 // secagg_dropout --smoke: seconds-long CI gate — shrunk sweep, hard
-// PASS/FAIL on the exactness/degradation invariants.
+// PASS/FAIL on the exactness/degradation invariants; prints its tables and
+// writes no CSV.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -166,6 +167,17 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (argv[i] == std::string_view("--smoke")) smoke = true;
   }
+  // A smoke run prints its shrunk tables and writes no CSV, so it leaves the
+  // committed full-sweep results alone.
+  const auto publish = [smoke](const appfl::util::TextTable& table,
+                               appfl::util::CsvWriter& csv,
+                               const std::string& csv_name) {
+    if (smoke) {
+      table.print(std::cout);
+    } else {
+      appfl::bench::emit(table, csv, csv_name);
+    }
+  };
   bool ok = true;
 
   // -- 1. Protocol sweep -----------------------------------------------------
@@ -201,7 +213,7 @@ int main(int argc, char** argv) {
       sweep_csv.add_row(row);
     }
   }
-  appfl::bench::emit(sweep, sweep_csv, "secagg_dropout_protocol.csv");
+  publish(sweep, sweep_csv, "secagg_dropout_protocol.csv");
 
   // -- 2. Round path ---------------------------------------------------------
   const std::size_t rounds =
@@ -261,7 +273,7 @@ int main(int argc, char** argv) {
       rt_csv.add_row(row);
     }
   }
-  appfl::bench::emit(rt, rt_csv, "secagg_dropout_rounds.csv");
+  publish(rt, rt_csv, "secagg_dropout_rounds.csv");
 
   // -- 3. Micro: streamed vs per-pair temporaries ----------------------------
   const std::size_t micro_cohort = 64;
@@ -325,7 +337,7 @@ int main(int argc, char** argv) {
                      fmt(stream.min, 1), fmt(stream.max, 1),
                      fmt(naive.median / stream.median, 2)});
   std::cout << "(" << kMicroReps << " alternated timings per style)\n";
-  appfl::bench::emit(micro, micro_csv, "secagg_dropout_micro.csv");
+  publish(micro, micro_csv, "secagg_dropout_micro.csv");
   if (!streamed_ok) ok = false;
 
   std::cout << "\n" << (ok ? "PASS" : "FAIL")

@@ -212,16 +212,6 @@ void weighted_delta_stream(std::span<const DeltaStreamTerm> terms,
   });
 }
 
-void materialize(const comm::WirePayload& payload, std::span<float> out) {
-  APPFL_CHECK(payload.count == out.size());
-  if (payload.count == 0) return;
-  if (payload.enc == comm::WireEncoding::kF32) {
-    std::memcpy(out.data(), payload.data, 4 * payload.count);
-  } else {
-    tensor::widen_f16(payload.data, out.data(), payload.count);
-  }
-}
-
 void materialize_chunk(const comm::WirePayload& payload, std::size_t lo,
                        std::size_t hi, float* dst) {
   APPFL_CHECK(lo <= hi && hi <= payload.count);

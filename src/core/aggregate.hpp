@@ -110,14 +110,9 @@ struct DeltaStreamTerm {
 void weighted_delta_stream(std::span<const DeltaStreamTerm> terms,
                            std::span<const float> base, std::span<double> out);
 
-/// Decodes a wire payload into `out` (sizes must match): memcpy for f32,
-/// exact widening for f16 — the store-through primitive the fused server
-/// paths use to refresh a replica while aggregating from it.
-void materialize(const comm::WirePayload& payload, std::span<float> out);
-
 /// Chunk of a wire payload: the [lo, hi) value range decoded into
-/// `dst[0 .. hi-lo)` — materialize's ranged form, for fused loops that
-/// refresh a replica chunk and immediately accumulate from it.
+/// `dst[0 .. hi-lo)` (memcpy for f32, exact widening for f16), for fused
+/// loops that refresh a replica chunk and immediately accumulate from it.
 void materialize_chunk(const comm::WirePayload& payload, std::size_t lo,
                        std::size_t hi, float* dst);
 

@@ -227,7 +227,7 @@ class IIAdmmStrategy : public AsyncStrategy {
     arrival.sender = static_cast<std::uint32_t>(client + 1);
     arrival.primal = comm::WirePayload::f32(payload.data(), payload.size());
     server_.aggregate({&arrival, 1}, w_sent_.at(client), 0);
-    const std::vector<float> next = server_.compute_global(0);
+    const std::vector<float>& next = server_.consensus();
     APPFL_CHECK_MSG(next.size() == w.size(),
                     "IIADMM consensus size " << next.size()
                                              << " != model size " << w.size());

@@ -37,6 +37,10 @@ class ConsensusAdmmServer : public BaseServer {
   void aggregate(std::span<const comm::GatherUpdate> updates,
                  std::span<const float> global, std::uint32_t round);
 
+  /// The held consensus compute_global() returns a copy of. aggregate()
+  /// with at least one update rebuilds it; empty before the first build.
+  const std::vector<float>& consensus() const { return global_; }
+
   /// Server replica of client p's dual (1-based id; tests inspect it).
   const std::vector<float>& dual(std::uint32_t client) const;
 

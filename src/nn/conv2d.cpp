@@ -47,18 +47,17 @@ Tensor Conv2d::forward(const Tensor& input) {
 Tensor Conv2d::backward(const Tensor& grad_output) {
   APPFL_CHECK_MSG(cached_input_.rank() == 4,
                   name() << ".backward called before forward");
-  const bool gemm = resolved_backend() == Backend::kGemm;
-  Tensor dw = gemm ? tensor::conv2d_backward_weight_gemm(grad_output,
-                                                         cached_input_, spec_)
-                   : tensor::conv2d_backward_weight(grad_output,
-                                                    cached_input_, spec_);
+  if (resolved_backend() == Backend::kGemm) {
+    tensor::Conv2dGrads grads = tensor::conv2d_backward_gemm(
+        grad_output, cached_input_, weight_.value, spec_);
+    tensor::add_inplace(weight_.grad, grads.weight);
+    tensor::add_inplace(bias_.grad, grads.bias);
+    return std::move(grads.input);
+  }
+  Tensor dw = tensor::conv2d_backward_weight(grad_output, cached_input_, spec_);
   tensor::add_inplace(weight_.grad, dw);
   Tensor db = tensor::conv2d_backward_bias(grad_output);
   tensor::add_inplace(bias_.grad, db);
-  if (gemm) {
-    return tensor::conv2d_backward_input_gemm(grad_output, weight_.value,
-                                              cached_input_.shape(), spec_);
-  }
   return tensor::conv2d_backward_input(grad_output, weight_.value,
                                        cached_input_.shape(), spec_);
 }

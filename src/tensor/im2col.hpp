@@ -51,16 +51,19 @@ Tensor conv2d_forward_gemm(const Tensor& input, const Tensor& weight,
 std::size_t conv2d_forward_group(const Conv2dSpec& spec, std::size_t h,
                                  std::size_t w);
 
-/// GEMM-path backward w.r.t. weight: identical contract to
-/// conv2d_backward_weight.
-Tensor conv2d_backward_weight_gemm(const Tensor& grad_output,
-                                   const Tensor& input, const Conv2dSpec& spec);
+/// Gradients of one GEMM-path backward.
+struct Conv2dGrads {
+  Tensor weight;  // [Cout, Cin, K, K]
+  Tensor bias;    // [Cout]
+  Tensor input;   // the input's shape
+};
 
-/// GEMM-path backward w.r.t. input: identical contract to
-/// conv2d_backward_input.
-Tensor conv2d_backward_input_gemm(const Tensor& grad_output,
-                                  const Tensor& weight,
-                                  const Shape& input_shape,
-                                  const Conv2dSpec& spec);
+/// GEMM-path backward: the gradients conv2d_backward_weight,
+/// conv2d_backward_bias and conv2d_backward_input compute. One pass reorders
+/// grad_output into the GEMM layout both products read and sums the bias
+/// gradient, whose bits equal conv2d_backward_bias's.
+Conv2dGrads conv2d_backward_gemm(const Tensor& grad_output,
+                                 const Tensor& input, const Tensor& weight,
+                                 const Conv2dSpec& spec);
 
 }  // namespace appfl::tensor

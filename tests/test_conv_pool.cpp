@@ -4,7 +4,13 @@
 
 #include "util/check.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "rng/rng.hpp"
 #include "tensor/conv.hpp"
@@ -171,6 +177,93 @@ TEST(MaxPool, GradientMatchesFiniteDifferences) {
     input[i] = orig;
     EXPECT_NEAR(gx[i], (lp - lm) / (2.0 * eps), 1e-2) << "coord " << i;
   }
+}
+
+/// MaxPool's bit contract is the scalar scan it replaced: per window, the
+/// first strict maximum in (ky, kx) order and its absolute input index.
+appfl::tensor::MaxPoolResult maxpool_oracle(const Tensor& input,
+                                            const MaxPool2dSpec& spec) {
+  const std::size_t n = input.dim(0), c = input.dim(1);
+  const std::size_t h = input.dim(2), w = input.dim(3);
+  const std::size_t oh = spec.out_extent(h), ow = spec.out_extent(w);
+  appfl::tensor::MaxPoolResult result{Tensor({n, c, oh, ow}), {}};
+  result.argmax.resize(n * c * oh * ow);
+  for (std::size_t img = 0; img < n; ++img) {
+    for (std::size_t ch = 0; ch < c; ++ch) {
+      const std::size_t plane = (img * c + ch) * h * w;
+      const float* x = input.raw() + plane;
+      for (std::size_t oy = 0; oy < oh; ++oy) {
+        for (std::size_t ox = 0; ox < ow; ++ox) {
+          const std::size_t iy0 = oy * spec.stride;
+          const std::size_t ix0 = ox * spec.stride;
+          float best = x[iy0 * w + ix0];
+          std::size_t best_idx = iy0 * w + ix0;
+          for (std::size_t ky = 0; ky < spec.kernel; ++ky) {
+            for (std::size_t kx = 0; kx < spec.kernel; ++kx) {
+              const std::size_t idx = (iy0 + ky) * w + (ix0 + kx);
+              if (x[idx] > best) {
+                best = x[idx];
+                best_idx = idx;
+              }
+            }
+          }
+          const std::size_t out_idx = ((img * c + ch) * oh + oy) * ow + ox;
+          result.output.raw()[out_idx] = best;
+          result.argmax[out_idx] = plane + best_idx;
+        }
+      }
+    }
+  }
+  return result;
+}
+
+TEST(MaxPool, MatchesTheScalarScanBitForBit) {
+  // Inputs drawn from a small set with repeats, so windows hold ties, NaN
+  // and −0/+0 pairs in their first and later slots; widths with and without
+  // a multiple of four windows per row, and rows narrower than four.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float pool[] = {0.0F, -0.0F, nan, 1.0F, 1.0F, -1.0F, 2.0F, -inf, inf};
+  appfl::rng::Rng r(21);
+  const std::size_t extents[][2] = {{4, 4}, {5, 7}, {7, 5}, {9, 19},
+                                    {28, 28}, {3, 11}, {6, 2}};
+  for (const auto& hw : extents) {
+    for (const MaxPool2dSpec spec :
+         {MaxPool2dSpec{2, 2}, MaxPool2dSpec{2, 1}, MaxPool2dSpec{3, 2},
+          MaxPool2dSpec{3, 1}, MaxPool2dSpec{1, 2}, MaxPool2dSpec{3, 3}}) {
+      if (spec.kernel > std::min(hw[0], hw[1])) continue;
+      Tensor input({2, 3, hw[0], hw[1]});
+      for (auto& v : input.data()) {
+        v = pool[r.uniform_below(std::size(pool))];
+      }
+      const auto got = appfl::tensor::maxpool2d_forward(input, spec);
+      const auto want = maxpool_oracle(input, spec);
+      ASSERT_EQ(got.output.shape(), want.output.shape());
+      const std::string where = std::to_string(hw[0]) + "x" +
+                                std::to_string(hw[1]) + " k" +
+                                std::to_string(spec.kernel) + " s" +
+                                std::to_string(spec.stride);
+      EXPECT_EQ(std::memcmp(got.output.raw(), want.output.raw(),
+                            want.output.size() * sizeof(float)),
+                0)
+          << where;
+      EXPECT_EQ(got.argmax, want.argmax) << where;
+    }
+  }
+}
+
+TEST(MaxPool, KeepsTheFirstStrictMaximum) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Four 2×2 windows in one row: a tie, −0 before +0, NaN first, NaN later.
+  const Tensor input({1, 1, 2, 8}, {3, 3, -0.0F, 0, nan, 9, 1, nan,  //
+                                    3, 1, 0, 0, 9, 9, 2, 1});
+  const auto result = appfl::tensor::maxpool2d_forward(input, {2, 2});
+  EXPECT_EQ(result.argmax,
+            (std::vector<std::size_t>{0, 2, 4, 14}));  // 14: the 2 below
+  EXPECT_EQ(result.output[0], 3.0F);
+  EXPECT_TRUE(std::signbit(result.output[1]));  // −0 came first
+  EXPECT_TRUE(std::isnan(result.output[2]));    // a NaN first slot stays
+  EXPECT_EQ(result.output[3], 2.0F);            // a later NaN never wins
 }
 
 TEST(MaxPool, NonSquareAndStride1) {

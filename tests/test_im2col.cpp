@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -120,6 +122,85 @@ TEST(Im2col, MatchesBoundsCheckedGatherBitForBit) {
   }
 }
 
+/// col2im by its definition: the bounds-checked scatter of each window, in
+/// ascending (oy, ox) order, into a gradient that starts at +0.0.
+Tensor scatter_patches(const float* cols, const Shape& shape,
+                       const Conv2dSpec& spec) {
+  const std::size_t n = shape[0], cin = shape[1], h = shape[2], w = shape[3];
+  const std::size_t oh = spec.out_extent(h), ow = spec.out_extent(w);
+  const std::size_t k = spec.kernel;
+  Tensor x(shape);
+  for (std::size_t img = 0; img < n; ++img) {
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        for (std::size_t ic = 0; ic < cin; ++ic) {
+          for (std::size_t ky = 0; ky < k; ++ky) {
+            for (std::size_t kx = 0; kx < k; ++kx) {
+              const long iy = static_cast<long>(oy * spec.stride + ky) -
+                              static_cast<long>(spec.padding);
+              const long ix = static_cast<long>(ox * spec.stride + kx) -
+                              static_cast<long>(spec.padding);
+              if (iy < 0 || iy >= static_cast<long>(h) || ix < 0 ||
+                  ix >= static_cast<long>(w)) {
+                continue;
+              }
+              x.at({img, ic, static_cast<std::size_t>(iy),
+                    static_cast<std::size_t>(ix)}) +=
+                  cols[(ic * k + ky) * k + kx];
+            }
+          }
+        }
+        cols += cin * k * k;
+      }
+    }
+  }
+  return x;
+}
+
+TEST(Col2im, MatchesBoundsCheckedScatterBitForBit) {
+  // Interior windows and border windows take different paths in col2im;
+  // every combination here has both. Every fourth contribution is −0.0 (a
+  // stride coprime with k = 3 and 5, so −0.0 lands in every tap): a pixel
+  // that receives only −0.0 must read +0.0, since the sum starts at +0.0,
+  // and the all-−0.0 matrix checks that everywhere.
+  appfl::rng::Rng r(19);
+  const std::size_t extents[][2] = {{7, 9}, {6, 4}, {11, 13}};
+  for (const auto& hw : extents) {
+    for (const std::size_t cin : {1UL, 3UL}) {
+      const Shape shape{2, cin, hw[0], hw[1]};
+      for (const std::size_t k : {1UL, 3UL, 5UL}) {
+        for (const std::size_t stride : {1UL, 2UL}) {
+          for (const std::size_t pad : {0UL, 1UL, 2UL}) {
+            if (k > std::min(hw[0], hw[1]) + 2 * pad) continue;
+            const Conv2dSpec spec{cin, 1, k, stride, pad};
+            const std::size_t rows =
+                2 * spec.out_extent(hw[0]) * spec.out_extent(hw[1]);
+            Tensor cols = Tensor::randn({rows, cin * k * k}, r);
+            for (std::size_t i = 0; i < cols.size(); i += 4) cols[i] = -0.0F;
+            const Tensor all_negative_zero =
+                Tensor::full(cols.shape(), -0.0F);
+            for (const Tensor* c : {&std::as_const(cols), &all_negative_zero}) {
+              const Tensor got = appfl::tensor::col2im(*c, shape, spec);
+              const Tensor want = scatter_patches(c->raw(), shape, spec);
+              ASSERT_EQ(got.shape(), want.shape());
+              EXPECT_EQ(std::memcmp(got.raw(), want.raw(),
+                                    want.size() * sizeof(float)),
+                        0)
+                  << hw[0] << "x" << hw[1] << " cin=" << cin << " k=" << k
+                  << " stride=" << stride << " pad=" << pad
+                  << (c == &cols ? "" : " all -0.0");
+            }
+          }
+        }
+      }
+    }
+  }
+  const Conv2dSpec spec{3, 1, 3, 1, 1};
+  const Tensor zeros = appfl::tensor::col2im(
+      Tensor::full({2 * 49, 27}, -0.0F), {2, 3, 7, 7}, spec);
+  for (const float v : zeros.data()) ASSERT_FALSE(std::signbit(v));
+}
+
 struct GemmCase {
   std::size_t cin, cout, k, stride, pad, h, w, n;
 };
@@ -148,7 +229,8 @@ TEST_P(GemmEquivalenceTest, BackwardWeightMatchesDirectKernel) {
   const Tensor y = appfl::tensor::conv2d_forward(x, w, b, spec);
   const Tensor gy = Tensor::randn(y.shape(), r);
   const Tensor direct = appfl::tensor::conv2d_backward_weight(gy, x, spec);
-  const Tensor gemm = appfl::tensor::conv2d_backward_weight_gemm(gy, x, spec);
+  const Tensor gemm =
+      appfl::tensor::conv2d_backward_gemm(gy, x, w, spec).weight;
   EXPECT_EQ(gemm.shape(), direct.shape());
   EXPECT_TRUE(gemm.allclose(direct, 1e-3F));
 }
@@ -164,8 +246,7 @@ TEST_P(GemmEquivalenceTest, BackwardInputMatchesDirectKernel) {
   const Tensor gy = Tensor::randn(y.shape(), r);
   const Tensor direct =
       appfl::tensor::conv2d_backward_input(gy, w, x.shape(), spec);
-  const Tensor gemm =
-      appfl::tensor::conv2d_backward_input_gemm(gy, w, x.shape(), spec);
+  const Tensor gemm = appfl::tensor::conv2d_backward_gemm(gy, x, w, spec).input;
   EXPECT_TRUE(gemm.allclose(direct, 1e-4F));
 }
 
@@ -238,11 +319,10 @@ TEST_P(GemmEquivalenceTest, HoldsUnderEveryEngineBackend) {
     appfl::testutil::ScopedKernelConfig guard(config);
     EXPECT_TRUE(appfl::tensor::conv2d_forward_gemm(x, w, b, spec)
                     .allclose(y, 1e-4F));
-    EXPECT_TRUE(appfl::tensor::conv2d_backward_weight_gemm(gy, x, spec)
-                    .allclose(dw_direct, 1e-3F));
-    EXPECT_TRUE(
-        appfl::tensor::conv2d_backward_input_gemm(gy, w, x.shape(), spec)
-            .allclose(dx_direct, 1e-4F));
+    const appfl::tensor::Conv2dGrads grads =
+        appfl::tensor::conv2d_backward_gemm(gy, x, w, spec);
+    EXPECT_TRUE(grads.weight.allclose(dw_direct, 1e-3F));
+    EXPECT_TRUE(grads.input.allclose(dx_direct, 1e-4F));
   }
 }
 
@@ -263,9 +343,10 @@ TEST(ConvEngine, DeterministicAcrossKernelThreadCounts) {
         appfl::tensor::KernelBackend::kTiled, threads);
     const Tensor y = appfl::tensor::conv2d_forward_gemm(x, w, b, spec);
     if (threads == 1) gy = Tensor::randn(y.shape(), rg);
-    const Tensor dw = appfl::tensor::conv2d_backward_weight_gemm(gy, x, spec);
-    const Tensor dx =
-        appfl::tensor::conv2d_backward_input_gemm(gy, w, x.shape(), spec);
+    const appfl::tensor::Conv2dGrads grads =
+        appfl::tensor::conv2d_backward_gemm(gy, x, w, spec);
+    const Tensor& dw = grads.weight;
+    const Tensor& dx = grads.input;
     if (threads == 1) {
       y1 = y;
       dw1 = dw;
@@ -291,16 +372,94 @@ TEST(ConvEngine, WorkspaceIsReusedAcrossSteps) {
   const Tensor b = Tensor::randn({16}, r);
   const Tensor y = appfl::tensor::conv2d_forward_gemm(x, w, b, spec);
   const Tensor gy = Tensor::randn(y.shape(), r);
-  appfl::tensor::conv2d_backward_weight_gemm(gy, x, spec);
-  appfl::tensor::conv2d_backward_input_gemm(gy, w, x.shape(), spec);
+  appfl::tensor::conv2d_backward_gemm(gy, x, w, spec);
 
   const std::size_t warm = appfl::tensor::Workspace::tls().allocations();
   for (int step = 0; step < 3; ++step) {
     appfl::tensor::conv2d_forward_gemm(x, w, b, spec);
-    appfl::tensor::conv2d_backward_weight_gemm(gy, x, spec);
-    appfl::tensor::conv2d_backward_input_gemm(gy, w, x.shape(), spec);
+    appfl::tensor::conv2d_backward_gemm(gy, x, w, spec);
   }
   EXPECT_EQ(appfl::tensor::Workspace::tls().allocations(), warm);
+}
+
+/// The GEMM backward as the two lowerings the shared entry replaced, each
+/// reordering grad_output itself: dW = gᵀ·im2col(x) and dX = col2im(g·W).
+struct SeparateLowerings {
+  Tensor weight, input;
+};
+
+SeparateLowerings separate_lowerings(const Tensor& gy, const Tensor& x,
+                                     const Tensor& w, const Conv2dSpec& spec) {
+  const std::size_t n = gy.dim(0), cout = gy.dim(1);
+  const std::size_t plane = gy.dim(2) * gy.dim(3), rows = n * plane;
+  const std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
+  std::vector<float> g_mat(rows * cout);
+  for (std::size_t img = 0; img < n; ++img) {
+    for (std::size_t oc = 0; oc < cout; ++oc) {
+      for (std::size_t pos = 0; pos < plane; ++pos) {
+        g_mat[(img * plane + pos) * cout + oc] =
+            gy.raw()[(img * cout + oc) * plane + pos];
+      }
+    }
+  }
+  SeparateLowerings out{
+      Tensor({cout, spec.in_channels, spec.kernel, spec.kernel}), Tensor()};
+  const Tensor cols = appfl::tensor::im2col(x, spec);
+  appfl::tensor::gemm(appfl::tensor::Trans::kYes, appfl::tensor::Trans::kNo,
+                      cout, patch, rows, g_mat.data(), cout, cols.raw(), patch,
+                      out.weight.raw());
+  std::vector<float> d_cols(rows * patch);
+  appfl::tensor::gemm(appfl::tensor::Trans::kNo, appfl::tensor::Trans::kNo,
+                      rows, patch, cout, g_mat.data(), cout, w.raw(), patch,
+                      d_cols.data());
+  out.input = scatter_patches(d_cols.data(), x.shape(), spec);
+  return out;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(ConvBackward, SharedReorderMatchesTheSeparateLoweringsBitForBit) {
+  struct Case {
+    const char* name;
+    GemmCase shape;
+  };
+  const Case cases[] = {
+      {"paper_conv1", {1, 8, 3, 1, 1, 28, 28, 16}},
+      {"paper_conv2", {8, 16, 3, 1, 1, 28, 28, 4}},
+      // Odd channel counts and planes leave tails in both 4×4 reorders.
+      {"odd", {3, 5, 3, 1, 1, 7, 9, 3}},
+      {"strided", {3, 4, 3, 2, 1, 9, 11, 2}},
+      {"k5", {2, 7, 5, 1, 2, 8, 8, 2}},
+      {"k1", {4, 2, 1, 1, 0, 6, 6, 3}},
+      {"k3s3", {2, 3, 3, 3, 0, 10, 10, 2}},
+  };
+  for (const std::size_t threads : {1UL, 4UL}) {
+    appfl::testutil::ScopedKernelConfig guard(
+        appfl::tensor::KernelBackend::kTiled, threads);
+    for (const Case& c : cases) {
+      const GemmCase& g = c.shape;
+      const Conv2dSpec spec{g.cin, g.cout, g.k, g.stride, g.pad};
+      appfl::rng::Rng r(g.cin * 59 + g.cout * 7 + g.h);
+      const Tensor x = Tensor::randn({g.n, g.cin, g.h, g.w}, r);
+      const Tensor w = Tensor::randn({g.cout, g.cin, g.k, g.k}, r);
+      Tensor gy = Tensor::randn(
+          {g.n, g.cout, spec.out_extent(g.h), spec.out_extent(g.w)}, r);
+      for (std::size_t i = 0; i < gy.size(); i += 7) gy[i] = -0.0F;
+      const appfl::tensor::Conv2dGrads grads =
+          appfl::tensor::conv2d_backward_gemm(gy, x, w, spec);
+      const SeparateLowerings want = separate_lowerings(gy, x, w, spec);
+      const std::string where =
+          std::string(c.name) + " threads=" + std::to_string(threads);
+      EXPECT_TRUE(same_bits(grads.weight, want.weight)) << where;
+      EXPECT_TRUE(same_bits(grads.input, want.input)) << where;
+      EXPECT_TRUE(
+          same_bits(grads.bias, appfl::tensor::conv2d_backward_bias(gy)))
+          << where;
+    }
+  }
 }
 
 TEST(Conv2dLayer, AutoBackendFollowsEngineConfig) {
@@ -367,6 +526,8 @@ const GroupLayer kGroupLayers[] = {
     // tiny group's reference loops would round differently.
     {"small8", {1, 8, 3, 1, 0}, 8, 8},
     {"small16", {1, 16, 3, 1, 0}, 8, 8},
+    // Odd channel count and plane: tails in the forward's 4×4 reorder.
+    {"odd", {3, 5, 3, 1, 1}, 7, 9},
 };
 
 TEST(ConvGroups, GroupSizeFillsRowTilesAndClearsTheTinyCut) {

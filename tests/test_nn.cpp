@@ -5,8 +5,13 @@
 #include "util/check.hpp"
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <vector>
 
 #include "nn/activation.hpp"
+#include "rng/rng.hpp"
 #include "tensor/ops.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
@@ -72,6 +77,71 @@ TEST(ReLU, ForwardAndMask) {
   EXPECT_TRUE(relu.forward(x).equals(Tensor({1, 4}, {0, 0, 2, 0})));
   const Tensor gy({1, 4}, {10, 10, 10, 10});
   EXPECT_TRUE(relu.backward(gy).equals(Tensor({1, 4}, {0, 0, 10, 0})));
+}
+
+/// ReLU's bit contract is the scalar select it replaced: forward maps every
+/// x that is not > 0 (NaN and −0 included) to +0, and backward keeps g where
+/// !(x <= 0) (NaN x included) and writes +0 elsewhere. These are that loop.
+std::vector<float> relu_forward_oracle(std::vector<float> x) {
+  for (auto& v : x) v = v > 0.0F ? v : 0.0F;
+  return x;
+}
+
+std::vector<float> relu_backward_oracle(const std::vector<float>& x,
+                                        std::vector<float> g) {
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    if (x[i] <= 0.0F) g[i] = 0.0F;
+  }
+  return g;
+}
+
+/// memcmp of n floats; an empty range is equal (memcmp may not see null).
+bool same_bits(const float* a, const float* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+TEST(ReLU, MatchesTheScalarSelectBitForBitAtEveryLength) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {0.0F,  -0.0F, nan,  -nan,      inf,  -inf,
+                            tiny,  -tiny, 1e-39F, -1e-39F, 1.5F, -2.5F};
+  appfl::rng::Rng r(11);
+  for (std::size_t n = 0; n <= 67; ++n) {
+    // Specials at rotating positions, so every vector lane and every tail
+    // slot sees each of them across the lengths.
+    Tensor x = Tensor::randn({n}, r);
+    Tensor g = Tensor::randn({n}, r);
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((i + n) % 3 == 0) x[i] = specials[(i + n) % std::size(specials)];
+      if ((i + n) % 5 == 0) g[i] = specials[(i * 7 + n) % std::size(specials)];
+    }
+    const std::vector<float> xs(x.data().begin(), x.data().end());
+    const std::vector<float> gs(g.data().begin(), g.data().end());
+    appfl::nn::ReLU relu;
+    const Tensor y = relu.forward(x);
+    const Tensor dx = relu.backward(g);
+    const std::vector<float> y_oracle = relu_forward_oracle(xs);
+    const std::vector<float> dx_oracle = relu_backward_oracle(xs, gs);
+    ASSERT_EQ(y.size(), n);
+    ASSERT_EQ(dx.size(), n);
+    EXPECT_TRUE(same_bits(y.raw(), y_oracle.data(), n)) << "forward, n=" << n;
+    EXPECT_TRUE(same_bits(dx.raw(), dx_oracle.data(), n))
+        << "backward, n=" << n;
+  }
+  // The contract's corners, spelled out.
+  appfl::nn::ReLU relu;
+  const Tensor y = relu.forward(Tensor::from({-0.0F, nan, -1.0F, tiny}));
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_FALSE(std::signbit(y[i])) << i;
+    EXPECT_EQ(y[i], 0.0F) << i;
+  }
+  EXPECT_EQ(y[3], tiny);
+  const Tensor dx = relu.backward(Tensor::from({5.0F, 6.0F, 7.0F, 8.0F}));
+  EXPECT_EQ(dx[0], 0.0F);  // x = −0 <= 0
+  EXPECT_EQ(dx[1], 6.0F);  // NaN x: !(x <= 0), so the gradient passes
+  EXPECT_EQ(dx[2], 0.0F);
+  EXPECT_EQ(dx[3], 8.0F);
 }
 
 TEST(Tanh, ForwardValuesAndDerivative) {
