@@ -43,18 +43,6 @@ void keep(const T& v) {
   asm volatile("" : : "g"(&v) : "memory");
 }
 
-class ScopedEngine {
- public:
-  ScopedEngine(appfl::tensor::KernelBackend backend, std::size_t threads)
-      : previous_(appfl::tensor::kernel_config()) {
-    appfl::tensor::set_kernel_config({backend, threads});
-  }
-  ~ScopedEngine() { appfl::tensor::set_kernel_config(previous_); }
-
- private:
-  appfl::tensor::KernelConfig previous_;
-};
-
 double time_best_of(int reps, const std::function<void()>& fn) {
   fn();  // warm-up: faults pages, fills pools and workspaces
   double best = std::numeric_limits<double>::infinity();

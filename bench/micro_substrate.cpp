@@ -33,13 +33,13 @@
 
 namespace {
 
-/// Forces an engine config for one scope (benchmarks must not leak their
-/// backend selection into each other).
+/// Forces a kernel thread count for one scope (benchmarks must not leak
+/// their engine setting into each other).
 class ScopedEngine {
  public:
-  ScopedEngine(appfl::tensor::KernelBackend backend, std::size_t threads)
+  explicit ScopedEngine(std::size_t threads)
       : previous_(appfl::tensor::kernel_config()) {
-    appfl::tensor::set_kernel_config({backend, threads});
+    appfl::tensor::set_kernel_config({threads});
   }
   ~ScopedEngine() { appfl::tensor::set_kernel_config(previous_); }
 
@@ -100,19 +100,17 @@ void BM_Matmul(benchmark::State& state) {
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_GemmEngine(benchmark::State& state) {
-  // Square GEMM through an explicit engine backend: Arg(0) = size,
-  // Arg(1) = 0 for the reference loops (the seed kernels), 1 for the
-  // packed/tiled engine.
+  // Square GEMM: Arg(0) = size, Arg(1) = 0 for the reference loops (the
+  // seed kernels, matmul_reference), 1 for the packed/tiled engine.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const ScopedEngine engine(state.range(1) != 0
-                                ? appfl::tensor::KernelBackend::kTiled
-                                : appfl::tensor::KernelBackend::kReference,
-                            0);
+  const bool tiled = state.range(1) != 0;
+  const ScopedEngine engine(0);
   appfl::rng::Rng r(5);
   const auto a = appfl::tensor::Tensor::randn({n, n}, r);
   const auto b = appfl::tensor::Tensor::randn({n, n}, r);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(appfl::tensor::matmul(a, b));
+    benchmark::DoNotOptimize(tiled ? appfl::tensor::matmul(a, b)
+                                   : appfl::tensor::matmul_reference(a, b));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * n * n * n));
@@ -316,18 +314,13 @@ KernelCase gemm_case(std::size_t n, int reps) {
   c.name = "gemm_" + std::to_string(n) + "x" + std::to_string(n) + "x" +
            std::to_string(n);
   c.flops = 2.0 * static_cast<double>(n) * n * n;
-  {
-    const ScopedEngine engine(appfl::tensor::KernelBackend::kReference, 0);
-    c.before_ms = time_best_of(reps, [&] {
-      benchmark::DoNotOptimize(appfl::tensor::matmul(a, b));
-    });
-  }
-  {
-    const ScopedEngine engine(appfl::tensor::KernelBackend::kTiled, 0);
-    c.after_ms = time_best_of(reps, [&] {
-      benchmark::DoNotOptimize(appfl::tensor::matmul(a, b));
-    });
-  }
+  c.before_ms = time_best_of(reps, [&] {
+    benchmark::DoNotOptimize(appfl::tensor::matmul_reference(a, b));
+  });
+  const ScopedEngine engine(0);
+  c.after_ms = time_best_of(reps, [&] {
+    benchmark::DoNotOptimize(appfl::tensor::matmul(a, b));
+  });
   return c;
 }
 
@@ -351,7 +344,7 @@ KernelCase conv_case(const std::string& dataset, std::size_t hw, int reps) {
     benchmark::DoNotOptimize(appfl::tensor::conv2d_backward_input(
         out, weight, input.shape(), spec));
   });
-  const ScopedEngine engine(appfl::tensor::KernelBackend::kTiled, 0);
+  const ScopedEngine engine(0);
   c.after_ms = time_best_of(reps, [&] {
     const auto out =
         appfl::tensor::conv2d_forward_gemm(input, weight, bias, spec);

@@ -3,7 +3,7 @@
 // packages", paper §I). Predicts per-round and total times for a planned
 // deployment without running any training.
 //
-//   ./build/examples/appfl_sim --clients 203 --ranks 16 --model-mb 26 \
+//   ./build/examples/appfl_sim --clients 203 --ranks 16 --model-mb 26
 //       --rounds 50 --device v100 --samples 180 --local-steps 10
 #include <cmath>
 #include <iostream>

@@ -676,18 +676,6 @@ double Communicator::drain_uplinks(
 
 GatherBatch::~GatherBatch() { release_buffers(); }
 
-GatherBatch& GatherBatch::operator=(GatherBatch&& other) noexcept {
-  if (this != &other) {
-    release_buffers();
-    updates_ = std::move(other.updates_);
-    buffers_ = std::move(other.buffers_);
-    decoded_ = std::move(other.decoded_);
-    pool_ = other.pool_;
-    other.pool_ = nullptr;
-  }
-  return *this;
-}
-
 void GatherBatch::release_buffers() {
   if (pool_ != nullptr) {
     for (auto& b : buffers_) pool_->release(std::move(*b));
@@ -755,11 +743,6 @@ std::vector<GatherUpdate> gather_views(std::span<const Message> locals) {
 std::vector<Communicator::UplinkHealth> Communicator::uplink_health() const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   return uplink_health_;
-}
-
-TrafficStats Communicator::own_stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
 }
 
 TrafficStats Communicator::stats() const {

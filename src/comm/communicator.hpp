@@ -200,7 +200,7 @@ class GatherBatch {
   GatherBatch() = default;
   ~GatherBatch();
   GatherBatch(GatherBatch&&) noexcept = default;
-  GatherBatch& operator=(GatherBatch&&) noexcept;
+  GatherBatch& operator=(GatherBatch&&) = delete;
   GatherBatch(const GatherBatch&) = delete;
   GatherBatch& operator=(const GatherBatch&) = delete;
 
@@ -345,7 +345,10 @@ class Communicator {
 
   /// The communicator's own counters: stats_ without the network's folded
   /// in (fold_network_stats).
-  TrafficStats own_stats() const;
+  TrafficStats own_stats() const {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    return stats_;
+  }
 
   /// Counts one discarded datagram (stats and the metrics counter).
   void count_discard();

@@ -8,17 +8,6 @@
 
 namespace appfl::comm {
 
-std::string to_string(MessageKind kind) {
-  switch (kind) {
-    case MessageKind::kInit: return "init";
-    case MessageKind::kGlobalModel: return "global_model";
-    case MessageKind::kLocalUpdate: return "local_update";
-    case MessageKind::kShutdown: return "shutdown";
-    case MessageKind::kSecAggShares: return "secagg_shares";
-  }
-  return "unknown";
-}
-
 bool same_bits(float a, float b) {
   std::uint32_t ba, bb;
   std::memcpy(&ba, &a, 4);
@@ -99,12 +88,6 @@ FloatView read_float_view(std::span<const std::uint8_t> b, std::size_t& off) {
 }
 
 }  // namespace
-
-float FloatView::operator[](std::size_t i) const {
-  float v;
-  std::memcpy(&v, data_ + 4 * i, 4);
-  return v;
-}
 
 void FloatView::copy_into(std::vector<float>& out) const {
   out.resize(count_);

@@ -24,8 +24,6 @@ enum class MessageKind : std::uint8_t {
   kSecAggShares = 4,  // client → server: Shamir share packet (secure agg)
 };
 
-std::string to_string(MessageKind kind);
-
 struct Message {
   MessageKind kind = MessageKind::kGlobalModel;
   std::uint32_t sender = 0;    // 0 = server, clients are 1..P
@@ -79,8 +77,6 @@ class FloatView {
   /// The packed float32 bytes this view reads (unaligned, little-endian) —
   /// what the fused data path hands to the streaming aggregation kernels.
   const std::uint8_t* bytes() const { return data_; }
-
-  float operator[](std::size_t i) const;
 
   /// Resizes `out` (reusing capacity) and copies — the detach primitive.
   void copy_into(std::vector<float>& out) const;

@@ -33,13 +33,6 @@ void ProtoWriter::add_varint(std::uint32_t field, std::uint64_t value) {
   put_varint(value);
 }
 
-void ProtoWriter::add_float(std::uint32_t field, float value) {
-  put_tag(field, kFixed32);
-  std::uint32_t bits;
-  std::memcpy(&bits, &value, 4);
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
-}
-
 void ProtoWriter::add_double(std::uint32_t field, double value) {
   put_tag(field, kFixed64);
   std::uint64_t bits;
@@ -123,14 +116,6 @@ bool ProtoReader::next(ProtoField& out) {
       APPFL_CHECK_MSG(false, "unsupported wire type " << out.wire_type);
   }
   return true;
-}
-
-float ProtoReader::as_float(const ProtoField& f) {
-  APPFL_CHECK_MSG(f.wire_type == kFixed32, "field is not fixed32");
-  const std::uint32_t bits = static_cast<std::uint32_t>(f.varint);
-  float v;
-  std::memcpy(&v, &bits, 4);
-  return v;
 }
 
 double ProtoReader::as_double(const ProtoField& f) {

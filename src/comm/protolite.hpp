@@ -36,9 +36,6 @@ class ProtoWriter {
   /// Field of wire type 0: unsigned varint.
   void add_varint(std::uint32_t field, std::uint64_t value);
 
-  /// Field of wire type 5: 32-bit float.
-  void add_float(std::uint32_t field, float value);
-
   /// Field of wire type 1: 64-bit double.
   void add_double(std::uint32_t field, double value);
 
@@ -80,7 +77,6 @@ class ProtoReader {
   bool next(ProtoField& out);
 
   /// Helpers to reinterpret a decoded field.
-  static float as_float(const ProtoField& f);
   static double as_double(const ProtoField& f);
   static std::string as_string(const ProtoField& f);
   static std::vector<float> as_packed_floats(const ProtoField& f);

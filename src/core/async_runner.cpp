@@ -17,6 +17,7 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "tensor/gemm.hpp"
 #include "util/check.hpp"
 
 namespace appfl::core {
@@ -135,6 +136,7 @@ AsyncRunResult run_async_loop(const AsyncConfig& configured,
   APPFL_CHECK(num_clients >= 1);
   const std::size_t total_updates =
       resolve_total_updates(config, cfg, num_clients);
+  tensor::apply_kernel_threads(cfg.kernel_threads);
 
   std::vector<hw::DeviceProfile> devices = config.devices;
   if (devices.empty()) devices.push_back(hw::v100());

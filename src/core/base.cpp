@@ -41,7 +41,8 @@ BaseClient::BaseClient(std::uint32_t id, const RunConfig& config,
 void BaseClient::begin_round(std::uint32_t round) {
   current_round_ = round;
   dp_step_ = 0;
-  reset_loss_average();
+  last_loss_ = 0.0;
+  loss_batches_ = 0;
 }
 
 std::size_t BaseClient::dp_steps_per_round() const {
@@ -107,11 +108,6 @@ void BaseClient::apply_dp(std::vector<float>& values, std::uint32_t round) {
   // In gradient mode mechanism_ is the no-op: the budget was spent per step.
   rng::Rng noise(rng::derive_seed(config_.seed, {kDpStream, id_, round}));
   mechanism_->apply(values, noise);
-}
-
-void BaseClient::reset_loss_average() {
-  last_loss_ = 0.0;
-  loss_batches_ = 0;
 }
 
 ClientStateCkpt BaseClient::export_state() const {

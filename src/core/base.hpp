@@ -112,8 +112,6 @@ class BaseClient {
   float round_rho() const { return round_rho_; }
 
  private:
-  void reset_loss_average();
-
   std::uint32_t id_;
   RunConfig config_;
   data::TensorDataset dataset_;

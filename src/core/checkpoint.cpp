@@ -469,7 +469,9 @@ RunCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
   std::vector<std::uint64_t> fault_rng;
   bool have_server = false;
   bool have_comm = false;
-  std::optional<std::uint32_t> pending_participation;
+  // A participation id waiting for its count (have_participation_id).
+  std::uint32_t participation_id = 0;
+  bool have_participation_id = false;
   std::uint64_t population = 0;  // population checkpoints repeat num_clients
   comm::ProtoReader r(body);
   comm::ProtoField f;
@@ -554,21 +556,22 @@ RunCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
         fp.participants_per_round = static_cast<std::uint32_t>(f.varint);
         break;
       case kTParticipationId:
-        APPFL_CHECK_MSG(!pending_participation,
+        APPFL_CHECK_MSG(!have_participation_id,
                         "participation id without a following count");
-        pending_participation = static_cast<std::uint32_t>(f.varint);
+        participation_id = static_cast<std::uint32_t>(f.varint);
+        have_participation_id = true;
         break;
       case kTParticipationCount:
-        APPFL_CHECK_MSG(pending_participation,
+        APPFL_CHECK_MSG(have_participation_id,
                         "participation count without a preceding id");
         ckpt.participation.emplace_back(
-            *pending_participation, static_cast<std::uint32_t>(f.varint));
-        pending_participation.reset();
+            participation_id, static_cast<std::uint32_t>(f.varint));
+        have_participation_id = false;
         break;
       default: break;  // forward compatibility
     }
   }
-  APPFL_CHECK_MSG(!pending_participation,
+  APPFL_CHECK_MSG(!have_participation_id,
                   "participation id without a following count");
   APPFL_CHECK_MSG(ckpt.format_version == kCkptVersion,
                   "unsupported checkpoint version " << ckpt.format_version);

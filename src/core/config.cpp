@@ -4,7 +4,6 @@
 
 #include "core/options.hpp"
 #include "dp/sensitivity.hpp"
-#include "tensor/gemm.hpp"
 #include "util/check.hpp"
 #include "util/env.hpp"
 
@@ -16,23 +15,6 @@ std::string to_string(Algorithm a) {
     case Algorithm::kIceAdmm: return "ICEADMM";
     case Algorithm::kIIAdmm: return "IIADMM";
     case Algorithm::kFedProx: return "FedProx";
-  }
-  return "?";
-}
-
-std::string to_string(DpMode m) {
-  switch (m) {
-    case DpMode::kOutput: return "output-perturbation";
-    case DpMode::kGradient: return "gradient-perturbation";
-  }
-  return "?";
-}
-
-std::string to_string(ModelKind m) {
-  switch (m) {
-    case ModelKind::kPaperCnn: return "paper-cnn";
-    case ModelKind::kMlp: return "mlp";
-    case ModelKind::kLogistic: return "logistic";
   }
   return "?";
 }
@@ -155,11 +137,6 @@ void RunConfig::validate() const {
   APPFL_CHECK_MSG(gather_timeout_s > 0.0, "gather_timeout_s must be positive");
   APPFL_CHECK_MSG(ack_timeout_s > 0.0, "ack_timeout_s must be positive");
   APPFL_CHECK(validate_batch >= 1);
-  APPFL_CHECK_MSG(
-      util::find_name(tensor::kKernelBackendNames, kernel_backend).has_value(),
-      "kernel_backend must be "
-          << util::join_names(tensor::kKernelBackendNames) << ", got '"
-          << kernel_backend << "'");
   APPFL_CHECK_MSG(checkpoint_every_n_rounds >= 1,
                   "checkpoint_every_n_rounds must be >= 1");
   APPFL_CHECK_MSG(obs::parse_level(obs_level).has_value(),

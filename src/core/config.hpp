@@ -28,15 +28,11 @@ enum class ModelKind {
   kLogistic,  // convex instance, used by convergence tests
 };
 
-std::string to_string(ModelKind m);
-
 enum class DpMode {
   kOutput,    // the paper's §III-B scheme: perturb z_p before sending
   kGradient,  // extension: perturb every clipped batch gradient (DP-SGD
               // style); the per-round ε splits evenly over the local steps
 };
-
-std::string to_string(DpMode m);
 
 struct RunConfig {
   Algorithm algorithm = Algorithm::kFedAvg;
@@ -175,14 +171,12 @@ struct RunConfig {
   /// applied updates".
   std::size_t halt_after_round = 0;
 
-  /// Kernel execution engine (tensor substrate). "auto" leaves the
-  /// process-wide setting untouched (default tiled); "reference" forces the
-  /// scalar baseline loops, "tiled" the packed parallel GEMM.
-  /// kernel_threads 0 = keep current (default: hardware concurrency). The
-  /// runner applies these once per run; the kernel pool is shared
-  /// process-wide and nested inside the runner's per-client parallelism
-  /// (clients outer, kernels inner).
-  std::string kernel_backend = "auto";
+  /// Kernel engine threads (tensor/gemm.hpp): 0 keeps the process-wide
+  /// setting (default: hardware concurrency). run_federated,
+  /// run_population, the async runners and run_decentralized each apply it
+  /// once at their start; the kernel pool is shared process-wide and nested
+  /// inside the runner's per-client parallelism (clients outer, kernels
+  /// inner).
   std::size_t kernel_threads = 0;
 
   /// Observability plane (src/obs). obs_level selects how much the run

@@ -5,6 +5,7 @@
 
 #include "core/evaluation.hpp"
 #include "core/runner.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "rng/rng.hpp"
 #include "util/check.hpp"
@@ -134,6 +135,7 @@ DecentralizedResult run_decentralized(const RunConfig& config,
   APPFL_CHECK_MSG(topology.num_nodes() == n,
                   "topology has " << topology.num_nodes() << " nodes for "
                                   << n << " clients");
+  tensor::apply_kernel_threads(cfg.kernel_threads);
   const auto weights = metropolis_weights(topology);
 
   auto prototype = build_model(cfg, split.test);

@@ -35,9 +35,7 @@ EvalReport evaluate(nn::Module& model, std::span<const float> parameters,
 /// counts the correct predictions; accuracy() turns all tasks' counts into
 /// the test accuracy (0 for an empty test set). Tasks only read their
 /// arguments, so they may run on any thread while nothing writes `model`.
-/// Each clone restarts a training-mode Dropout layer's masks from its
-/// seed, and `model` itself never runs: its BatchNorm running estimates
-/// and layer caches stay as they were.
+/// `model` itself never runs: its layer caches stay as they were.
 std::size_t validation_tasks(const data::Dataset& test_set,
                              std::size_t batch_size);
 std::size_t count_correct(const nn::Module& model, std::span<const float> w,

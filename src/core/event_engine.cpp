@@ -103,7 +103,7 @@ PopulationRunResult run_population(const RunConfig& configured,
   APPFL_CHECK_MSG(config.population <=
                       std::numeric_limits<std::uint32_t>::max(),
                   "population exceeds the 32-bit id space");
-  tensor::apply_kernel_config(config.kernel_backend, config.kernel_threads);
+  tensor::apply_kernel_threads(config.kernel_threads);
 
   const std::size_t n = population.size();
   const std::size_t k = config.participants_per_round;

@@ -198,10 +198,6 @@ const Option kOptions[] = {
     {.flag = "mailbox-cap", .env = "APPFL_MAILBOX_CAP",
      .field = run<&R::mailbox_capacity>,
      .help = "per-mailbox high-water mark; 0 = unbounded"},
-    {.flag = "kernel-backend", .env = "APPFL_KERNEL_BACKEND",
-     .names = tensor::kKernelBackendNames, .field = run<&R::kernel_backend>,
-     .layer_env = true,
-     .help = "kernel engine; auto keeps the process default"},
     {.flag = "kernel-threads", .env = "APPFL_KERNEL_THREADS",
      .hi = tensor::kMaxKernelThreads, .field = run<&R::kernel_threads>,
      .layer_env = true, .help = "intra-op kernel threads; 0 = hardware"},

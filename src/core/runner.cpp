@@ -25,17 +25,6 @@
 
 namespace appfl::core {
 
-std::vector<double> RunResult::cumulative_comm_seconds() const {
-  std::vector<double> out;
-  out.reserve(comm_rounds.size());
-  double acc = 0.0;
-  for (const auto& r : comm_rounds) {
-    acc += r.total_s();
-    out.push_back(acc);
-  }
-  return out;
-}
-
 double RunResult::mean_test_accuracy() const {
   double sum = 0.0;
   std::size_t n = 0;
@@ -139,7 +128,7 @@ std::size_t validation_task(const BaseServer& server, std::span<const float> w,
 /// The round loop, on a config the env pass and validate() already saw.
 RunResult run_rounds(const RunConfig& config, BaseServer& server,
                      std::vector<std::unique_ptr<BaseClient>>& clients) {
-  tensor::apply_kernel_config(config.kernel_backend, config.kernel_threads);
+  tensor::apply_kernel_threads(config.kernel_threads);
   const std::size_t num_clients = clients.size();
   APPFL_CHECK(num_clients >= 1);
   APPFL_CHECK(server.num_clients() == num_clients);

@@ -76,9 +76,6 @@ struct RunResult {
   std::uint64_t secagg_reconstructions = 0;
   std::uint64_t secagg_rounds_degraded = 0;
 
-  /// Cumulative simulated communication time after each round (Fig 4a).
-  std::vector<double> cumulative_comm_seconds() const;
-
   /// Mean / best of the per-round test accuracies over the rounds that
   /// actually validated. RoundMetrics::test_accuracy uses −1 as the
   /// "validation skipped" sentinel; those rounds are MISSING data, not

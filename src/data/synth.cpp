@@ -339,13 +339,6 @@ SyntheticPopulation::SyntheticPopulation(FemnistSpec spec)
   protos_ = make_prototypes(kC, kH, kW, spec_.num_classes, spec_.seed);
 }
 
-std::size_t SyntheticPopulation::sample_count(std::uint32_t id) const {
-  APPFL_CHECK_MSG(id >= 1 && id <= spec_.num_writers,
-                  "writer " << id << " outside population of "
-                            << spec_.num_writers);
-  return writer_recipe(spec_, id).count;
-}
-
 TensorDataset SyntheticPopulation::materialize(std::uint32_t id) const {
   APPFL_CHECK_MSG(id >= 1 && id <= spec_.num_writers,
                   "writer " << id << " outside population of "

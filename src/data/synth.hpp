@@ -107,10 +107,6 @@ class SyntheticPopulation {
   std::size_t size() const { return spec_.num_writers; }
   const FemnistSpec& spec() const { return spec_; }
 
-  /// Writer `id`'s sample count (ids are 1-based, matching endpoint ids).
-  /// O(num_classes) — the recipe draw, no samples generated.
-  std::size_t sample_count(std::uint32_t id) const;
-
   /// Builds writer `id`'s training shard from scratch. Pure: every call
   /// returns bit-identical data, so transient clients can be rebuilt per
   /// participation with no stored state.

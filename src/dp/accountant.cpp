@@ -32,11 +32,6 @@ void PrivacyAccountant::restore_spent(std::size_t client, double epsilon) {
   spent_[client] = epsilon;
 }
 
-double PrivacyAccountant::remaining(std::size_t client) const {
-  APPFL_CHECK(client < spent_.size());
-  return budget_ - spent_[client];
-}
-
 double PrivacyAccountant::max_spent() const {
   return *std::max_element(spent_.begin(), spent_.end());
 }

@@ -31,9 +31,6 @@ class PrivacyAccountant {
   /// value from a checkpoint. The restored value must respect the budget.
   void restore_spent(std::size_t client, double epsilon);
 
-  /// Remaining budget for `client`.
-  double remaining(std::size_t client) const;
-
   /// Largest cumulative spend across clients.
   double max_spent() const;
 

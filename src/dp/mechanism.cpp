@@ -30,16 +30,6 @@ GaussianMechanism::GaussianMechanism(double sigma) : sigma_(sigma) {
   APPFL_CHECK_MSG(sigma > 0.0, "Gaussian sigma must be positive");
 }
 
-GaussianMechanism GaussianMechanism::calibrated(double epsilon, double delta,
-                                                double l2_sensitivity) {
-  APPFL_CHECK(epsilon > 0.0 && std::isfinite(epsilon));
-  APPFL_CHECK(delta > 0.0 && delta < 1.0);
-  APPFL_CHECK(l2_sensitivity > 0.0);
-  const double sigma =
-      l2_sensitivity * std::sqrt(2.0 * std::log(1.25 / delta)) / epsilon;
-  return GaussianMechanism(sigma);
-}
-
 void GaussianMechanism::apply(std::span<float> values, rng::Rng& rng) const {
   rng::add_normal(rng, values, sigma_);
 }

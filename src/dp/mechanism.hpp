@@ -60,10 +60,6 @@ class GaussianMechanism : public Mechanism {
  public:
   explicit GaussianMechanism(double sigma);
 
-  /// Classic calibration: sigma = sensitivity·√(2·ln(1.25/δ))/ε.
-  static GaussianMechanism calibrated(double epsilon, double delta,
-                                      double l2_sensitivity);
-
   void apply(std::span<float> values, rng::Rng& rng) const override;
   double scale() const override { return sigma_; }
   std::string name() const override { return "gaussian"; }

@@ -177,11 +177,17 @@ SecureAggClient::SecureAggClient(std::uint32_t id,
   for (auto c : k.commit_hi) put_u64(packet_, c);
 }
 
-std::uint64_t SecureAggClient::public_key(std::uint64_t round_seed,
-                                          std::uint32_t id) {
+namespace {
+
+/// The DH public key g^{k_id} client `id` advertises. Deterministic per
+/// (round_seed, id) — the in-process stand-in for the signed key
+/// advertisement round.
+std::uint64_t public_key(std::uint64_t round_seed, std::uint32_t id) {
   return shamir::commit_pow(shamir::kCommitGen,
                             round_secrets(round_seed, id).pair_key);
 }
+
+}  // namespace
 
 std::uint64_t SecureAggClient::pair_prg_seed(std::uint32_t other) const {
   // DH agreement: g^{k_other * k_self} — the peer derives the same value

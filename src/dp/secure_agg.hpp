@@ -78,11 +78,6 @@ class SecureAggClient {
                                   std::span<const std::uint32_t> u2,
                                   double scale, double weight) const;
 
-  /// The DH public key g^{k_id} this client would advertise. Deterministic
-  /// per (round_seed, id) — the in-process stand-in for the signed key
-  /// advertisement round.
-  static std::uint64_t public_key(std::uint64_t round_seed, std::uint32_t id);
-
   std::uint32_t id() const { return id_; }
 
  private:

@@ -18,18 +18,4 @@ class ReLU : public Module {
   Tensor cached_input_;
 };
 
-/// Hyperbolic tangent (extension layer — not in the paper's model, useful
-/// for user-defined models).
-class Tanh : public Module {
- public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::unique_ptr<Module> clone() const override;
-  std::string name() const override { return "Tanh"; }
-  double forward_flops(std::size_t batch) const override;
-
- private:
-  Tensor cached_output_;
-};
-
 }  // namespace appfl::nn

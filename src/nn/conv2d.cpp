@@ -3,7 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -12,9 +11,8 @@ namespace appfl::nn {
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
                std::size_t kernel, rng::Rng& rng, std::size_t stride,
-               std::size_t padding, Backend backend)
+               std::size_t padding)
     : spec_{in_channels, out_channels, kernel, stride, padding},
-      backend_(backend),
       weight_("weight", Tensor()),
       bias_("bias", Tensor()) {
   APPFL_CHECK(in_channels > 0 && out_channels > 0 && kernel > 0);
@@ -26,40 +24,21 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
   bias_ = Param("bias", Tensor::rand_uniform({out_channels}, rng, -bound, bound));
 }
 
-Conv2d::Backend Conv2d::resolved_backend() const {
-  if (backend_ != Backend::kAuto) return backend_;
-  return tensor::kernel_config().backend == tensor::KernelBackend::kTiled
-             ? Backend::kGemm
-             : Backend::kDirect;
-}
-
 Tensor Conv2d::forward(const Tensor& input) {
   last_h_ = input.dim(2);
   last_w_ = input.dim(3);
   keep_for_backward(cached_input_, input);
-  if (resolved_backend() == Backend::kGemm) {
-    return tensor::conv2d_forward_gemm(input, weight_.value, bias_.value,
-                                       spec_);
-  }
-  return tensor::conv2d_forward(input, weight_.value, bias_.value, spec_);
+  return tensor::conv2d_forward_gemm(input, weight_.value, bias_.value, spec_);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
   APPFL_CHECK_MSG(cached_input_.rank() == 4,
                   name() << ".backward called before forward");
-  if (resolved_backend() == Backend::kGemm) {
-    tensor::Conv2dGrads grads = tensor::conv2d_backward_gemm(
-        grad_output, cached_input_, weight_.value, spec_);
-    tensor::add_inplace(weight_.grad, grads.weight);
-    tensor::add_inplace(bias_.grad, grads.bias);
-    return std::move(grads.input);
-  }
-  Tensor dw = tensor::conv2d_backward_weight(grad_output, cached_input_, spec_);
-  tensor::add_inplace(weight_.grad, dw);
-  Tensor db = tensor::conv2d_backward_bias(grad_output);
-  tensor::add_inplace(bias_.grad, db);
-  return tensor::conv2d_backward_input(grad_output, weight_.value,
-                                       cached_input_.shape(), spec_);
+  tensor::Conv2dGrads grads = tensor::conv2d_backward_gemm(
+      grad_output, cached_input_, weight_.value, spec_);
+  tensor::add_inplace(weight_.grad, grads.weight);
+  tensor::add_inplace(bias_.grad, grads.bias);
+  return std::move(grads.input);
 }
 
 std::unique_ptr<Module> Conv2d::clone() const {

@@ -1,4 +1,5 @@
-// Convolution layer wrapping the tensor conv2d kernels.
+// Convolution layer: forward and backward run the im2col + GEMM lowering
+// (tensor/im2col.hpp). The direct loops of tensor/conv.hpp are its oracle.
 #pragma once
 
 #include "nn/module.hpp"
@@ -9,16 +10,8 @@ namespace appfl::nn {
 
 class Conv2d : public Module {
  public:
-  /// Kernel selection for this layer's compute. kAuto defers to the
-  /// process-wide kernel engine config (tensor::kernel_config): the tiled
-  /// backend runs the im2col+GEMM lowering, the reference backend the
-  /// direct loops — so conv compute follows the engine selection without
-  /// every model-construction site knowing about it.
-  enum class Backend { kDirect, kGemm, kAuto };
-
   Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
-         rng::Rng& rng, std::size_t stride = 1, std::size_t padding = 0,
-         Backend backend = Backend::kAuto);
+         rng::Rng& rng, std::size_t stride = 1, std::size_t padding = 0);
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
@@ -28,17 +21,11 @@ class Conv2d : public Module {
   double forward_flops(std::size_t batch) const override;
 
   const tensor::Conv2dSpec& spec() const { return spec_; }
-  Backend backend() const { return backend_; }
-
-  /// The backend this layer's next forward/backward will actually run
-  /// (kAuto resolved against the current engine config).
-  Backend resolved_backend() const;
 
  private:
   Conv2d(const Conv2d&) = default;
 
   tensor::Conv2dSpec spec_;
-  Backend backend_ = Backend::kAuto;
   Param weight_;
   Param bias_;
   Tensor cached_input_;

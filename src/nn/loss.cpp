@@ -42,25 +42,4 @@ LossResult CrossEntropyLoss::compute(
   return {loss, std::move(grad)};
 }
 
-LossResult MseLoss::compute(const Tensor& predictions,
-                            const Tensor& targets) const {
-  APPFL_CHECK_MSG(predictions.shape() == targets.shape(),
-                  "MseLoss shape mismatch "
-                      << tensor::to_string(predictions.shape()) << " vs "
-                      << tensor::to_string(targets.shape()));
-  APPFL_CHECK(predictions.size() > 0);
-  const std::size_t n = predictions.size();
-  double loss = 0.0;
-  Tensor grad = predictions;
-  auto gd = grad.data();
-  const auto td = targets.data();
-  const float scale = 2.0F / static_cast<float>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = static_cast<double>(gd[i]) - static_cast<double>(td[i]);
-    loss += d * d;
-    gd[i] = static_cast<float>(d) * scale;
-  }
-  return {loss / static_cast<double>(n), std::move(grad)};
-}
-
 }  // namespace appfl::nn

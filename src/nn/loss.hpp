@@ -23,10 +23,4 @@ class CrossEntropyLoss {
                      std::span<const std::size_t> labels) const;
 };
 
-class MseLoss {
- public:
-  /// predictions and targets: same shape. Mean over all elements.
-  LossResult compute(const Tensor& predictions, const Tensor& targets) const;
-};
-
 }  // namespace appfl::nn

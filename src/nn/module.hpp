@@ -35,11 +35,10 @@ struct Param {
 bool grad_enabled();
 
 /// While one is live on a thread, the layers that cache activations for
-/// backward (Linear, Conv2d, ReLU, Tanh, MaxPool2d, AvgPool2d, Flatten)
-/// drop and skip those caches in forward() on that thread, so a following
-/// backward() fails as if forward had never run. Outputs are unchanged.
-/// Guards nest; each restores the state it found. Independent of
-/// set_training: Dropout and BatchNorm follow train/eval mode alone.
+/// backward (Linear, Conv2d, ReLU, MaxPool2d, Flatten) drop and skip those
+/// caches in forward() on that thread, so a following backward() fails as
+/// if forward had never run. Outputs are unchanged. Guards nest; each
+/// restores the state it found.
 class NoGradGuard {
  public:
   NoGradGuard();
@@ -88,10 +87,6 @@ class Module {
   /// Estimated forward FLOPs for a batch of `batch` inputs. Containers sum
   /// over children. Used by the hardware cost model (Fig 3a, §IV-E).
   virtual double forward_flops(std::size_t batch) const = 0;
-
-  /// Switches train/eval behaviour (Dropout, future BatchNorm). Stateless
-  /// layers ignore it; containers propagate to children. Default: training.
-  virtual void set_training(bool training) { (void)training; }
 
   // -- Flat-vector plumbing (implemented on top of params()) ------------------
 

@@ -6,11 +6,6 @@
 
 namespace appfl::nn {
 
-Sequential::Sequential(std::vector<std::unique_ptr<Module>> layers)
-    : layers_(std::move(layers)) {
-  for (const auto& l : layers_) APPFL_CHECK(l != nullptr);
-}
-
 Sequential& Sequential::add(std::unique_ptr<Module> layer) {
   APPFL_CHECK(layer != nullptr);
   layers_.push_back(std::move(layer));
@@ -61,10 +56,6 @@ double Sequential::forward_flops(std::size_t batch) const {
   double total = 0.0;
   for (const auto& l : layers_) total += l->forward_flops(batch);
   return total;
-}
-
-void Sequential::set_training(bool training) {
-  for (auto& l : layers_) l->set_training(training);
 }
 
 Module& Sequential::layer(std::size_t i) {

@@ -12,7 +12,6 @@ namespace appfl::nn {
 class Sequential : public Module {
  public:
   Sequential() = default;
-  explicit Sequential(std::vector<std::unique_ptr<Module>> layers);
 
   /// Appends a layer (builder style).
   Sequential& add(std::unique_ptr<Module> layer);
@@ -23,8 +22,6 @@ class Sequential : public Module {
   std::string name() const override;
   std::vector<Param*> params() override;
   double forward_flops(std::size_t batch) const override;
-
-  void set_training(bool training) override;
 
   std::size_t num_layers() const { return layers_.size(); }
   Module& layer(std::size_t i);

@@ -43,8 +43,6 @@ void Sgd::step(Module& model) {
   }
 }
 
-void Sgd::reset() { velocity_.clear(); }
-
 float scheduled_lr(LrSchedule schedule, float base, std::size_t round,
                    std::size_t total_rounds) {
   APPFL_CHECK(base > 0.0F);

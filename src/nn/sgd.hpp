@@ -22,9 +22,6 @@ class Sgd {
   /// to the model's parameter layout.
   void step(Module& model);
 
-  /// Drops velocity state (e.g. when the model is re-initialized).
-  void reset();
-
   float lr() const { return lr_; }
   float momentum() const { return momentum_; }
   float weight_decay() const { return weight_decay_; }

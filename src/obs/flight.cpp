@@ -56,11 +56,6 @@ void FlightRecorder::set_dump_dir(const std::string& dir) {
   dump_dir_ = dir;
 }
 
-std::string FlightRecorder::dump_dir() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return dump_dir_;
-}
-
 std::vector<FlightEvent> FlightRecorder::events() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<FlightEvent> out;
@@ -160,6 +155,9 @@ std::terminate_handler g_prev_terminate = nullptr;
 
 void flight_terminate_handler() {
   FlightRecorder::global().dump("terminate");
+  // The chained handler aborts; SIGABRT's default action keeps that abort
+  // from dumping a second time as "sigabrt".
+  std::signal(SIGABRT, SIG_DFL);
   if (g_prev_terminate != nullptr) g_prev_terminate();
   std::abort();
 }

@@ -44,7 +44,6 @@ class FlightRecorder {
 
   /// Where dump files go; "" disables dumping (the default).
   void set_dump_dir(const std::string& dir);
-  std::string dump_dir() const;
 
   /// Writes `flight-<utc-timestamp>-<seq>-<reason>.json` into the dump dir:
   /// the ring (oldest first), the trigger reason, and a metrics-registry
@@ -55,8 +54,9 @@ class FlightRecorder {
 
   /// Installs fatal-signal (SIGSEGV/SIGABRT/SIGBUS/SIGFPE/SIGILL) and
   /// std::terminate hooks that dump the global recorder, then re-raise /
-  /// chain to the previous handler. Idempotent; hooks only fire when a
-  /// dump dir is set.
+  /// chain to the previous handler. Each crash leaves one dump: terminate
+  /// dumps as "terminate" and its abort is not dumped again. Idempotent;
+  /// hooks only fire when a dump dir is set.
   static void install_crash_hooks();
 
   /// Snapshot of the ring, oldest first.

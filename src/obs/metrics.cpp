@@ -16,22 +16,24 @@ std::size_t thread_shard() {
   return shard;
 }
 
+}  // namespace detail
+
+namespace {
+
+/// Adds `v` to an atomic double (CAS loop; fetch_add on double is C++20 but
+/// not on every libstdc++ this repo targets).
 void atomic_add(std::atomic<double>& a, double v) {
   double cur = a.load(std::memory_order_relaxed);
   while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
   }
 }
 
-}  // namespace detail
+}  // namespace
 
 std::uint64_t Counter::value() const {
   std::uint64_t total = 0;
   for (const auto& c : cells_) total += c.v.load(std::memory_order_relaxed);
   return total;
-}
-
-void Counter::reset() {
-  for (auto& c : cells_) c.v.store(0, std::memory_order_relaxed);
 }
 
 Histogram::Histogram(std::string name, double min, double max,
@@ -87,7 +89,7 @@ void Histogram::record(double v) {
   Cell& cell = cells_[detail::thread_shard()];
   cell.counts[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
   cell.count.fetch_add(1, std::memory_order_relaxed);
-  detail::atomic_add(cell.sum, std::isfinite(v) ? v : 0.0);
+  atomic_add(cell.sum, std::isfinite(v) ? v : 0.0);
 }
 
 void Histogram::reset() {

@@ -32,9 +32,6 @@ inline constexpr std::size_t kMaxHistogramBuckets = 64;
 namespace detail {
 /// Stable shard index of the calling thread in [0, kShards).
 std::size_t thread_shard();
-/// Adds `v` to an atomic double (CAS loop; fetch_add on double is C++20 but
-/// not on every libstdc++ this repo targets).
-void atomic_add(std::atomic<double>& a, double v);
 struct alignas(64) CounterCell {
   std::atomic<std::uint64_t> v{0};
 };
@@ -52,7 +49,9 @@ class Counter {
  private:
   friend class MetricsRegistry;
   explicit Counter(std::string name) : name_(std::move(name)) {}
-  void reset();
+  void reset() {
+    for (auto& c : cells_) c.v.store(0, std::memory_order_relaxed);
+  }
 
   std::string name_;
   std::array<detail::CounterCell, kShards> cells_;

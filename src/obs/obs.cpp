@@ -8,10 +8,6 @@ namespace detail {
 std::atomic<int> g_level{static_cast<int>(Level::kOff)};
 }  // namespace detail
 
-std::string to_string(Level lv) {
-  return std::string(kLevelNames[static_cast<std::size_t>(lv)]);
-}
-
 std::optional<Level> parse_level(const std::string& name) {
   const auto i = util::find_name(kLevelNames, name);
   if (!i) return std::nullopt;

@@ -31,8 +31,6 @@ enum class Level : int { kOff = 0, kMetrics = 1, kTrace = 2 };
 inline constexpr std::array<std::string_view, 3> kLevelNames = {
     "off", "metrics", "trace"};
 
-std::string to_string(Level lv);
-
 /// Parses one of kLevelNames; nullopt on anything else.
 std::optional<Level> parse_level(const std::string& name);
 

@@ -34,48 +34,7 @@ double lognormal(Rng& rng, double mu, double sigma) {
   return std::exp(normal(rng, mu, sigma));
 }
 
-double exponential(Rng& rng, double lambda) {
-  APPFL_CHECK(lambda > 0.0);
-  return -std::log(rng.uniform01_open()) / lambda;
-}
-
 bool bernoulli(Rng& rng, double p) { return rng.uniform01() < p; }
-
-double gamma(Rng& rng, double alpha) {
-  APPFL_CHECK(alpha > 0.0);
-  if (alpha < 1.0) {
-    // Boost: Gamma(a) = Gamma(a+1) · U^{1/a}.
-    const double u = rng.uniform01_open();
-    return gamma(rng, alpha + 1.0) * std::pow(u, 1.0 / alpha);
-  }
-  // Marsaglia–Tsang squeeze method.
-  const double d = alpha - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x, v;
-    do {
-      x = normal(rng, 0.0, 1.0);
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    const double u = rng.uniform01_open();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return d * v;
-    if (std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) return d * v;
-  }
-}
-
-std::vector<double> dirichlet_symmetric(Rng& rng, std::size_t k, double alpha) {
-  APPFL_CHECK(k > 0);
-  std::vector<double> out(k);
-  double sum = 0.0;
-  for (auto& v : out) {
-    v = gamma(rng, alpha);
-    sum += v;
-  }
-  APPFL_CHECK(sum > 0.0);
-  for (auto& v : out) v /= sum;
-  return out;
-}
 
 namespace {
 

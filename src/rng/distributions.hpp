@@ -2,13 +2,12 @@
 // callers can interleave draws from several distributions on one stream.
 //
 // normal and laplace, scalar and batched, evaluate through the sampling
-// math of rng/sampling_math.hpp (no libm); lognormal, exponential, gamma and
-// dirichlet_symmetric still call libm's exp, log and pow.
+// math of rng/sampling_math.hpp (no libm); lognormal is the last draw that
+// calls libm (its exp).
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "rng/rng.hpp"
 
@@ -31,20 +30,8 @@ double laplace(Rng& rng, double mean, double scale);
 /// Log-normal: exp(normal(mu, sigma)). Used for gRPC traffic jitter.
 double lognormal(Rng& rng, double mu, double sigma);
 
-/// Exponential with rate lambda (>0).
-double exponential(Rng& rng, double lambda);
-
 /// Bernoulli(p) — true with probability p.
 bool bernoulli(Rng& rng, double p);
-
-/// Symmetric Dirichlet(alpha) over k categories; returns a probability
-/// vector. Used by the label-skew non-IID partitioner. Sampled by
-/// normalizing Gamma(alpha, 1) draws (Marsaglia–Tsang, with the alpha<1
-/// boost trick).
-std::vector<double> dirichlet_symmetric(Rng& rng, std::size_t k, double alpha);
-
-/// Gamma(shape alpha>0, scale 1).
-double gamma(Rng& rng, double alpha);
 
 /// Fisher–Yates shuffle of an index container.
 template <typename T>

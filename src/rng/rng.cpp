@@ -4,12 +4,18 @@
 
 namespace appfl::rng {
 
+namespace {
+
+/// SplitMix64 step: maps any 64-bit value to a well-mixed 64-bit value.
+/// Used both for seeding and for deriving independent stream seeds.
 std::uint64_t splitmix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
+
+}  // namespace
 
 std::uint64_t derive_seed(std::uint64_t base,
                           std::initializer_list<std::uint64_t> ids) {

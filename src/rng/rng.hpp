@@ -14,10 +14,6 @@
 
 namespace appfl::rng {
 
-/// SplitMix64 step: maps any 64-bit value to a well-mixed 64-bit value.
-/// Used both for seeding and for deriving independent stream seeds.
-std::uint64_t splitmix64(std::uint64_t& state);
-
 /// Derives a seed for an independent stream from a base seed and a list of
 /// stream identifiers (e.g. {client_id, round, purpose}). Deterministic, and
 /// distinct id tuples give (statistically) independent streams.

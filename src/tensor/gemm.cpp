@@ -4,7 +4,6 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -339,28 +338,8 @@ void run_row_blocks(std::size_t blocks,
 
 }  // namespace
 
-std::string to_string(KernelBackend backend) {
-  return std::string(
-      kKernelBackendNames[1 + static_cast<std::size_t>(backend)]);
-}
-
-KernelBackend parse_kernel_backend(const std::string& name) {
-  const auto i = util::find_name(kKernelBackendNames, name);
-  APPFL_CHECK_MSG(i.has_value() && *i > 0,
-                  "unknown kernel backend '" << name << "' (expected "
-                      << util::join_names(std::span(kKernelBackendNames)
-                                              .subspan(1))
-                      << ")");
-  return static_cast<KernelBackend>(*i - 1);
-}
-
 KernelConfig kernel_config_from_env() {
   KernelConfig config;
-  const auto backend =
-      util::env_choice("APPFL_KERNEL_BACKEND", kKernelBackendNames);
-  if (backend && *backend > 0) {
-    config.backend = static_cast<KernelBackend>(*backend - 1);
-  }
   if (const auto threads =
           util::env_uint("APPFL_KERNEL_THREADS", 0, kMaxKernelThreads)) {
     config.threads = static_cast<std::size_t>(*threads);
@@ -386,10 +365,10 @@ void set_kernel_config(const KernelConfig& config) {
   // The pool is rebuilt lazily at the new size on next use.
 }
 
-void apply_kernel_config(const std::string& backend, std::size_t threads) {
+void apply_kernel_threads(std::size_t threads) {
+  if (threads == 0) return;
   KernelConfig config = kernel_config();
-  if (backend != "auto") config.backend = parse_kernel_backend(backend);
-  if (threads > 0) config.threads = threads;
+  config.threads = threads;
   set_kernel_config(config);
 }
 
@@ -527,9 +506,7 @@ void gemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
   }
   const bool timed = obs::metrics_on();
   const double t0 = timed ? obs::Tracer::global().now() : 0.0;
-  const KernelConfig config = kernel_config();
-  if (config.backend == KernelBackend::kReference ||
-      m * n * k < kGemmTinyFlops) {
+  if (m * n * k < kGemmTinyFlops) {
     gemm_reference(ta, tb, m, n, k, a, lda, b, ldb, c);
   } else {
     gemm_tiled(ta, tb, m, n, k, a, lda, b, ldb, c);

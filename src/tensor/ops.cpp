@@ -7,54 +7,14 @@
 
 namespace appfl::tensor {
 
-namespace {
-void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
-  APPFL_CHECK_MSG(a.shape() == b.shape(),
-                  op << ": shape mismatch " << to_string(a.shape()) << " vs "
-                     << to_string(b.shape()));
-}
-}  // namespace
-
-Tensor add(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "add");
-  Tensor out = a;
-  add_inplace(out, b);
-  return out;
-}
-
-Tensor sub(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "sub");
-  Tensor out = a;
-  auto od = out.data();
-  auto bd = b.data();
-  for (std::size_t i = 0; i < od.size(); ++i) od[i] -= bd[i];
-  return out;
-}
-
-Tensor mul(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "mul");
-  Tensor out = a;
-  auto od = out.data();
-  auto bd = b.data();
-  for (std::size_t i = 0; i < od.size(); ++i) od[i] *= bd[i];
-  return out;
-}
-
-Tensor scale(const Tensor& a, float s) {
-  Tensor out = a;
-  scale_inplace(out, s);
-  return out;
-}
-
 void add_inplace(Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "add_inplace");
+  APPFL_CHECK_MSG(a.shape() == b.shape(),
+                  "add_inplace: shape mismatch " << to_string(a.shape())
+                                                 << " vs "
+                                                 << to_string(b.shape()));
   auto ad = a.data();
   auto bd = b.data();
   for (std::size_t i = 0; i < ad.size(); ++i) ad[i] += bd[i];
-}
-
-void scale_inplace(Tensor& a, float s) {
-  for (auto& v : a.data()) v *= s;
 }
 
 void axpy(float alpha, std::span<const float> x, std::span<float> y) {
@@ -77,24 +37,10 @@ double dot(std::span<const float> x, std::span<const float> y) {
 
 double norm2(std::span<const float> x) { return std::sqrt(dot(x, x)); }
 
-double norm1(std::span<const float> x) {
-  double acc = 0.0;
-  for (float v : x) acc += std::abs(static_cast<double>(v));
-  return acc;
-}
-
-double norm_inf(std::span<const float> x) {
-  double acc = 0.0;
-  for (float v : x) acc = std::max(acc, std::abs(static_cast<double>(v)));
-  return acc;
-}
-
 void copy(std::span<const float> src, std::span<float> dst) {
   APPFL_CHECK(src.size() == dst.size());
   std::copy(src.begin(), src.end(), dst.begin());
 }
-
-void zero(std::span<float> x) { std::fill(x.begin(), x.end(), 0.0F); }
 
 float clip_norm(std::span<float> x, float max_norm) {
   APPFL_CHECK(max_norm > 0.0F);
@@ -103,17 +49,6 @@ float clip_norm(std::span<float> x, float max_norm) {
   const float factor = static_cast<float>(static_cast<double>(max_norm) / n);
   scal(factor, x);
   return factor;
-}
-
-double sum(const Tensor& t) {
-  double acc = 0.0;
-  for (float v : t.data()) acc += v;
-  return acc;
-}
-
-double mean(const Tensor& t) {
-  APPFL_CHECK(t.size() > 0);
-  return sum(t) / static_cast<double>(t.size());
 }
 
 std::vector<std::size_t> argmax_rows(const Tensor& t) {
@@ -158,12 +93,6 @@ Tensor softmax_rows(const Tensor& t) {
     const float inv = static_cast<float>(1.0 / z);
     for (std::size_t c = 0; c < cols; ++c) row[c] *= inv;
   }
-  return out;
-}
-
-Tensor relu(const Tensor& t) {
-  Tensor out = t;
-  for (auto& v : out.data()) v = std::max(v, 0.0F);
   return out;
 }
 

@@ -13,19 +13,8 @@ namespace appfl::tensor {
 
 // -- Elementwise (Tensor) -----------------------------------------------------
 
-/// out = a + b (shapes must match).
-Tensor add(const Tensor& a, const Tensor& b);
-/// out = a − b.
-Tensor sub(const Tensor& a, const Tensor& b);
-/// out = a ⊙ b (Hadamard).
-Tensor mul(const Tensor& a, const Tensor& b);
-/// out = a · s.
-Tensor scale(const Tensor& a, float s);
-
-/// a += b.
+/// a += b (shapes must match).
 void add_inplace(Tensor& a, const Tensor& b);
-/// a *= s.
-void scale_inplace(Tensor& a, float s);
 
 // -- Flat-span BLAS-1 ----------------------------------------------------------
 
@@ -37,14 +26,8 @@ void scal(float alpha, std::span<float> x);
 double dot(std::span<const float> x, std::span<const float> y);
 /// ‖x‖₂.
 double norm2(std::span<const float> x);
-/// ‖x‖₁.
-double norm1(std::span<const float> x);
-/// max |xᵢ|.
-double norm_inf(std::span<const float> x);
 /// dst ← src (sizes must match).
 void copy(std::span<const float> src, std::span<float> dst);
-/// x ← 0.
-void zero(std::span<float> x);
 
 /// Scales x so that ‖x‖₂ ≤ max_norm (the DP gradient clip). Returns the
 /// factor applied (1.0 when no clipping happened).
@@ -52,18 +35,10 @@ float clip_norm(std::span<float> x, float max_norm);
 
 // -- Reductions / rows ----------------------------------------------------------
 
-/// Sum of all elements.
-double sum(const Tensor& t);
-/// Mean of all elements.
-double mean(const Tensor& t);
-
 /// Row-wise argmax of a [rows, cols] tensor (prediction extraction).
 std::vector<std::size_t> argmax_rows(const Tensor& t);
 
 /// Numerically stable row-wise softmax of a [rows, cols] tensor.
 Tensor softmax_rows(const Tensor& t);
-
-/// ReLU applied out of place.
-Tensor relu(const Tensor& t);
 
 }  // namespace appfl::tensor

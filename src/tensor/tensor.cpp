@@ -36,8 +36,6 @@ Tensor::Tensor(Shape shape, std::vector<float> values)
                                  << to_string(shape_));
 }
 
-Tensor Tensor::zeros(Shape shape) { return Tensor(std::move(shape)); }
-
 Tensor Tensor::full(Shape shape, float value) {
   Tensor t(std::move(shape));
   t.fill(value);
@@ -80,27 +78,35 @@ float Tensor::operator[](std::size_t flat_index) const {
   return data_[flat_index];
 }
 
-std::size_t Tensor::flat_offset(std::initializer_list<std::size_t> idx) const {
-  APPFL_CHECK_MSG(idx.size() == shape_.size(),
-                  "index rank " << idx.size() << " != tensor rank " << rank());
+namespace {
+
+/// Row-major offset of the N-d index `idx` into a tensor of `shape`.
+std::size_t flat_offset(const Shape& shape,
+                        std::initializer_list<std::size_t> idx) {
+  APPFL_CHECK_MSG(idx.size() == shape.size(), "index rank "
+                                                  << idx.size()
+                                                  << " != tensor rank "
+                                                  << shape.size());
   std::size_t flat = 0;
   std::size_t axis = 0;
   for (std::size_t i : idx) {
-    APPFL_CHECK_MSG(i < shape_[axis], "index " << i << " out of range on axis "
-                                               << axis << " (extent "
-                                               << shape_[axis] << ")");
-    flat = flat * shape_[axis] + i;
+    APPFL_CHECK_MSG(i < shape[axis], "index " << i << " out of range on axis "
+                                              << axis << " (extent "
+                                              << shape[axis] << ")");
+    flat = flat * shape[axis] + i;
     ++axis;
   }
   return flat;
 }
 
+}  // namespace
+
 float& Tensor::at(std::initializer_list<std::size_t> idx) {
-  return data_[flat_offset(idx)];
+  return data_[flat_offset(shape_, idx)];
 }
 
 float Tensor::at(std::initializer_list<std::size_t> idx) const {
-  return data_[flat_offset(idx)];
+  return data_[flat_offset(shape_, idx)];
 }
 
 void Tensor::fill(float value) {

@@ -37,7 +37,6 @@ class Tensor {
 
   // -- Factories ------------------------------------------------------------
 
-  static Tensor zeros(Shape shape);
   static Tensor full(Shape shape, float value);
 
   /// I.i.d. N(0, stddev) entries.
@@ -88,8 +87,6 @@ class Tensor {
   bool allclose(const Tensor& other, float tol = 1e-5F) const;
 
  private:
-  std::size_t flat_offset(std::initializer_list<std::size_t> idx) const;
-
   Shape shape_;
   std::vector<float> data_;
 };

@@ -76,17 +76,6 @@ double ArgParser::get_double(const std::string& name, double fallback) const {
   return parsed;
 }
 
-bool ArgParser::get_bool(const std::string& name, bool fallback) const {
-  const Flag* f = find(name);
-  if (f == nullptr) return fallback;
-  if (!f->value.has_value()) return true;
-  const std::string& v = *f->value;
-  if (v == "true" || v == "1" || v == "yes") return true;
-  if (v == "false" || v == "0" || v == "no") return false;
-  APPFL_CHECK_MSG(false, "--" << name << " expects a boolean, got '" << v << "'");
-  return fallback;
-}
-
 std::vector<std::string> ArgParser::unknown_flags() const {
   std::vector<std::string> out;
   for (const auto& f : flags_) {

@@ -24,8 +24,6 @@ class ArgParser {
                          const std::string& fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
-  /// --name / --name=true|1 ⇒ true; --name=false|0 ⇒ false; absent ⇒ fallback.
-  bool get_bool(const std::string& name, bool fallback) const;
 
   /// Positional (non-flag) arguments, in order.
   const std::vector<std::string>& positional() const { return positional_; }

@@ -1,6 +1,5 @@
 #include "util/logging.hpp"
 
-#include <atomic>
 #include <iostream>
 #include <mutex>
 
@@ -14,7 +13,7 @@ Level parse_env_level() {
   return i ? static_cast<Level>(*i) : Level::kInfo;
 }
 
-std::atomic<int> g_level{static_cast<int>(parse_env_level())};
+const Level g_level = parse_env_level();
 std::mutex g_emit_mutex;
 
 const char* tag(Level lv) {
@@ -30,9 +29,7 @@ const char* tag(Level lv) {
 
 }  // namespace
 
-Level level() { return static_cast<Level>(g_level.load(std::memory_order_relaxed)); }
-
-void set_level(Level lv) { g_level.store(static_cast<int>(lv), std::memory_order_relaxed); }
+Level level() { return g_level; }
 
 void emit(Level lv, const std::string& msg) {
   std::lock_guard<std::mutex> lock(g_emit_mutex);

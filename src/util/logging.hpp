@@ -1,5 +1,5 @@
 // Minimal leveled logger. Thread-safe (single global mutex around emission);
-// level is process-global and adjustable at runtime or via APPFL_LOG_LEVEL.
+// the level is process-global, read once from APPFL_LOG_LEVEL.
 #pragma once
 
 #include <array>
@@ -19,9 +19,6 @@ inline constexpr std::array<std::string_view, 5> kLevelNames = {
 /// APPFL_LOG_LEVEL, one of kLevelNames; an invalid value is warned about
 /// and ignored).
 Level level();
-
-/// Set the global log level programmatically.
-void set_level(Level lv);
 
 /// Emit one log line (no trailing newline needed). Prefer the macros below.
 void emit(Level lv, const std::string& msg);

@@ -1,6 +1,6 @@
-// Test helper: set the process-wide kernel engine config for one scope and
-// restore the previous setting on exit, so tests can force backends/thread
-// counts without leaking state into later tests in the same binary.
+// Test helper: set the process-wide kernel thread count for one scope and
+// restore the previous setting on exit, so tests can force thread counts
+// without leaking state into later tests in the same binary.
 #pragma once
 
 #include "tensor/gemm.hpp"
@@ -9,12 +9,10 @@ namespace appfl::testutil {
 
 class ScopedKernelConfig {
  public:
-  explicit ScopedKernelConfig(tensor::KernelConfig config)
+  explicit ScopedKernelConfig(std::size_t threads)
       : previous_(tensor::kernel_config()) {
-    tensor::set_kernel_config(config);
+    tensor::set_kernel_config({threads});
   }
-  ScopedKernelConfig(tensor::KernelBackend backend, std::size_t threads)
-      : ScopedKernelConfig(tensor::KernelConfig{backend, threads}) {}
   ~ScopedKernelConfig() { tensor::set_kernel_config(previous_); }
 
   ScopedKernelConfig(const ScopedKernelConfig&) = delete;

@@ -19,6 +19,7 @@
 #include "hw/device.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
+#include "scoped_kernel_config.hpp"
 
 namespace {
 
@@ -74,6 +75,17 @@ TEST(Async, AppliesExactlyTheRequestedUpdates) {
   const auto result = appfl::core::run_async(cfg, split);
   EXPECT_EQ(result.applied_updates, 10U);
   EXPECT_EQ(result.events.size(), 10U);
+}
+
+TEST(Async, AppliesTheKernelThreadSetting) {
+  // Like run_federated and run_population, the async runner applies
+  // RunConfig::kernel_threads at its start; the guard restores the setting.
+  const appfl::testutil::ScopedKernelConfig guard(0);
+  AsyncConfig cfg = base_async();
+  cfg.total_updates = 2;
+  cfg.run.kernel_threads = 3;
+  appfl::core::run_async(cfg, split_of());
+  EXPECT_EQ(appfl::tensor::kernel_config().threads, 3U);
 }
 
 TEST(Async, EventTimesAreNonDecreasing) {

@@ -4,6 +4,8 @@
 // secure-agg degrade-reason plumbing end to end through the sync runner.
 #include <gtest/gtest.h>
 
+#include "json_check.hpp"
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -29,6 +31,8 @@ namespace obs = appfl::obs;
 
 namespace {
 
+using appfl::testutil::json_well_formed;
+
 struct LevelGuard {
   explicit LevelGuard(obs::Level lv) : prev(obs::level()) {
     obs::set_level(lv);
@@ -46,38 +50,6 @@ std::string slurp(const std::string& path) {
   std::stringstream buf;
   buf << in.rdbuf();
   return buf.str();
-}
-
-// Same minimal validator as test_obs: balanced braces/brackets outside
-// strings with valid escapes.
-bool json_well_formed(const std::string& text) {
-  std::vector<char> stack;
-  bool in_string = false;
-  bool escaped = false;
-  for (const char c : text) {
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"': in_string = true; break;
-      case '{': stack.push_back('}'); break;
-      case '[': stack.push_back(']'); break;
-      case '}':
-      case ']':
-        if (stack.empty() || stack.back() != c) return false;
-        stack.pop_back();
-        break;
-      default: break;
-    }
-  }
-  return !in_string && stack.empty();
 }
 
 // --- A tiny trace_event reader for the round-trip test --------------------
@@ -590,10 +562,10 @@ TEST(FlightRecorder, DumpRequiresDirCreatesItAndWritesParseableJson) {
   const std::string dir = temp_path("appfl_flight_test_dir/nested");
   std::filesystem::remove_all(temp_path("appfl_flight_test_dir"));
   rec.set_dump_dir(dir);
-  EXPECT_EQ(rec.dump_dir(), dir);
   std::string path;
   ASSERT_TRUE(rec.dump("secagg-degraded-share-wave-timeout", &path));
   ASSERT_TRUE(std::filesystem::exists(path));
+  EXPECT_EQ(path.rfind(dir + "/", 0), 0U) << path;
   EXPECT_NE(path.find("secagg-degraded-share-wave-timeout.json"),
             std::string::npos);
 

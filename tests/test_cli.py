@@ -31,7 +31,7 @@ dataset algorithm model clients writers per-client rounds local-steps
 batch-size lr momentum rho zeta adaptive-rho mu epsilon clip fraction
 protocol codec secure-agg secure-agg-threshold fault-drop fault-dup
 fault-reorder fault-corrupt fault-delay fault-delay-max fault-dead
-gather-timeout kernel-backend kernel-threads seed csv ckpt-dir ckpt-every
+gather-timeout kernel-threads seed csv ckpt-dir ckpt-every
 resume obs-level trace-out metrics-out critpath-out health-out flight-dir
 report quiet population participants tree-fanout mailbox-cap async-strategy
 staleness-weight buffer-k mixing-alpha total-updates validate-every fleet
@@ -44,7 +44,7 @@ APPFL_OBS_LEVEL APPFL_OBS_TRACE_OUT APPFL_OBS_METRICS_OUT
 APPFL_OBS_HEALTH_OUT APPFL_OBS_CRITPATH_OUT APPFL_OBS_FLIGHT_DIR
 APPFL_ASYNC_STRATEGY APPFL_ASYNC_STALENESS_WEIGHT APPFL_ASYNC_BUFFER_K
 APPFL_ASYNC_HINGE_S0 APPFL_CKPT_DIR APPFL_CKPT_EVERY APPFL_CKPT_RESUME
-APPFL_TREE_FANOUT APPFL_MAILBOX_CAP APPFL_KERNEL_BACKEND APPFL_KERNEL_THREADS
+APPFL_TREE_FANOUT APPFL_MAILBOX_CAP APPFL_KERNEL_THREADS
 APPFL_LOG_LEVEL
 """.split()
 
@@ -67,7 +67,8 @@ USAGE_ERRORS = [
     ("secure-agg threshold of 1",
      ["--secure-agg", "--secure-agg-threshold", "1"], "secure-agg-threshold"),
     ("bad dead-client id", ["--fault-dead", "1,x"], "fault-dead"),
-    ("unknown kernel backend", ["--kernel-backend", "bogus"], "kernel-backend"),
+    ("removed kernel backend flag", ["--kernel-backend", "tiled"],
+     "kernel-backend"),
     ("zero checkpoint cadence", ["--ckpt-every", "0"], "ckpt-every"),
     ("unknown obs level", ["--obs-level", "bogus"], "obs-level"),
     ("trace-out below trace", ["--trace-out", "t.json"], "trace-out"),

@@ -3,6 +3,7 @@
 // parallel aggregation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -121,7 +122,7 @@ TEST(Crc32, ParallelMatchesBytewiseAcrossThreadCounts) {
   const auto buf = random_bytes(99, (std::size_t{3} << 20) + 12345);
   const std::uint32_t expected = appfl::comm::crc32_bytewise(buf);
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ScopedKernelConfig scoped(appfl::tensor::KernelBackend::kTiled, threads);
+    ScopedKernelConfig scoped(threads);
     EXPECT_EQ(appfl::comm::crc32(buf), expected) << "threads=" << threads;
   }
 }
@@ -130,8 +131,10 @@ TEST(Envelope, SealInPlaceMatchesSeal) {
   const auto payload = random_bytes(3, 1000);
   const auto sealed = appfl::comm::seal_envelope(payload);
 
-  std::vector<std::uint8_t> in_place(appfl::comm::kEnvelopeOverhead, 0);
-  in_place.insert(in_place.end(), payload.begin(), payload.end());
+  std::vector<std::uint8_t> in_place(
+      appfl::comm::kEnvelopeOverhead + payload.size(), 0);
+  std::copy(payload.begin(), payload.end(),
+            in_place.begin() + appfl::comm::kEnvelopeOverhead);
   appfl::comm::seal_envelope_in_place(in_place);
   EXPECT_EQ(in_place, sealed);
 
@@ -323,7 +326,7 @@ TEST(Aggregate, WeightedSumBitIdenticalAcrossThreadCounts) {
   const auto expected = serial_weighted_sum(vecs, weights, n);
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ScopedKernelConfig scoped(appfl::tensor::KernelBackend::kTiled, threads);
+    ScopedKernelConfig scoped(threads);
     std::vector<float> w(n, -1.0F);  // must be overwritten, not accumulated
     appfl::core::weighted_sum(terms, w);
     ASSERT_EQ(w.size(), expected.size());
@@ -355,7 +358,7 @@ TEST(Aggregate, ConsensusSumBitIdenticalAcrossThreadCounts) {
   }
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ScopedKernelConfig scoped(appfl::tensor::KernelBackend::kTiled, threads);
+    ScopedKernelConfig scoped(threads);
     std::vector<float> w(n);
     appfl::core::consensus_sum(terms, inv_p, inv_rho, w);
     for (std::size_t i = 0; i < n; ++i) {
@@ -385,7 +388,7 @@ TEST(Aggregate, WeightedDeltaBitIdenticalAcrossThreadCounts) {
   }
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ScopedKernelConfig scoped(appfl::tensor::KernelBackend::kTiled, threads);
+    ScopedKernelConfig scoped(threads);
     std::vector<double> delta(n);
     appfl::core::weighted_delta(terms, base, delta);
     for (std::size_t i = 0; i < n; ++i) {

@@ -1,4 +1,4 @@
-// Dataset / DataLoader / partitioners / synthetic generators.
+// Dataset / DataLoader / synthetic generators.
 #include <gtest/gtest.h>
 
 #include "util/check.hpp"
@@ -12,7 +12,6 @@
 
 #include "data/dataloader.hpp"
 #include "data/dataset.hpp"
-#include "data/partition.hpp"
 #include "data/synth.hpp"
 #include "rng/rng.hpp"
 
@@ -110,67 +109,6 @@ TEST(DataLoader, NoShuffleIsSequential) {
   const Batch b0 = loader.batch(0);
   EXPECT_EQ(b0.inputs.at({0, 0}), 0.0F);
   EXPECT_EQ(b0.inputs.at({2, 0}), 2.0F);
-}
-
-TEST(Partition, IidShardsAreDisjointAndEqual) {
-  appfl::rng::Rng r(5);
-  const auto part = appfl::data::iid_partition(100, 4, r);
-  ASSERT_EQ(part.size(), 4U);
-  std::set<std::size_t> all;
-  for (const auto& shard : part) {
-    EXPECT_EQ(shard.size(), 25U);
-    for (std::size_t i : shard) {
-      EXPECT_TRUE(all.insert(i).second) << "index " << i << " duplicated";
-    }
-  }
-}
-
-TEST(Partition, IidRequiresEnoughSamples) {
-  appfl::rng::Rng r(5);
-  EXPECT_THROW(appfl::data::iid_partition(3, 4, r), appfl::Error);
-}
-
-TEST(Partition, DirichletCoversAllSamplesOnce) {
-  appfl::rng::Rng r(6);
-  std::vector<std::size_t> labels(200);
-  for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = i % 5;
-  const auto part = appfl::data::dirichlet_partition(labels, 5, 4, 0.5, r);
-  std::set<std::size_t> all;
-  std::size_t total = 0;
-  for (const auto& shard : part) {
-    total += shard.size();
-    for (std::size_t i : shard) EXPECT_TRUE(all.insert(i).second);
-  }
-  EXPECT_EQ(total, labels.size());
-}
-
-TEST(Partition, SmallAlphaIsMoreSkewedThanLargeAlpha) {
-  std::vector<std::size_t> labels(2000);
-  for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = i % 10;
-  auto skew = [&](double alpha) {
-    appfl::rng::Rng r(7);
-    const auto part = appfl::data::dirichlet_partition(labels, 10, 8, alpha, r);
-    const auto hist = appfl::data::class_histograms(labels, 10, part);
-    // Mean over clients of (max class share).
-    double acc = 0.0;
-    for (const auto& h : hist) {
-      const double n = static_cast<double>(
-          std::accumulate(h.begin(), h.end(), std::size_t{0}));
-      if (n == 0) continue;
-      acc += static_cast<double>(*std::max_element(h.begin(), h.end())) / n;
-    }
-    return acc / static_cast<double>(hist.size());
-  };
-  EXPECT_GT(skew(0.05), skew(100.0) + 0.1);
-}
-
-TEST(Partition, MaterializeBuildsShardDatasets) {
-  const auto ds = tiny_dataset();
-  appfl::rng::Rng r(8);
-  const auto part = appfl::data::iid_partition(6, 3, r);
-  const auto shards = appfl::data::materialize(ds, part);
-  ASSERT_EQ(shards.size(), 3U);
-  for (const auto& s : shards) EXPECT_EQ(s.size(), 2U);
 }
 
 // -- Synthetic datasets --------------------------------------------------------

@@ -10,6 +10,7 @@
 #include "core/decentralized.hpp"
 #include "core/runner.hpp"
 #include "data/synth.hpp"
+#include "scoped_kernel_config.hpp"
 
 namespace {
 
@@ -117,6 +118,18 @@ TEST(Gossip, DisagreementShrinksOverRounds) {
   const double late = result.round_disagreement.back();
   EXPECT_LT(late, 4.0 * early + 1.0);
   EXPECT_GT(early, 0.0);
+}
+
+TEST(Gossip, AppliesTheKernelThreadSetting) {
+  // Like run_federated and run_population, gossip applies
+  // RunConfig::kernel_threads at its start; the guard restores the setting.
+  const appfl::testutil::ScopedKernelConfig guard(0);
+  RunConfig cfg = gossip_config();
+  cfg.rounds = 1;
+  cfg.kernel_threads = 3;
+  appfl::core::run_decentralized(cfg, split_of(3),
+                                 appfl::core::ring_topology(3));
+  EXPECT_EQ(appfl::tensor::kernel_config().threads, 3U);
 }
 
 TEST(Gossip, RejectsSecureAggregation) {

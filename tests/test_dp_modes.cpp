@@ -44,12 +44,6 @@ RunConfig config_of(Algorithm alg, DpMode mode, double eps) {
   return cfg;
 }
 
-TEST(DpModeNames, ToString) {
-  EXPECT_EQ(appfl::core::to_string(DpMode::kOutput), "output-perturbation");
-  EXPECT_EQ(appfl::core::to_string(DpMode::kGradient),
-            "gradient-perturbation");
-}
-
 class DpModeTest : public testing::TestWithParam<Algorithm> {};
 
 TEST_P(DpModeTest, GradientModeChangesTheTrajectory) {

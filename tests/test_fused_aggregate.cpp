@@ -84,13 +84,11 @@ TEST(FusedStream, WeightedSumMatchesSpanFormEveryThreadCount) {
     }
     std::vector<float> reference(n);
     {
-      const ScopedKernelConfig serial(appfl::tensor::kernel_config().backend,
-                                      1);
+      const ScopedKernelConfig serial(1);
       appfl::core::weighted_sum(span_terms, reference);
     }
     for (const std::size_t threads : kThreads) {
-      const ScopedKernelConfig engine(appfl::tensor::kernel_config().backend,
-                                      threads);
+      const ScopedKernelConfig engine(threads);
       std::vector<float> fused(n);
       appfl::core::weighted_sum_stream(stream_terms, fused);
       EXPECT_TRUE(same_bits(reference, fused))
@@ -117,13 +115,11 @@ TEST(FusedStream, ConsensusSumMatchesSpanFormEveryThreadCount) {
     }
     std::vector<float> reference(n);
     {
-      const ScopedKernelConfig serial(appfl::tensor::kernel_config().backend,
-                                      1);
+      const ScopedKernelConfig serial(1);
       appfl::core::consensus_sum(span_terms, 0.2F, 0.5F, reference);
     }
     for (const std::size_t threads : kThreads) {
-      const ScopedKernelConfig engine(appfl::tensor::kernel_config().backend,
-                                      threads);
+      const ScopedKernelConfig engine(threads);
       std::vector<float> fused(n);
       appfl::core::consensus_sum_stream(stream_terms, 0.2F, 0.5F, fused);
       EXPECT_TRUE(same_bits(reference, fused))
@@ -148,13 +144,11 @@ TEST(FusedStream, WeightedDeltaMatchesSpanFormEveryThreadCount) {
     }
     std::vector<double> reference(n);
     {
-      const ScopedKernelConfig serial(appfl::tensor::kernel_config().backend,
-                                      1);
+      const ScopedKernelConfig serial(1);
       appfl::core::weighted_delta(span_terms, base, reference);
     }
     for (const std::size_t threads : kThreads) {
-      const ScopedKernelConfig engine(appfl::tensor::kernel_config().backend,
-                                      threads);
+      const ScopedKernelConfig engine(threads);
       std::vector<double> fused(n);
       appfl::core::weighted_delta_stream(stream_terms, base, fused);
       ASSERT_EQ(reference.size(), fused.size());
@@ -178,8 +172,7 @@ TEST(FusedStream, F16PayloadsWidenExactly) {
     std::vector<float> reference(n);
     appfl::core::weighted_sum(span_terms, reference);
     for (const std::size_t threads : kThreads) {
-      const ScopedKernelConfig engine(appfl::tensor::kernel_config().backend,
-                                      threads);
+      const ScopedKernelConfig engine(threads);
       std::vector<float> fused(n);
       appfl::core::weighted_sum_stream(stream_terms, fused);
       EXPECT_TRUE(same_bits(reference, fused))

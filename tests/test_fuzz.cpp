@@ -15,7 +15,6 @@
 #include "comm/protolite.hpp"
 #include "core/checkpoint.hpp"
 #include "rng/rng.hpp"
-#include "tensor/serialize.hpp"
 
 namespace {
 
@@ -97,17 +96,6 @@ TEST(Fuzz, ProtoReaderNeverCrashes) {
     }
   };
   fuzz_random(decode, 5000, 5);
-}
-
-TEST(Fuzz, TensorFromBytesNeverCrashes) {
-  auto decode = [](std::span<const std::uint8_t> b) {
-    (void)appfl::tensor::from_bytes(b);
-  };
-  fuzz_random(decode, 3000, 6);
-  appfl::rng::Rng r(7);
-  fuzz_mutations(
-      appfl::tensor::to_bytes(appfl::tensor::Tensor::randn({3, 4, 5}, r)),
-      decode, 3000, 8);
 }
 
 using appfl::core::RunCheckpoint;

@@ -266,38 +266,38 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Conv2dLayer, GemmBackendMatchesDirectBackend) {
-  // The layer-level toggle: identical weights, identical outputs and grads.
-  appfl::rng::Rng r1(77), r2(77);
-  appfl::nn::Conv2d direct(2, 3, 3, r1, 1, 1, appfl::nn::Conv2d::Backend::kDirect);
-  appfl::nn::Conv2d gemm(2, 3, 3, r2, 1, 1, appfl::nn::Conv2d::Backend::kGemm);
-  ASSERT_EQ(direct.flat_parameters(), gemm.flat_parameters());
+  // The layer runs the GEMM lowering; the direct loops are its oracle, on
+  // the layer's own weights: identical outputs and grads.
+  appfl::rng::Rng r(77);
+  appfl::nn::Conv2d layer(2, 3, 3, r, 1, 1);
+  const Tensor& w = layer.params()[0]->value;
+  const Tensor& b = layer.params()[1]->value;
+  const Conv2dSpec& spec = layer.spec();
 
   appfl::rng::Rng rx(78);
   const Tensor x = Tensor::randn({2, 2, 7, 7}, rx);
-  const Tensor yd = direct.forward(x);
-  const Tensor yg = gemm.forward(x);
-  EXPECT_TRUE(yg.allclose(yd, 1e-4F));
+  const Tensor y = layer.forward(x);
+  const Tensor yd = appfl::tensor::conv2d_forward(x, w, b, spec);
+  EXPECT_TRUE(y.allclose(yd, 1e-4F));
 
   const Tensor gy = Tensor::randn(yd.shape(), rx);
-  const Tensor gxd = direct.backward(gy);
-  const Tensor gxg = gemm.backward(gy);
-  EXPECT_TRUE(gxg.allclose(gxd, 1e-4F));
-  const auto gd = direct.flat_gradients();
-  const auto gg = gemm.flat_gradients();
-  for (std::size_t i = 0; i < gd.size(); ++i) {
-    EXPECT_NEAR(gd[i], gg[i], 1e-3F) << i;
-  }
-  // clone() preserves the backend.
-  auto copy = gemm.clone();
-  auto* conv_copy = dynamic_cast<appfl::nn::Conv2d*>(copy.get());
-  ASSERT_NE(conv_copy, nullptr);
-  EXPECT_EQ(conv_copy->backend(), appfl::nn::Conv2d::Backend::kGemm);
+  const Tensor gx = layer.backward(gy);
+  EXPECT_TRUE(gx.allclose(
+      appfl::tensor::conv2d_backward_input(gy, w, x.shape(), spec), 1e-4F));
+  EXPECT_TRUE(layer.params()[0]->grad.allclose(
+      appfl::tensor::conv2d_backward_weight(gy, x, spec), 1e-3F));
+  EXPECT_TRUE(layer.params()[1]->grad.allclose(
+      appfl::tensor::conv2d_backward_bias(gy), 1e-3F));
+  // clone() keeps the weights, so it computes the same forward.
+  auto copy = layer.clone();
+  ASSERT_NE(dynamic_cast<appfl::nn::Conv2d*>(copy.get()), nullptr);
+  EXPECT_TRUE(copy->forward(x).equals(y));
 }
 
-// The full GEMM-vs-direct sweep above runs under every engine backend: the
-// padding/stride edge cases must hold whether the products go through the
-// reference loops, the serial tiled kernel, or the parallel tiled kernel.
-TEST_P(GemmEquivalenceTest, HoldsUnderEveryEngineBackend) {
+// The full GEMM-vs-direct sweep above runs at several kernel thread counts:
+// the padding/stride edge cases must hold whether the tiled products run
+// serially or over the kernel pool.
+TEST_P(GemmEquivalenceTest, HoldsAtEveryKernelThreadCount) {
   const auto& c = GetParam();
   Conv2dSpec spec{c.cin, c.cout, c.k, c.stride, c.pad};
   appfl::rng::Rng r(c.k * 53 + c.cin * 7 + c.h);
@@ -310,13 +310,8 @@ TEST_P(GemmEquivalenceTest, HoldsUnderEveryEngineBackend) {
   const Tensor dx_direct =
       appfl::tensor::conv2d_backward_input(gy, w, x.shape(), spec);
 
-  const appfl::tensor::KernelConfig configs[] = {
-      {appfl::tensor::KernelBackend::kReference, 1},
-      {appfl::tensor::KernelBackend::kTiled, 1},
-      {appfl::tensor::KernelBackend::kTiled, 8},
-  };
-  for (const auto& config : configs) {
-    appfl::testutil::ScopedKernelConfig guard(config);
+  for (const std::size_t threads : {1, 8}) {
+    appfl::testutil::ScopedKernelConfig guard(threads);
     EXPECT_TRUE(appfl::tensor::conv2d_forward_gemm(x, w, b, spec)
                     .allclose(y, 1e-4F));
     const appfl::tensor::Conv2dGrads grads =
@@ -339,8 +334,7 @@ TEST(ConvEngine, DeterministicAcrossKernelThreadCounts) {
 
   Tensor y1, dw1, dx1, gy;
   for (const std::size_t threads : {1UL, 2UL, 8UL}) {
-    appfl::testutil::ScopedKernelConfig guard(
-        appfl::tensor::KernelBackend::kTiled, threads);
+    appfl::testutil::ScopedKernelConfig guard(threads);
     const Tensor y = appfl::tensor::conv2d_forward_gemm(x, w, b, spec);
     if (threads == 1) gy = Tensor::randn(y.shape(), rg);
     const appfl::tensor::Conv2dGrads grads =
@@ -363,8 +357,7 @@ TEST(ConvEngine, WorkspaceIsReusedAcrossSteps) {
   // The arena amortization claim at the conv level: after one full
   // forward+backward warm-up, further steps at the same shapes allocate
   // nothing new on this thread.
-  appfl::testutil::ScopedKernelConfig guard(
-      appfl::tensor::KernelBackend::kTiled, 1);
+  appfl::testutil::ScopedKernelConfig guard(1);
   Conv2dSpec spec{8, 16, 3, 1, 1};
   appfl::rng::Rng r(17);
   const Tensor x = Tensor::randn({2, 8, 12, 12}, r);
@@ -437,8 +430,7 @@ TEST(ConvBackward, SharedReorderMatchesTheSeparateLoweringsBitForBit) {
       {"k3s3", {2, 3, 3, 3, 0, 10, 10, 2}},
   };
   for (const std::size_t threads : {1UL, 4UL}) {
-    appfl::testutil::ScopedKernelConfig guard(
-        appfl::tensor::KernelBackend::kTiled, threads);
+    appfl::testutil::ScopedKernelConfig guard(threads);
     for (const Case& c : cases) {
       const GemmCase& g = c.shape;
       const Conv2dSpec spec{g.cin, g.cout, g.k, g.stride, g.pad};
@@ -460,29 +452,6 @@ TEST(ConvBackward, SharedReorderMatchesTheSeparateLoweringsBitForBit) {
           << where;
     }
   }
-}
-
-TEST(Conv2dLayer, AutoBackendFollowsEngineConfig) {
-  appfl::rng::Rng r(5);
-  appfl::nn::Conv2d layer(1, 2, 3, r);  // default backend: kAuto
-  EXPECT_EQ(layer.backend(), appfl::nn::Conv2d::Backend::kAuto);
-  {
-    appfl::testutil::ScopedKernelConfig guard(
-        appfl::tensor::KernelBackend::kTiled, 1);
-    EXPECT_EQ(layer.resolved_backend(), appfl::nn::Conv2d::Backend::kGemm);
-  }
-  {
-    appfl::testutil::ScopedKernelConfig guard(
-        appfl::tensor::KernelBackend::kReference, 1);
-    EXPECT_EQ(layer.resolved_backend(), appfl::nn::Conv2d::Backend::kDirect);
-  }
-  // Explicit backends are not second-guessed.
-  appfl::rng::Rng r2(5);
-  appfl::nn::Conv2d direct(1, 2, 3, r2, 1, 0,
-                           appfl::nn::Conv2d::Backend::kDirect);
-  appfl::testutil::ScopedKernelConfig guard(
-      appfl::tensor::KernelBackend::kTiled, 1);
-  EXPECT_EQ(direct.resolved_backend(), appfl::nn::Conv2d::Backend::kDirect);
 }
 
 // The grouped forward against one im2col + GEMM over the whole batch: every
@@ -561,8 +530,7 @@ void on_pool_worker(const std::function<void()>& fn) {
 
 TEST(ConvGroups, GroupedForwardIsBitIdenticalToOneShotGemm) {
   for (const std::size_t threads : {1UL, 4UL}) {
-    appfl::testutil::ScopedKernelConfig guard(
-        appfl::tensor::KernelBackend::kTiled, threads);
+    appfl::testutil::ScopedKernelConfig guard(threads);
     for (const GroupLayer& l : kGroupLayers) {
       const Conv2dSpec& spec = l.spec;
       const std::size_t g = appfl::tensor::conv2d_forward_group(spec, l.h, l.w);
@@ -597,8 +565,7 @@ TEST(ConvGroups, GroupedForwardIsBitIdenticalToOneShotGemm) {
 }
 
 TEST(ConvGroups, PatchMatrixHoldsOnlyTheLastGroup) {
-  appfl::testutil::ScopedKernelConfig guard(
-      appfl::tensor::KernelBackend::kTiled, 1);
+  appfl::testutil::ScopedKernelConfig guard(1);
   for (const GroupLayer& l : kGroupLayers) {
     const Conv2dSpec& spec = l.spec;
     const std::size_t n = 256;

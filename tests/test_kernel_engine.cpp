@@ -1,5 +1,5 @@
-// The kernel execution engine: backend selection, the workspace arena, the
-// shared kernel pool, and — the contract the runner depends on — the
+// The kernel execution engine: thread-count selection, the workspace arena,
+// the shared kernel pool, and — the contract the runner depends on — the
 // nested-parallelism serial fallback (client-level outer, kernel-level
 // inner; a kernel inside a pool task must never fan out again).
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 
 namespace {
 
-using appfl::tensor::KernelBackend;
 using appfl::tensor::KernelConfig;
 using appfl::tensor::Tensor;
 using appfl::tensor::Trans;
@@ -38,53 +37,34 @@ Tensor big_b() {
   return Tensor::randn({160, 130}, r);
 }
 
-TEST(KernelConfigTest, ParseAndToString) {
-  EXPECT_EQ(appfl::tensor::parse_kernel_backend("tiled"),
-            KernelBackend::kTiled);
-  EXPECT_EQ(appfl::tensor::parse_kernel_backend("reference"),
-            KernelBackend::kReference);
-  EXPECT_THROW(appfl::tensor::parse_kernel_backend("fast"), appfl::Error);
-  EXPECT_EQ(appfl::tensor::to_string(KernelBackend::kTiled), "tiled");
-  EXPECT_EQ(appfl::tensor::to_string(KernelBackend::kReference), "reference");
-}
-
 TEST(KernelConfigTest, SetAndApply) {
-  ScopedKernelConfig guard(KernelBackend::kTiled, 0);
-  appfl::tensor::apply_kernel_config("reference", 3);
-  EXPECT_EQ(appfl::tensor::kernel_config().backend, KernelBackend::kReference);
+  ScopedKernelConfig guard(0);
+  appfl::tensor::apply_kernel_threads(3);
   EXPECT_EQ(appfl::tensor::kernel_config().threads, 3U);
-  // "auto"/0 keep the current values.
-  appfl::tensor::apply_kernel_config("auto", 0);
-  EXPECT_EQ(appfl::tensor::kernel_config().backend, KernelBackend::kReference);
+  // 0 keeps the current value.
+  appfl::tensor::apply_kernel_threads(0);
   EXPECT_EQ(appfl::tensor::kernel_config().threads, 3U);
-  EXPECT_THROW(appfl::tensor::apply_kernel_config("fast", 0), appfl::Error);
 }
 
 TEST(KernelConfigTest, EnvDefaultsWarnAndIgnoreBadValues) {
   // Only the parser runs here: no pool is ever built from these values.
-  const auto from_env = [](const char* backend, const char* threads) {
-    ::setenv("APPFL_KERNEL_BACKEND", backend, 1);
+  const auto from_env = [](const char* threads) {
     ::setenv("APPFL_KERNEL_THREADS", threads, 1);
     const auto config = appfl::tensor::kernel_config_from_env();
-    ::unsetenv("APPFL_KERNEL_BACKEND");
     ::unsetenv("APPFL_KERNEL_THREADS");
     return config;
   };
-  auto config = from_env("reference", "8");
-  EXPECT_EQ(config.backend, KernelBackend::kReference);
+  auto config = from_env("8");
   EXPECT_EQ(config.threads, 8U);
   testing::internal::CaptureStderr();
-  config = from_env("bogus", "abc");
-  EXPECT_EQ(config.backend, KernelBackend::kTiled);
+  config = from_env("abc");
   EXPECT_EQ(config.threads, 0U);
-  config = from_env("tiled", "5000");  // above kMaxKernelThreads
+  config = from_env("5000");  // above kMaxKernelThreads
   EXPECT_EQ(config.threads, 0U);
   const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("warning: ignoring invalid APPFL_KERNEL_BACKEND='bogus' "
-                     "(need auto|reference|tiled)"),
+  EXPECT_NE(err.find("warning: ignoring invalid APPFL_KERNEL_THREADS='abc'"),
             std::string::npos)
       << err;
-  EXPECT_NE(err.find("APPFL_KERNEL_THREADS='abc'"), std::string::npos);
   EXPECT_NE(err.find("APPFL_KERNEL_THREADS='5000' (need an integer in "
                      "[0, 1024])"),
             std::string::npos)
@@ -94,22 +74,13 @@ TEST(KernelConfigTest, EnvDefaultsWarnAndIgnoreBadValues) {
 TEST(KernelEngine, TiledMatchesReference) {
   const Tensor a = big_a(), b = big_b();
   const Tensor expected = appfl::tensor::matmul_reference(a, b);
-  ScopedKernelConfig guard(KernelBackend::kTiled, 2);
+  ScopedKernelConfig guard(2);
   EXPECT_TRUE(appfl::tensor::matmul(a, b).allclose(expected, 1e-3F));
-}
-
-TEST(KernelEngine, ReferenceBackendSelectsScalarLoops) {
-  const Tensor a = big_a(), b = big_b();
-  ScopedKernelConfig guard(KernelBackend::kReference, 4);
-  const Tensor c = appfl::tensor::matmul(a, b);
-  // The reference path never fans out, whatever the thread setting.
-  EXPECT_EQ(appfl::tensor::last_gemm_chunks(), 1U);
-  EXPECT_TRUE(c.equals(appfl::tensor::matmul_reference(a, b)));
 }
 
 TEST(KernelEngine, TopLevelCallFansOutOverRowPanels) {
   const Tensor a = big_a(), b = big_b();
-  ScopedKernelConfig guard(KernelBackend::kTiled, 2);
+  ScopedKernelConfig guard(2);
   appfl::tensor::matmul(a, b);
   // 300 rows / 96-row blocks = 4 chunks.
   EXPECT_GT(appfl::tensor::last_gemm_chunks(), 1U);
@@ -120,7 +91,7 @@ TEST(KernelEngine, NestedCallFallsBackToSerial) {
   // task must run serially on that worker instead of re-entering the
   // kernel pool (no oversubscription, no pool-in-pool deadlock).
   const Tensor a = big_a(), b = big_b();
-  ScopedKernelConfig guard(KernelBackend::kTiled, 4);
+  ScopedKernelConfig guard(4);
   const Tensor top_level = appfl::tensor::matmul(a, b);
 
   appfl::util::ThreadPool client_pool(2);
@@ -145,7 +116,7 @@ TEST(KernelEngine, DeterministicAcrossThreadCounts) {
   const Tensor a = big_a(), b = big_b();
   Tensor first;
   for (const std::size_t threads : {1UL, 2UL, 8UL}) {
-    ScopedKernelConfig guard(KernelBackend::kTiled, threads);
+    ScopedKernelConfig guard(threads);
     const Tensor c = appfl::tensor::matmul(a, b);
     if (threads == 1) {
       first = c;
@@ -166,7 +137,7 @@ TEST(KernelEngine, RawGemmHandlesDegenerateExtents) {
   // Each degenerate call ran serially, so it reports one chunk even right
   // after a call that fanned out.
   const Tensor a = big_a(), b = big_b();
-  ScopedKernelConfig guard(KernelBackend::kTiled, 2);
+  ScopedKernelConfig guard(2);
   const std::size_t extents[][3] = {{2, 2, 0}, {0, 2, 2}, {2, 0, 2}};
   for (const auto& e : extents) {
     appfl::tensor::matmul(a, b);
@@ -255,7 +226,7 @@ TEST(KernelEngine, GemmBitsMatchAccumulationOrderOracle) {
         const std::vector<float> expected = gemm_oracle(
             ta, tb, s.m, s.n, s.k, a.raw(), lda, b.raw(), ldb);
         for (const std::size_t threads : {1UL, 4UL}) {
-          ScopedKernelConfig guard(KernelBackend::kTiled, threads);
+          ScopedKernelConfig guard(threads);
           std::vector<float> c(s.m * s.n, -1.0F);
           appfl::tensor::gemm(ta, tb, s.m, s.n, s.k, a.raw(), lda, b.raw(),
                               ldb, c.data());
@@ -327,7 +298,7 @@ TEST(WorkspaceTest, SlotsAreDisjoint) {
 TEST(WorkspaceTest, SteadyStateMatmulStopsAllocating) {
   // The amortization claim: after a warm-up call, repeating the same
   // shapes must not grow the calling thread's arena again.
-  ScopedKernelConfig guard(KernelBackend::kTiled, 1);  // all work on caller
+  ScopedKernelConfig guard(1);  // all work on caller
   const Tensor a = big_a(), b = big_b();
   appfl::tensor::matmul(a, b);
   const std::size_t warm = appfl::tensor::Workspace::tls().allocations();

@@ -136,8 +136,7 @@ TEST_P(BackendParityTest, BackendsAgreeOnAllVariants) {
   EXPECT_TRUE(ref_at.allclose(ref, tol));
 
   for (const std::size_t threads : {1UL, 8UL}) {
-    appfl::testutil::ScopedKernelConfig guard(
-        appfl::tensor::KernelBackend::kTiled, threads);
+    appfl::testutil::ScopedKernelConfig guard(threads);
     EXPECT_TRUE(appfl::tensor::matmul(a, b).allclose(ref, tol))
         << "threads=" << threads;
     EXPECT_TRUE(appfl::tensor::matmul_bt(a, bt).allclose(ref, tol))
@@ -157,8 +156,7 @@ TEST_P(BackendParityTest, TiledIsBitwiseDeterministicAcrossThreads) {
 
   Tensor base, base_bt, base_at;
   for (const std::size_t threads : {1UL, 2UL, 8UL}) {
-    appfl::testutil::ScopedKernelConfig guard(
-        appfl::tensor::KernelBackend::kTiled, threads);
+    appfl::testutil::ScopedKernelConfig guard(threads);
     const Tensor c = appfl::tensor::matmul(a, b);
     const Tensor c_bt = appfl::tensor::matmul_bt(a, bt);
     const Tensor c_at = appfl::tensor::matmul_at(at, b);

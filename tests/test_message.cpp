@@ -91,13 +91,6 @@ TEST(Message, RawDecodeRejectsCorruption) {
   EXPECT_THROW(appfl::comm::decode_raw(truncated), appfl::Error);
 }
 
-TEST(Message, KindNames) {
-  EXPECT_EQ(appfl::comm::to_string(MessageKind::kGlobalModel), "global_model");
-  EXPECT_EQ(appfl::comm::to_string(MessageKind::kLocalUpdate), "local_update");
-  EXPECT_EQ(appfl::comm::to_string(MessageKind::kInit), "init");
-  EXPECT_EQ(appfl::comm::to_string(MessageKind::kShutdown), "shutdown");
-}
-
 TEST(Message, FloatPayloadBitExactThroughBothEncodings) {
   // Dual-consistency of IIADMM requires float vectors to survive the wire
   // bit-for-bit. Exercise denormals, infinities, and exact values.

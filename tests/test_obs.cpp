@@ -4,6 +4,8 @@
 // level/env plumbing.
 #include <gtest/gtest.h>
 
+#include "json_check.hpp"
+
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -27,6 +29,8 @@ namespace obs = appfl::obs;
 
 namespace {
 
+using appfl::testutil::json_well_formed;
+
 /// RAII level guard so a test can't leak an enabled plane into the suite.
 struct LevelGuard {
   explicit LevelGuard(obs::Level lv) : prev(obs::level()) {
@@ -40,50 +44,16 @@ std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-// Minimal JSON validator — enough to prove the exported trace is
-// well-formed: balanced braces/brackets outside strings, valid escapes, no
-// trailing garbage. (No third-party JSON dependency in the image.)
-bool json_well_formed(const std::string& text) {
-  std::vector<char> stack;
-  bool in_string = false;
-  bool escaped = false;
-  for (const char c : text) {
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"': in_string = true; break;
-      case '{': stack.push_back('}'); break;
-      case '[': stack.push_back(']'); break;
-      case '}':
-      case ']':
-        if (stack.empty() || stack.back() != c) return false;
-        stack.pop_back();
-        break;
-      default: break;
-    }
-  }
-  return !in_string && stack.empty();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- level ----
 
-TEST(ObsLevel, ParseAndToString) {
+TEST(ObsLevel, Parse) {
   EXPECT_EQ(obs::parse_level("off"), obs::Level::kOff);
   EXPECT_EQ(obs::parse_level("metrics"), obs::Level::kMetrics);
   EXPECT_EQ(obs::parse_level("trace"), obs::Level::kTrace);
   EXPECT_FALSE(obs::parse_level("verbose").has_value());
   EXPECT_FALSE(obs::parse_level("").has_value());
-  EXPECT_EQ(obs::to_string(obs::Level::kTrace), "trace");
 }
 
 TEST(ObsLevel, GuardsFollowLevel) {

@@ -46,16 +46,12 @@ TEST(Protolite, VarintEncodingSizes) {
   EXPECT_EQ(size_of(std::numeric_limits<std::uint64_t>::max()), 10U);
 }
 
-TEST(Protolite, FloatAndDoubleFields) {
+TEST(Protolite, DoubleField) {
   ProtoWriter w;
-  w.add_float(3, 1.5F);
   w.add_double(4, -2.25);
   const auto buf = w.take();
   ProtoReader r(buf);
   ProtoField f;
-  ASSERT_TRUE(r.next(f));
-  EXPECT_EQ(f.field, 3U);
-  EXPECT_EQ(ProtoReader::as_float(f), 1.5F);
   ASSERT_TRUE(r.next(f));
   EXPECT_EQ(f.field, 4U);
   EXPECT_EQ(ProtoReader::as_double(f), -2.25);
@@ -145,7 +141,7 @@ TEST(Protolite, WrongTypeAccessorsThrow) {
   ProtoReader r(buf);
   ProtoField f;
   ASSERT_TRUE(r.next(f));
-  EXPECT_THROW(ProtoReader::as_float(f), appfl::Error);
+  EXPECT_THROW(ProtoReader::as_double(f), appfl::Error);
   EXPECT_THROW(ProtoReader::as_string(f), appfl::Error);
   EXPECT_THROW(ProtoReader::as_packed_floats(f), appfl::Error);
 }

@@ -829,7 +829,9 @@ TEST(CheckpointStore, TornNewestSlotAtEveryLengthFallsBackPerFlavor) {
       CheckpointStore probe(dir.str());
       const auto ckpt = appfl::core::load_latest_checkpoint(probe);
       ASSERT_TRUE(ckpt.has_value()) << flavor;
-      if (flavor == "fedbuff") EXPECT_EQ(ckpt->buffer.size(), 2U);
+      if (flavor == "fedbuff") {
+        EXPECT_EQ(ckpt->buffer.size(), 2U);
+      }
       if (flavor == "fedcompass") {
         ASSERT_EQ(ckpt->assigned_steps.size(), 2U);
         EXPECT_NE(ckpt->assigned_steps[0], ckpt->assigned_steps[1]);

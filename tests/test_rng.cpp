@@ -125,9 +125,7 @@ INSTANTIATE_TEST_SUITE_P(
         MomentCase{"laplace(1,0.5)", 1.0, 0.5,
                    [](Rng& r) { return appfl::rng::laplace(r, 1.0, 0.5); }},
         MomentCase{"uniform(2,4)", 3.0, 1.0 / 3.0,
-                   [](Rng& r) { return appfl::rng::uniform(r, 2.0, 4.0); }},
-        MomentCase{"exponential(2)", 0.5, 0.25,
-                   [](Rng& r) { return appfl::rng::exponential(r, 2.0); }}),
+                   [](Rng& r) { return appfl::rng::uniform(r, 2.0, 4.0); }}),
     [](const testing::TestParamInfo<MomentCase>& info) {
       std::string n = info.param.name;
       for (auto& ch : n) {
@@ -153,35 +151,6 @@ TEST(Lognormal, MedianIsExpMu) {
   for (auto& x : v) x = appfl::rng::lognormal(r, 1.0, 0.5);
   std::nth_element(v.begin(), v.begin() + 10000, v.end());
   EXPECT_NEAR(v[10000], std::exp(1.0), 0.1);
-}
-
-TEST(Dirichlet, SumsToOneAndIsSkewedForSmallAlpha) {
-  Rng r(19);
-  const auto p = appfl::rng::dirichlet_symmetric(r, 10, 0.1);
-  double sum = 0.0, mx = 0.0;
-  for (double x : p) {
-    EXPECT_GE(x, 0.0);
-    sum += x;
-    mx = std::max(mx, x);
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-9);
-  EXPECT_GT(mx, 0.3);  // alpha=0.1 concentrates mass
-}
-
-TEST(Dirichlet, LargeAlphaIsNearlyUniform) {
-  Rng r(23);
-  const auto p = appfl::rng::dirichlet_symmetric(r, 10, 1000.0);
-  for (double x : p) EXPECT_NEAR(x, 0.1, 0.03);
-}
-
-TEST(Gamma, MeanEqualsAlpha) {
-  Rng r(29);
-  for (double alpha : {0.5, 1.0, 3.0, 10.0}) {
-    double sum = 0.0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i) sum += appfl::rng::gamma(r, alpha);
-    EXPECT_NEAR(sum / n, alpha, 0.1 * alpha + 0.05) << "alpha=" << alpha;
-  }
 }
 
 TEST(Shuffle, ProducesAPermutation) {

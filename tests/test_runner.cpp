@@ -59,16 +59,6 @@ TEST(Runner, SkipsValidationWhenDisabled) {
   EXPECT_GE(result.final_accuracy, 0.0);
 }
 
-TEST(Runner, CumulativeCommSecondsIsMonotone) {
-  const auto result = appfl::core::run_federated(quick_config(), small_split());
-  const auto cum = result.cumulative_comm_seconds();
-  ASSERT_EQ(cum.size(), 3U);
-  EXPECT_GT(cum[0], 0.0);
-  EXPECT_LT(cum[0], cum[1]);
-  EXPECT_LT(cum[1], cum[2]);
-  EXPECT_NEAR(cum[2], result.sim_comm_seconds, 1e-9);
-}
-
 TEST(Runner, GrpcProtocolRecordsPerClientTimes) {
   RunConfig cfg = quick_config();
   cfg.protocol = appfl::comm::Protocol::kGrpc;
@@ -116,7 +106,7 @@ TEST(BuildModel, AllKindsMatchDataShape) {
     RunConfig cfg = quick_config();
     cfg.model = kind;
     auto model = appfl::core::build_model(cfg, split.test);
-    EXPECT_GT(model->num_parameters(), 0U) << appfl::core::to_string(kind);
+    EXPECT_GT(model->num_parameters(), 0U) << static_cast<int>(kind);
   }
 }
 

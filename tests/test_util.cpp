@@ -40,13 +40,6 @@ TEST(Check, MessageCarriesContext) {
   }
 }
 
-TEST(Logging, LevelRoundTrips) {
-  const auto prev = appfl::log::level();
-  appfl::log::set_level(appfl::log::Level::kError);
-  EXPECT_EQ(appfl::log::level(), appfl::log::Level::kError);
-  appfl::log::set_level(prev);
-}
-
 TEST(ThreadPool, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
